@@ -316,7 +316,13 @@ def segment_softmax(logits: Tensor, offsets: np.ndarray) -> Tensor:
 def row_max_pool(x: Tensor, graph) -> Tensor:
     """Per-node elementwise max over neighbor rows; empty neighborhoods give 0.
 
-    Ties route the gradient to the lowest-id neighbor attaining the max.
+    A degree-rank sweep: nodes are ordered by descending degree, so the nodes
+    that have a j-th neighbor form a prefix of that order, and step j compares
+    all of them against their j-th neighbor row in one vectorized pass. The
+    loop runs ``max_degree - 1`` times, independent of the node count. A
+    candidate replaces the running max only when strictly greater, and CSR
+    neighbors are sorted ascending, so ties (signed zeros included) keep the
+    lowest-id neighbor attaining the max, which also receives the gradient.
     """
     if x.value.ndim != 2 or x.value.shape[0] != graph.num_nodes:
         raise AutodiffError(
@@ -324,24 +330,39 @@ def row_max_pool(x: Tensor, graph) -> Tensor:
         )
     n, d = x.value.shape
     off, tgt = graph.csr_offsets, graph.csr_targets
+    deg = np.diff(off)
+    order = np.argsort(-deg, kind="stable")
+    max_degree = int(deg.max(initial=0))
+    # active[j]: how many nodes have more than j neighbors; they lead `order`
+    active = np.searchsorted(-deg[order], -np.arange(max_degree))
+    rows = order[:np.count_nonzero(deg)]
+    starts = off[rows]
+    # The outputs that outlive the call are allocated before the sweep's
+    # temporaries, so freeing those leaves no holes in the heap (peak RSS).
     value = np.zeros((n, d))
-    argmax = np.zeros((n, d), dtype=np.int64)
-    nonempty = np.zeros(n, dtype=bool)
-    for i in range(n):
-        a, b = off[i], off[i + 1]
-        if b > a:
-            seg = x.value[tgt[a:b]]
-            am = seg.argmax(axis=0)  # first occurrence = lowest node id (targets sorted)
-            value[i] = seg[am, np.arange(d)]
-            argmax[i] = tgt[a:b][am]
-            nonempty[i] = True
+    # pos[r, c]: which neighbor (0-based, in CSR order) holds row r's max in column c
+    pos = np.zeros((rows.size, d), dtype=np.min_scalar_type(max_degree))
+    best = x.value[tgt[starts]]
+    win = np.empty(best.shape, dtype=bool)
+    for j in range(1, max_degree):
+        k = active[j]
+        cand = x.value[tgt[starts[:k] + j]]
+        np.greater(cand, best[:k], out=win[:k])
+        np.copyto(best[:k], cand, where=win[:k])
+        np.copyto(pos[:k], j, where=win[:k], casting="unsafe")
+    value[rows] = best
 
     def vjp(u):
-        g = np.zeros_like(x.value)
-        cols = np.arange(d)
-        for i in np.flatnonzero(nonempty):
-            np.add.at(g, (argmax[i], cols), u[i])
-        return g
+        # bincount adds in input order; feeding the rows by ascending node id
+        # sums each gradient entry in the same order as a per-node loop would.
+        nodes = np.flatnonzero(deg)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        flat = tgt[off[nodes, None] + pos[rank[nodes]]]  # winning neighbor ids
+        flat *= d
+        flat += np.arange(d)
+        g = np.bincount(flat.ravel(), weights=u[nodes].ravel(), minlength=n * d)
+        return g.reshape(n, d)
 
     return _apply(value, [(x, vjp)])
 

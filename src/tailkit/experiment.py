@@ -224,8 +224,6 @@ def _normalize_model(raw, task: str) -> dict:
                            "$.model.output_dim", 1),
         "num_layers": _int(_take(section, "num_layers", "$.model", 2),
                            "$.model.num_layers", 1),
-        "gat_heads": _int(_take(section, "gat_heads", "$.model", 1),
-                          "$.model.gat_heads", 1),
         "featureless": _bool(
             _take(section, "featureless", "$.model", task == "recsys"),
             "$.model.featureless"),
@@ -319,6 +317,24 @@ def _normalize_split(raw, task: str) -> dict:
     return out
 
 
+def _check_new_nodes(dataset: dict, split: dict, settings: tuple) -> None:
+    """Refuse a split that holds out no new node when a setting evaluates on them.
+
+    ``node_split`` holds out ``floor(new_fraction * n)`` nodes. The node count
+    of a file dataset is unknown until it is read, so there only a zero
+    fraction is caught.
+    """
+    fraction = split.get("new_fraction")
+    inductive = [tag for tag in settings if tag != "transductive"]
+    if fraction is None or not inductive:
+        return
+    n = dataset.get("num_nodes")
+    if fraction == 0 or (n is not None and np.floor(fraction * n) == 0):
+        raise ConfigError(
+            "$.split.new_fraction",
+            f"holds out no new node, but settings {inductive} evaluate on new nodes")
+
+
 _THEORY_DEFAULTS = MonteCarloConfig()
 _THEORY_FIELDS = ("N", "T", "R", "m", "d", "delta", "separation", "seed",
                   "stage1_steps", "stage2_steps", "lr")
@@ -385,6 +401,7 @@ class ExperimentConfig:
         settings = _normalize_settings(
             _take(section, "settings", "$", None), task,
             split.get("cold_ratios", ()))
+        _check_new_nodes(dataset, split, settings)
 
         eval_section = _as_mapping(_take(section, "eval", "$", {}), "$.eval")
         evaluation = {"k": _int(_take(eval_section, "k", "$.eval", 50), "$.eval.k", 1)}
@@ -647,8 +664,7 @@ def _encoder_config(config: ExperimentConfig, graph) -> EncoderConfig:
         input_dim=input_dim,
         hidden_dim=model["hidden_dim"],
         output_dim=model["output_dim"],
-        num_layers=model["num_layers"],
-        gat_heads=model["gat_heads"])
+        num_layers=model["num_layers"])
 
 
 def _make_supervision(config: ExperimentConfig, bundle: SplitBundle):

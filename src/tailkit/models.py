@@ -58,7 +58,6 @@ class EncoderConfig:
     hidden_dim: int
     output_dim: int
     num_layers: int = 3
-    gat_heads: int = 1
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -67,8 +66,6 @@ class EncoderConfig:
             raise ModelError("all dimensions must be >= 1")
         if self.num_layers < 1:
             raise ModelError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.gat_heads != 1:
-            raise ModelError("only single-head attention is supported")
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.input_dim] + [self.hidden_dim] * (self.num_layers - 1) + [self.output_dim]
@@ -303,7 +300,7 @@ def recsys_score(model: Model, graph: Graph, pairs) -> Tensor:
 # checkpointing
 # ---------------------------------------------------------------------------
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_model(model: Model, path) -> None:
@@ -318,7 +315,6 @@ def save_model(model: Model, path) -> None:
             "hidden_dim": model.config.hidden_dim,
             "output_dim": model.config.output_dim,
             "num_layers": model.config.num_layers,
-            "gat_heads": model.config.gat_heads,
         },
         "params": {
             k: {

@@ -24,7 +24,6 @@ from .models import TASKS, Model, classify_embeddings, encode, score_pairs
 
 __all__ = [
     "ABLATIONS",
-    "ALPHA_GRID",
     "PRESETS",
     "StageReport",
     "TrainConfig",
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 ABLATIONS = ("none", "no-curriculum", "no-pseudo", "no-syntails", "dropedge-only", "base-only")
-ALPHA_GRID = (0.25, 0.5, 0.75)
 
 
 class TrainError(ValueError):
@@ -49,8 +47,7 @@ class TrainConfig:
     """Knobs for one training run.
 
     ``stage2_lr=None`` reuses the stage-1 rate, except recsys which defaults
-    to 1e-4 for fine-tuning. The alpha grid searched by the experiment driver
-    is :data:`ALPHA_GRID`; any alpha in [0, 1) is accepted here so that
+    to 1e-4 for fine-tuning. Any alpha in [0, 1) is accepted, so that
     alpha=0 degenerates to training on the intact graph.
     """
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tailkit import autodiff as ad
+from tailkit.generators import generate_scale_free
 from tailkit.graph import build_graph, normalize_adjacency
 
 
@@ -38,6 +39,31 @@ def check_grads(build, params, tol=1e-6):
         analytic = p.grad if p.grad is not None else np.zeros_like(p.value)
         denom = np.maximum(np.abs(analytic) + np.abs(n), 1.0)
         assert (np.abs(analytic - n) / denom).max() < tol
+
+
+def row_max_pool_per_node(x, graph, upstream):
+    """Reference oracle: the per-node loop that ``ad.row_max_pool`` replaced.
+
+    Returns the forward value for ``x`` and the vjp of ``upstream``.
+    """
+    n, d = x.shape
+    off, tgt = graph.csr_offsets, graph.csr_targets
+    value = np.zeros((n, d))
+    argmax = np.zeros((n, d), dtype=np.int64)
+    nonempty = np.zeros(n, dtype=bool)
+    for i in range(n):
+        a, b = off[i], off[i + 1]
+        if b > a:
+            seg = x[tgt[a:b]]
+            am = seg.argmax(axis=0)  # first occurrence = lowest node id (targets sorted)
+            value[i] = seg[am, np.arange(d)]
+            argmax[i] = tgt[a:b][am]
+            nonempty[i] = True
+    grad = np.zeros_like(x)
+    cols = np.arange(d)
+    for i in np.flatnonzero(nonempty):
+        np.add.at(grad, (argmax[i], cols), upstream[i])
+    return value, grad
 
 
 class TestOpValues:
@@ -207,6 +233,66 @@ class TestGradients:
                 return ad.mean_all(ad.hadamard(h, h))
 
             check_grads(build, [x, w, b], tol=1e-5)
+
+
+def _scale_free_with_isolated(seed, n=300, isolated=20):
+    edges = generate_scale_free(n, 2, seed=seed)[0].edges
+    return build_graph(edges, n + isolated)
+
+
+def _hub(n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    spokes = [(0, i) for i in range(1, n)]
+    extra = rng.integers(1, n, size=(n, 2))
+    return build_graph(spokes + [tuple(e) for e in extra if e[0] != e[1]], n + 3)
+
+
+def _normal(shape, seed):
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+def _relu(shape, seed):
+    return np.maximum(_normal(shape, seed), 0.0)
+
+
+def _signed_zeros(shape, seed):
+    return np.where(np.random.default_rng(seed).random(shape) < 0.5, 0.0, -0.0)
+
+
+class TestRowMaxPoolAgainstPerNodeLoop:
+    """The degree-rank sweep must reproduce the per-node loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_graph, make_x, d",
+        [
+            pytest.param(lambda: _scale_free_with_isolated(0), _normal, 8, id="scale-free-0"),
+            pytest.param(lambda: _scale_free_with_isolated(1), _normal, 8, id="scale-free-1"),
+            pytest.param(lambda: _scale_free_with_isolated(2), _relu, 16, id="scale-free-relu"),
+            pytest.param(_hub, _normal, 8, id="hub"),
+            pytest.param(_hub, _relu, 8, id="hub-relu"),
+            pytest.param(lambda: _scale_free_with_isolated(3), _signed_zeros, 4,
+                         id="signed-zero-ties"),
+            pytest.param(lambda: build_graph(np.empty((0, 2)), 6), _normal, 3, id="edgeless"),
+            pytest.param(lambda: _scale_free_with_isolated(4), _normal, 1, id="d=1"),
+            pytest.param(lambda: _scale_free_with_isolated(5), _relu, 1, id="d=1-relu"),
+        ],
+    )
+    def test_value_and_vjp_bitwise_equal(self, make_graph, make_x, d):
+        graph = make_graph()
+        xv = make_x((graph.num_nodes, d), 7)
+        upstream = _normal(xv.shape, 8)
+        want_value, want_grad = row_max_pool_per_node(xv, graph, upstream)
+
+        x = ad.Tensor(xv.copy(), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.row_max_pool(x, graph)
+            loss = ad.sum_all(ad.hadamard(out, ad.Tensor(upstream)))
+        tape.backward(loss)
+
+        assert out.value.shape == want_value.shape
+        # bytes rather than np.array_equal, so the sign of a zero must match too
+        assert out.value.tobytes() == want_value.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
 
 
 class TestTape:

@@ -106,11 +106,30 @@ class TestConfigSchema:
         ({"task": "classification", "theory": {"delta": 2.0}}, "$.theory"),
         ({"task": "classification", "model": {"hidden_dim": "big"}},
          "$.model.hidden_dim"),
+        ({"task": "classification", "split": {"new_fraction": 0}},
+         "$.split.new_fraction"),
+        ({"task": "link", "split": {"new_fraction": 0.0},
+          "settings": ["transductive", "inductive-cold(0.9)"]}, "$.split.new_fraction"),
+        ({"task": "classification", "dataset": {"num_nodes": 19},
+          "split": {"new_fraction": 0.05}}, "$.split.new_fraction"),
     ])
     def test_schema_violations_report_json_path(self, payload, path):
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig.from_dict(payload)
         assert excinfo.value.path == path
+
+    def test_no_new_nodes_is_fine_when_only_transductive(self, tmp_path):
+        config = make_config(tmp_path, split={"new_fraction": 0},
+                             settings=["transductive"])
+        assert config.split["new_fraction"] == 0
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n")
+        files = ExperimentConfig.from_dict({
+            "task": "link",
+            "dataset": {"kind": "files", "edges": str(edges)},
+            "split": {"new_fraction": 0.001},
+        })
+        assert files.split["new_fraction"] == 0.001
 
     def test_file_dataset_requires_existing_files(self, tmp_path):
         edges = tmp_path / "edges.txt"
@@ -408,6 +427,18 @@ class TestCli:
         assert self.run_cli("generate", "--config", str(cfg_path)) == 2
         err = capsys.readouterr().err
         assert "$.task" in err
+
+    @pytest.mark.parametrize("override,path", [
+        ({"model": {"variant": "gat", "gat_heads": 2}}, "$.model.gat_heads"),
+        ({"split": {"new_fraction": 0}}, "$.split.new_fraction"),
+    ])
+    def test_refused_before_any_stage_exits_2(self, tmp_path, capsys, override, path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, **override)))
+        for command in ("generate", "split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 2
+            assert path in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_stage_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -40,10 +40,6 @@ class TestConfig:
         cfg = EncoderConfig("gcn", 5, 16, 3, num_layers=1)
         assert cfg.layer_dims() == [(5, 3)]
 
-    def test_multi_head_rejected(self):
-        with pytest.raises(ModelError, match="single-head"):
-            EncoderConfig("gat", 4, 8, 4, gat_heads=2)
-
 
 class TestEncode:
     @pytest.mark.parametrize("variant", VARIANTS)
