@@ -9,7 +9,7 @@ ndarray math) but is kept numerically identical to the training-side scorer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "EvalError",
     "MetricReport",
     "accuracy",
-    "aggregate_reports",
     "bucket_index",
     "degree_buckets",
     "evaluate_setting",
@@ -143,8 +142,6 @@ class MetricReport:
     buckets: list[dict]
     graph_hash: str
     population: int
-    num_seeds: int = 1
-    std: float = 0.0
 
     def __post_init__(self) -> None:
         if not -1e-9 <= self.value <= 1 + 1e-9:
@@ -160,8 +157,6 @@ class MetricReport:
             "setting": self.setting,
             "metric": self.metric_name,
             "value": self.value,
-            "std": self.std,
-            "num_seeds": self.num_seeds,
             "population": self.population,
             "graph_hash": self.graph_hash,
             "buckets": self.buckets,
@@ -169,42 +164,6 @@ class MetricReport:
 
     def csv_rows(self) -> list[tuple[str, float | None, int]]:
         return [(row["bucket"], row["mean"], row["count"]) for row in self.buckets]
-
-
-def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
-    """Mean and standard deviation of one setting's metric across seeds.
-
-    Bucket means average over the seeds where the bucket is populated; counts
-    sum. The aggregate keeps the first report's metric name and setting tag.
-    """
-    if not reports:
-        raise EvalError("nothing to aggregate")
-    first = reports[0]
-    for r in reports[1:]:
-        if r.setting != first.setting or r.metric_name != first.metric_name:
-            raise EvalError("cannot aggregate mismatched settings")
-    values = np.array([r.value for r in reports], dtype=np.float64)
-    buckets = []
-    for b, label in enumerate(BUCKET_LABELS):
-        means = [r.buckets[b]["mean"] for r in reports if r.buckets[b]["mean"] is not None]
-        count = sum(r.buckets[b]["count"] for r in reports)
-        buckets.append(
-            {
-                "bucket": label,
-                "mean": float(np.mean(means)) if means else None,
-                "count": count,
-            }
-        )
-    return MetricReport(
-        setting=first.setting,
-        metric_name=first.metric_name,
-        value=float(values.mean()),
-        buckets=buckets,
-        graph_hash="aggregate",
-        population=sum(r.population for r in reports),
-        num_seeds=sum(r.num_seeds for r in reports),
-        std=float(values.std()),
-    )
 
 
 # ---------------------------------------------------------------------------

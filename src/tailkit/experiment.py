@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,11 @@ from .data import (
 from .evaluation import BUCKET_LABELS, EvalError, evaluate_setting, parse_setting, validation_metric
 from .generators import generate_bipartite, generate_scale_free
 from .losses import SupervisionSet
-from .models import VARIANTS, EncoderConfig, init_model, load_model, save_model
+from .models import TASKS, VARIANTS, EncoderConfig, init_model, load_model, save_model
 from .theory import MonteCarloConfig, TheoryError, monte_carlo_validate
-from .training import PRESETS, TrainConfig, TrainError, run_ablation
+from .training import METHODS, PRESETS, TrainConfig, TrainError, run_ablation
 
 __all__ = [
-    "METHOD_ORDER",
     "ConfigError",
     "ExperimentConfig",
     "MissingInputError",
@@ -53,17 +53,6 @@ __all__ = [
     "render_report_table",
     "write_json",
 ]
-
-METHOD_ORDER = ("base", "dropedge", "tuneup", "no-curriculum", "no-pseudo", "no-syntails")
-METHOD_TAGS = {
-    "base": "base-only",
-    "dropedge": "dropedge-only",
-    "tuneup": "none",
-    "no-curriculum": "no-curriculum",
-    "no-pseudo": "no-pseudo",
-    "no-syntails": "no-syntails",
-}
-TASKS = ("classification", "link", "recsys")
 
 
 class ConfigError(Exception):
@@ -317,22 +306,31 @@ def _normalize_split(raw, task: str) -> dict:
     return out
 
 
-def _check_new_nodes(dataset: dict, split: dict, settings: tuple) -> None:
-    """Refuse a split that holds out no new node when a setting evaluates on them.
+def _check_split_counts(dataset: dict, split: dict, settings: tuple) -> None:
+    """Refuse a split whose node counts the split stage cannot work with.
 
-    ``node_split`` holds out ``floor(new_fraction * n)`` nodes. The node count
-    of a file dataset is unknown until it is read, so there only a zero
-    fraction is caught.
+    ``node_split`` holds out ``floor(new_fraction * n)`` nodes, and
+    ``label_split`` labels ``floor(labeled_fraction * |V_train|)`` of the rest
+    (training takes the larger half). The node count of a file dataset is
+    unknown until it is read, so there only zero fractions are caught.
     """
     fraction = split.get("new_fraction")
-    inductive = [tag for tag in settings if tag != "transductive"]
-    if fraction is None or not inductive:
+    if fraction is None:
         return
+    if fraction == 1:
+        raise ConfigError("$.split.new_fraction", "must be < 1.0, got 1.0")
     n = dataset.get("num_nodes")
-    if fraction == 0 or (n is not None and np.floor(fraction * n) == 0):
+    num_new = None if n is None else int(np.floor(fraction * n))
+    inductive = [tag for tag in settings if tag != "transductive"]
+    if inductive and (fraction == 0 or num_new == 0):
         raise ConfigError(
             "$.split.new_fraction",
             f"holds out no new node, but settings {inductive} evaluate on new nodes")
+    labeled = split.get("labeled_fraction")
+    if labeled is not None and (
+            labeled == 0 or (n is not None and np.floor(labeled * (n - num_new)) == 0)):
+        raise ConfigError(
+            "$.split.labeled_fraction", "leaves no labeled training node")
 
 
 _THEORY_DEFAULTS = MonteCarloConfig()
@@ -380,11 +378,11 @@ class ExperimentConfig:
         model = _normalize_model(_take(section, "model", "$", {}), task)
         train = _normalize_train(_take(section, "train", "$", {}), task)
 
-        raw_methods = _take(section, "methods", "$", list(METHOD_ORDER))
+        raw_methods = _take(section, "methods", "$", list(METHODS))
         if not isinstance(raw_methods, (list, tuple)) or not raw_methods:
             raise ConfigError("$.methods", "expected a nonempty list")
         methods = tuple(
-            _string(m, f"$.methods[{i}]", METHOD_ORDER)
+            _string(m, f"$.methods[{i}]", METHODS)
             for i, m in enumerate(raw_methods)
         )
         if len(set(methods)) != len(methods):
@@ -401,7 +399,7 @@ class ExperimentConfig:
         settings = _normalize_settings(
             _take(section, "settings", "$", None), task,
             split.get("cold_ratios", ()))
-        _check_new_nodes(dataset, split, settings)
+        _check_split_counts(dataset, split, settings)
 
         eval_section = _as_mapping(_take(section, "eval", "$", {}), "$.eval")
         evaluation = {"k": _int(_take(eval_section, "k", "$.eval", 50), "$.eval.k", 1)}
@@ -484,10 +482,14 @@ def canonical_json(payload) -> str:
 
 
 def write_json(path, payload) -> None:
+    """Write through a sibling temp file, so a crash never leaves a truncated
+    file behind for a resumed stage to accept."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    path.write_text(text, encoding="utf-8")
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _read_json(path, stage: str) -> dict:
@@ -705,6 +707,7 @@ def cmd_train(config: ExperimentConfig) -> dict:
         def validate(model, bundle=bundle, k=k):
             return validation_metric(model, bundle, k=k)
 
+        train_config = TrainConfig(task=config.task, seed=seed, **config.train)
         methods, checkpoints = {}, {}
         for method in config.methods:
             model = init_model(
@@ -713,11 +716,8 @@ def cmd_train(config: ExperimentConfig) -> dict:
                 num_nodes=bundle.train_graph.num_nodes,
                 featureless=config.model["featureless"],
                 seed=seed)
-            train_config = TrainConfig(
-                task=config.task, seed=seed, ablation=METHOD_TAGS[method],
-                **config.train)
             trained, report = run_ablation(
-                METHOD_TAGS[method], model, bundle.train_graph, supervision,
+                method, model, bundle.train_graph, supervision,
                 train_config, label_set=label_set, validation_fn=validate)
             rel = f"{seed}/models/{method}.json"
             checkpoint = config.run_dir / rel
@@ -878,7 +878,7 @@ def cmd_report(run_path, *, csv: bool = False) -> dict:
     seeds = [p["seed"] for p in payloads]
     first = payloads[0]
     methods = first.get("methods") or [
-        m for m in METHOD_ORDER if m in first["reports"]]
+        m for m in METHODS if m in first["reports"]]
     settings = first.get("settings") or list(first["reports"][methods[0]])
     metric = (first["reports"][methods[0]][settings[0]]["metric"]
               if methods and settings else "")

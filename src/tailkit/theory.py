@@ -244,7 +244,6 @@ def stage2_supervision(world: TheoryWorld, method: str, pseudo_b: np.ndarray):
 def train_theory_model(
     world: TheoryWorld,
     method: str,
-    seed: int = 0,
     *,
     stage1_steps: int = 300,
     stage2_steps: int = 300,
@@ -259,12 +258,11 @@ def train_theory_model(
     weights and fits the method's supervision (see
     :func:`stage2_supervision`). The returned profile records the final
     model's 0-1 losses in every (population, graph, label) combination the
-    gap formulas read. ``seed`` is accepted for interface symmetry; the
-    procedure is deterministic given the world.
+    gap formulas read. Gradient descent starts from zeros, so the procedure
+    is deterministic given the world.
     """
     if method not in METHODS:
         raise TheoryError(f"unknown method {method!r}; expected one of {METHODS}")
-    del seed  # gradient descent from zeros has no randomness
 
     z_s = world.aggregated(world.s_idx)
     y_s = world.labels[world.s_idx]

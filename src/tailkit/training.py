@@ -1,17 +1,19 @@
 """Conventional training, the two-stage tuneup curriculum, and its ablations.
 
-Stage 1 trains on the clean graph. Stage 2 restarts the optimizer and
-fine-tunes on a freshly resampled edge-dropped graph at every update,
-supervising classification with the stage-1 snapshot's pseudo-labels and the
-ranking tasks with the original (un-dropped) edges. Everything is full-batch
-and bitwise deterministic for a fixed (config, seed) pair: per-update
-randomness (edge drops, negative samples) comes from counter-keyed seed
-sequences, never from shared generator state.
+Every training method is one row of :data:`METHODS`, run by
+:func:`run_ablation`. The full curriculum, ``tuneup``, trains stage 1 on the
+clean graph. Stage 2 restarts the optimizer and fine-tunes on a freshly
+resampled edge-dropped graph at every update, supervising classification
+with the stage-1 snapshot's pseudo-labels and the ranking tasks with the
+original (un-dropped) edges. Everything is full-batch and bitwise
+deterministic for a fixed (config, seed) pair: per-update randomness (edge
+drops, negative samples) comes from counter-keyed seed sequences, never from
+shared generator state.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .losses import SupervisionSet, bpr_loss, cross_entropy, l2_regularize, samp
 from .models import TASKS, Model, classify_embeddings, encode, score_pairs
 
 __all__ = [
-    "ABLATIONS",
+    "METHODS",
     "PRESETS",
     "StageReport",
     "TrainConfig",
@@ -31,11 +33,20 @@ __all__ = [
     "TrainReport",
     "pseudo_label",
     "run_ablation",
-    "train_base",
-    "tuneup",
 ]
 
-ABLATIONS = ("none", "no-curriculum", "no-pseudo", "no-syntails", "dropedge-only", "base-only")
+# method -> (stage-1 graphs, stage-2 graphs or None, stage-2 pseudo-labels).
+# "clean" is the intact graph, "dropped" a freshly edge-dropped copy per
+# update, "both" sums the two losses in one update. Pseudo-labels apply to
+# classification only; ranking tasks keep their supervision pairs.
+METHODS = {
+    "base": ("clean", None, False),
+    "dropedge": ("dropped", None, False),
+    "tuneup": ("clean", "dropped", True),
+    "no-curriculum": ("both", None, False),
+    "no-pseudo": ("clean", "dropped", False),
+    "no-syntails": ("clean", "clean", True),
+}
 
 
 class TrainError(ValueError):
@@ -61,13 +72,10 @@ class TrainConfig:
     eval_every: int = 10
     patience: int = 10
     seed: int = 0
-    ablation: str = "none"
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise TrainError(f"unknown task {self.task!r}")
-        if self.ablation not in ABLATIONS:
-            raise TrainError(f"unknown ablation {self.ablation!r}")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise TrainError("epoch counts must be nonnegative")
         if not 0.0 <= self.alpha < 1.0:
@@ -97,7 +105,6 @@ class TrainConfig:
             "eval_every": self.eval_every,
             "patience": self.patience,
             "seed": self.seed,
-            "ablation": self.ablation,
         }
 
 
@@ -216,12 +223,8 @@ def _run_stage(
 ) -> StageReport:
     """One optimization stage; restores the best-validation snapshot at exit.
 
-    ``mode`` picks the per-update forward graph(s): "clean" uses the intact
-    graph, "dropped" resamples an edge-dropped copy each update, "both" sums
-    the two losses in a single update.
+    ``mode`` picks the per-update forward graph(s), as in :data:`METHODS`.
     """
-    if supervision.size == 0:
-        raise TrainError("supervision is empty")
     report = StageReport(name=name)
     state = AdamState(model.parameters())
     best_val = -np.inf
@@ -285,27 +288,6 @@ def _check_inputs(model: Model, supervision: SupervisionSet, config: TrainConfig
 # public operations
 # ---------------------------------------------------------------------------
 
-def train_base(
-    model: Model,
-    graph: Graph,
-    supervision: SupervisionSet,
-    config: TrainConfig,
-    validation_fn=None,
-) -> tuple[Model, TrainReport]:
-    """Conventional full-batch training on the intact graph (stage 1 alone)."""
-    _check_inputs(model, supervision, config)
-    start = time.perf_counter()
-    stage = _run_stage(
-        model, graph, supervision, config,
-        name="base", stage_index=0, epochs=config.stage1_epochs,
-        lr=config.stage1_lr, mode="clean", validation_fn=validation_fn,
-    )
-    report = TrainReport(
-        [stage], config.to_dict(), config.seed, wall_clock=time.perf_counter() - start
-    )
-    return model, report
-
-
 def pseudo_label(model: Model, graph: Graph, label_set: LabelSet) -> SupervisionSet:
     """Augment training supervision with model-predicted classes.
 
@@ -333,7 +315,8 @@ def pseudo_label(model: Model, graph: Graph, label_set: LabelSet) -> Supervision
     )
 
 
-def tuneup(
+def run_ablation(
+    method: str,
     model: Model,
     graph: Graph,
     supervision: SupervisionSet,
@@ -342,70 +325,38 @@ def tuneup(
     label_set: LabelSet | None = None,
     validation_fn=None,
 ) -> tuple[Model, TrainReport]:
-    """Run the training strategy selected by ``config.ablation``.
+    """Train ``model`` in place with the strategy of ``METHODS[method]``.
 
-    The default tag "none" is the full curriculum: conventional stage 1, then
-    pseudo-labels from the stage-1 snapshot (classification), then a second
-    stage over per-update edge-dropped graphs with a fresh optimizer.
+    Stage 1 runs ``stage1_epochs`` at ``stage1_lr``. A two-stage method then
+    fine-tunes for ``stage2_epochs`` at the resolved stage-2 rate with a fresh
+    optimizer, on pseudo-labels from the stage-1 snapshot when its row asks
+    for them. A single stage is named after the method; two are "base" and
+    "finetune".
     """
+    if method not in METHODS:
+        raise TrainError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
     _check_inputs(model, supervision, config)
-    tag = config.ablation
+    stage1_mode, stage2_mode, pseudo = METHODS[method]
+    pseudo = pseudo and config.task == "classification"
+    if pseudo and label_set is None:
+        raise TrainError(f"method {method!r} needs a label_set to produce pseudo-labels")
     start = time.perf_counter()
-
-    if tag == "base-only":
-        return train_base(model, graph, supervision, config, validation_fn)
-
-    if tag in ("no-curriculum", "dropedge-only"):
-        mode = "both" if tag == "no-curriculum" else "dropped"
-        stage = _run_stage(
-            model, graph, supervision, config,
-            name=tag, stage_index=0, epochs=config.stage1_epochs,
-            lr=config.stage1_lr, mode=mode, validation_fn=validation_fn,
-        )
-        report = TrainReport(
-            [stage], config.to_dict(), config.seed, wall_clock=time.perf_counter() - start
-        )
-        return model, report
-
-    # curriculum family: none, no-pseudo, no-syntails
-    stage1 = _run_stage(
+    stages = [_run_stage(
         model, graph, supervision, config,
-        name="base", stage_index=0, epochs=config.stage1_epochs,
-        lr=config.stage1_lr, mode="clean", validation_fn=validation_fn,
-    )
-    stage2_supervision = supervision
-    if config.task == "classification" and tag != "no-pseudo":
-        if label_set is None:
-            raise TrainError("the curriculum needs a label_set to produce pseudo-labels")
-        stage2_supervision = pseudo_label(model, graph, label_set)
-    stage2 = _run_stage(
-        model, graph, stage2_supervision, config,
-        name="finetune", stage_index=1, epochs=config.stage2_epochs,
-        lr=config.resolved_stage2_lr,
-        mode="clean" if tag == "no-syntails" else "dropped",
+        name="base" if stage2_mode else method, stage_index=0,
+        epochs=config.stage1_epochs, lr=config.stage1_lr, mode=stage1_mode,
         validation_fn=validation_fn,
-    )
+    )]
+    if stage2_mode:
+        if pseudo:
+            supervision = pseudo_label(model, graph, label_set)
+        stages.append(_run_stage(
+            model, graph, supervision, config,
+            name="finetune", stage_index=1, epochs=config.stage2_epochs,
+            lr=config.resolved_stage2_lr, mode=stage2_mode,
+            validation_fn=validation_fn,
+        ))
     report = TrainReport(
-        [stage1, stage2], config.to_dict(), config.seed,
-        wall_clock=time.perf_counter() - start,
+        stages, config.to_dict(), config.seed, wall_clock=time.perf_counter() - start
     )
     return model, report
-
-
-def run_ablation(
-    tag: str,
-    model: Model,
-    graph: Graph,
-    supervision: SupervisionSet,
-    config: TrainConfig,
-    *,
-    label_set: LabelSet | None = None,
-    validation_fn=None,
-) -> tuple[Model, TrainReport]:
-    """:func:`tuneup` with the strategy tag overriding the config's."""
-    if tag not in ABLATIONS:
-        raise TrainError(f"unknown ablation {tag!r}")
-    return tuneup(
-        model, graph, supervision, replace(config, ablation=tag),
-        label_set=label_set, validation_fn=validation_fn,
-    )

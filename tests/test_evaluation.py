@@ -8,7 +8,6 @@ from tailkit.evaluation import (
     EvalError,
     MetricReport,
     accuracy,
-    aggregate_reports,
     bucket_index,
     degree_buckets,
     evaluate_setting,
@@ -205,21 +204,6 @@ class TestMetricReport:
         buckets = [{"bucket": lbl, "mean": None, "count": 0} for lbl in BUCKET_LABELS]
         with pytest.raises(EvalError):
             MetricReport("transductive", "accuracy", 0.5, buckets, "abc", population=5)
-
-    def test_aggregate_mean_std(self):
-        reports = [self.make(value=v) for v in (0.2, 0.4, 0.6)]
-        agg = aggregate_reports(reports)
-        assert agg.value == pytest.approx(0.4)
-        assert agg.std == pytest.approx(np.std([0.2, 0.4, 0.6]))
-        assert agg.num_seeds == 3
-        assert agg.buckets[0]["count"] == 6
-
-    def test_aggregate_rejects_mismatch(self):
-        a = self.make()
-        b = self.make()
-        b.setting = "inductive"
-        with pytest.raises(EvalError):
-            aggregate_reports([a, b])
 
 
 class TestParseSetting:

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tailkit import experiment
 from tailkit.cli import main
-from tailkit.evaluation import BUCKET_LABELS
+from tailkit.evaluation import BUCKET_LABELS, MetricReport
 from tailkit.experiment import (
+    _aggregate_cell,
     ConfigError,
     ExperimentConfig,
     MissingInputError,
@@ -302,6 +304,28 @@ class TestReport:
         assert report["methods"] == ["base", "tuneup"]
         assert (config.run_dir / "report.json").is_file()
 
+    def test_aggregate_cell_mean_std_and_bucket_counts(self):
+        # bucket "0" is populated on every seed, bucket "1" on one, "2" on none
+        per_seed = []
+        for value, zero_mean, one in ((0.2, 0.1, None), (0.4, 0.3, 0.9), (0.6, 0.8, None)):
+            buckets = [{"bucket": label, "mean": None, "count": 0}
+                       for label in BUCKET_LABELS]
+            buckets[0] = {"bucket": "0", "mean": zero_mean, "count": 2}
+            if one is not None:
+                buckets[1] = {"bucket": "1", "mean": one, "count": 1}
+            report = MetricReport("transductive", "accuracy", value, buckets, "x",
+                                  sum(b["count"] for b in buckets))
+            per_seed.append(report.to_dict())
+        cell = _aggregate_cell(per_seed)
+        assert cell["mean"] == pytest.approx(0.4)
+        assert cell["std"] == pytest.approx(np.std([0.2, 0.4, 0.6]))
+        zero, one, two = cell["buckets"][:3]
+        assert zero["mean"] == pytest.approx(0.4)
+        assert zero["std"] == pytest.approx(np.std([0.1, 0.3, 0.8]))
+        assert zero["count"] == 6
+        assert (one["mean"], one["std"], one["count"]) == (0.9, 0.0, 1)
+        assert (two["mean"], two["std"], two["count"]) == (None, None, 0)
+
     def test_relative_gain_formula_and_format(self, tmp_path):
         run = tmp_path / "feedbeefcafe"
         buckets = [{"bucket": label, "mean": None, "count": 0}
@@ -310,11 +334,11 @@ class TestReport:
             reports = {
                 "base": {"transductive": {
                     "setting": "transductive", "metric": "accuracy",
-                    "value": 0.50, "std": 0.0, "num_seeds": 1,
+                    "value": 0.50,
                     "population": 0, "graph_hash": "x", "buckets": buckets}},
                 "tuneup": {"transductive": {
                     "setting": "transductive", "metric": "accuracy",
-                    "value": 0.55, "std": 0.0, "num_seeds": 1,
+                    "value": 0.55,
                     "population": 0, "graph_hash": "x", "buckets": buckets}},
             }
             write_json(run / str(seed) / "eval.json", {
@@ -395,6 +419,19 @@ class TestDeterminism:
         for path, stamp in stamps.items():
             assert path.stat().st_mtime_ns == stamp, path
 
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "seed" / "train.json"
+        write_json(path, {"epochs": [1, 2, 3]})
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(experiment.os, "replace", crash)
+        with pytest.raises(OSError):
+            write_json(path, {"epochs": list(range(10_000))})
+        assert path.read_bytes() == before
+
 
 class TestCli:
     def run_cli(self, *argv):
@@ -431,6 +468,10 @@ class TestCli:
     @pytest.mark.parametrize("override,path", [
         ({"model": {"variant": "gat", "gat_heads": 2}}, "$.model.gat_heads"),
         ({"split": {"new_fraction": 0}}, "$.split.new_fraction"),
+        ({"split": {"new_fraction": 1.0}, "settings": ["transductive"]},
+         "$.split.new_fraction"),
+        ({"split": {"labeled_fraction": 0}}, "$.split.labeled_fraction"),
+        ({"split": {"labeled_fraction": 0.001}}, "$.split.labeled_fraction"),
     ])
     def test_refused_before_any_stage_exits_2(self, tmp_path, capsys, override, path):
         cfg_path = tmp_path / "cfg.json"

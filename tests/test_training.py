@@ -14,15 +14,13 @@ from tailkit.graph import LabelSet, build_graph
 from tailkit.losses import SupervisionSet, cross_entropy
 from tailkit.models import EncoderConfig, classify_embeddings, encode, init_model
 from tailkit.training import (
-    ABLATIONS,
+    METHODS,
     PRESETS,
     TrainConfig,
     TrainError,
     TrainReport,
     pseudo_label,
     run_ablation,
-    train_base,
-    tuneup,
 )
 
 
@@ -58,8 +56,6 @@ class TestTrainConfig:
         with pytest.raises(TrainError):
             TrainConfig("classification", stage1_epochs=-1)
         with pytest.raises(TrainError):
-            TrainConfig("classification", ablation="mystery")
-        with pytest.raises(TrainError):
             TrainConfig("classification", stage1_lr=0.0)
         with pytest.raises(TrainError):
             TrainConfig("classification", patience=0)
@@ -89,7 +85,7 @@ class TestTrainBase:
         model = small_model(graph)
         before = model.copy_values()
         cfg = TrainConfig("classification", stage1_epochs=0)
-        _, report = train_base(model, graph, sup, cfg)
+        _, report = run_ablation("base", model, graph, sup, cfg)
         for name, value in model.copy_values().items():
             assert np.array_equal(value, before[name])
         assert report.stages[0].epochs_run == 0
@@ -98,7 +94,7 @@ class TestTrainBase:
         graph, sup, labels = two_clique_instance()
         model = small_model(graph)
         cfg = TrainConfig("classification", stage1_epochs=200, stage1_lr=0.05)
-        train_base(model, graph, sup, cfg)
+        run_ablation("base", model, graph, sup, cfg)
         preds = predict_classes(model, graph)
         assert (preds == labels).all()
 
@@ -109,7 +105,7 @@ class TestTrainBase:
         lr = 0.01
 
         cfg = TrainConfig("classification", stage1_epochs=1, stage1_lr=lr)
-        _, report = train_base(model_a, graph, sup, cfg)
+        _, report = run_ablation("base", model_a, graph, sup, cfg)
 
         model_b.zero_grad()
         with Tape() as tape:
@@ -128,13 +124,13 @@ class TestTrainBase:
             np.array([], dtype=np.int64), np.array([], dtype=np.int64), 2, graph.num_nodes
         )
         with pytest.raises(TrainError):
-            train_base(model, graph, empty, TrainConfig("classification"))
+            run_ablation("base", model, graph, empty, TrainConfig("classification"))
 
     def test_task_mismatch_rejected(self):
         graph, sup, _ = two_clique_instance()
         model = small_model(graph)
         with pytest.raises(TrainError):
-            train_base(model, graph, sup, TrainConfig("link"))
+            run_ablation("base", model, graph, sup, TrainConfig("link"))
 
     def test_bitwise_deterministic(self):
         graph, sup, _ = two_clique_instance()
@@ -142,7 +138,7 @@ class TestTrainBase:
         runs = []
         for _ in range(2):
             model = small_model(graph, seed=4)
-            _, report = train_base(model, graph, sup, cfg)
+            _, report = run_ablation("base", model, graph, sup, cfg)
             runs.append((report.stages[0].losses, model.param_hash()))
         assert runs[0] == runs[1]
 
@@ -161,7 +157,8 @@ class TestEarlyStopping:
         cfg = TrainConfig(
             "classification", stage1_epochs=100, eval_every=1, patience=3
         )
-        _, report = train_base(model, graph, sup, cfg, validation_fn=fake_validation)
+        _, report = run_ablation("base", model, graph, sup, cfg,
+                                 validation_fn=fake_validation)
         stage = report.stages[0]
         assert stage.epochs_run == 5  # best at epoch 2, then 3 stalls
         assert stage.best_epoch == 2
@@ -179,8 +176,8 @@ class TestEarlyStopping:
             graph.num_nodes,
         )
         cfg = TrainConfig("classification", stage1_epochs=60, eval_every=5, patience=4)
-        _, report = train_base(
-            model, bundle.train_graph, sup, cfg,
+        _, report = run_ablation(
+            "base", model, bundle.train_graph, sup, cfg,
             validation_fn=lambda m: validation_metric(m, bundle),
         )
         stage = report.stages[0]
@@ -193,7 +190,7 @@ class TestEarlyStopping:
         graph, sup, _ = two_clique_instance()
         model = small_model(graph)
         cfg = TrainConfig("classification", stage1_epochs=7)
-        _, report = train_base(model, graph, sup, cfg)
+        _, report = run_ablation("base", model, graph, sup, cfg)
         assert report.stages[0].best_epoch == 7
 
 
@@ -275,8 +272,8 @@ class TestTuneup:
     def test_two_stages_with_configured_budgets(self):
         bundle, model, sup = curriculum_fixture()
         cfg = TrainConfig("classification", stage1_epochs=12, stage2_epochs=8, alpha=0.5)
-        _, report = tuneup(
-            model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
+        _, report = run_ablation(
+            "tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
         )
         assert [s.name for s in report.stages] == ["base", "finetune"]
         assert report.stages[0].epochs_run == 12
@@ -294,7 +291,7 @@ class TestTuneup:
 
         monkeypatch.setattr(training, "pseudo_label", counted)
         cfg = TrainConfig("classification", stage1_epochs=5, stage2_epochs=15)
-        tuneup(model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
+        run_ablation("tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
         assert len(calls) == 1
 
     def test_supervision_and_labels_untouched(self):
@@ -302,7 +299,7 @@ class TestTuneup:
         nodes_before = sup.nodes.copy()
         labels_before = bundle.label_set.labels.copy()
         cfg = TrainConfig("classification", stage1_epochs=6, stage2_epochs=6)
-        tuneup(model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
+        run_ablation("tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
         assert np.array_equal(sup.nodes, nodes_before)
         assert np.array_equal(bundle.label_set.labels, labels_before)
 
@@ -310,21 +307,18 @@ class TestTuneup:
         bundle, model, sup = curriculum_fixture()
         cfg = TrainConfig("classification", stage1_epochs=2, stage2_epochs=2)
         with pytest.raises(TrainError):
-            tuneup(model, bundle.train_graph, sup, cfg)
+            run_ablation("tuneup", model, bundle.train_graph, sup, cfg)
 
     def test_alpha_zero_no_pseudo_is_continued_conventional_training(self):
         bundle, model_a, sup = curriculum_fixture(seed=3)
-        cfg = TrainConfig(
-            "classification", stage1_epochs=15, stage2_epochs=10, alpha=0.0,
-            ablation="no-pseudo",
-        )
-        _, report_a = tuneup(model_a, bundle.train_graph, sup, cfg)
+        cfg = TrainConfig("classification", stage1_epochs=15, stage2_epochs=10, alpha=0.0)
+        _, report_a = run_ablation("no-pseudo", model_a, bundle.train_graph, sup, cfg)
 
         _, model_b, _ = curriculum_fixture(seed=3)
         stage1_cfg = TrainConfig("classification", stage1_epochs=15)
-        train_base(model_b, bundle.train_graph, sup, stage1_cfg)
+        run_ablation("base", model_b, bundle.train_graph, sup, stage1_cfg)
         stage2_cfg = TrainConfig("classification", stage1_epochs=10)
-        _, report_b = train_base(model_b, bundle.train_graph, sup, stage2_cfg)
+        _, report_b = run_ablation("base", model_b, bundle.train_graph, sup, stage2_cfg)
 
         assert model_a.param_hash() == model_b.param_hash()
         assert report_a.stages[1].losses == report_b.stages[0].losses
@@ -334,8 +328,8 @@ class TestTuneup:
         for _ in range(2):
             bundle, model, sup = curriculum_fixture(seed=5)
             cfg = TrainConfig("classification", stage1_epochs=8, stage2_epochs=8, alpha=0.5)
-            _, report = tuneup(
-                model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
+            _, report = run_ablation(
+                "tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
             )
             runs.append(
                 (report.stages[0].losses, report.stages[1].losses, model.param_hash())
@@ -350,7 +344,7 @@ class TestTuneup:
         sup = SupervisionSet.ranking("link", bundle.train_graph)
         model = init_model(EncoderConfig("gcn", 4, 8, 8), "link", seed=11)
         cfg = TrainConfig("link", stage1_epochs=40, stage2_epochs=10, stage1_lr=0.02)
-        _, report = tuneup(model, bundle.train_graph, sup, cfg)
+        _, report = run_ablation("tuneup", model, bundle.train_graph, sup, cfg)
         losses = report.stages[0].losses
         assert losses[-1] < losses[0]
         assert np.isfinite(losses).all()
@@ -363,11 +357,23 @@ class TestTuneup:
             num_nodes=graph.num_nodes, featureless=True, seed=12,
         )
         cfg = TrainConfig("recsys", stage1_epochs=30, stage2_epochs=5, stage1_lr=0.05)
-        _, report = tuneup(model, graph, sup, cfg)
+        _, report = run_ablation("tuneup", model, graph, sup, cfg)
         losses = report.stages[0].losses
         assert losses[-1] < losses[0]
         # fine-tuning stage ran at the dedicated low learning rate
         assert report.stages[1].epochs_run == 5
+
+
+# method -> [(stage name, configured epoch budget)], spelled out independently
+# of the METHODS table so that a wrong row fails here
+EXPECTED_STAGES = {
+    "base": [("base", 7)],
+    "dropedge": [("dropedge", 7)],
+    "tuneup": [("base", 7), ("finetune", 3)],
+    "no-curriculum": [("no-curriculum", 7)],
+    "no-pseudo": [("base", 7), ("finetune", 3)],
+    "no-syntails": [("base", 7), ("finetune", 3)],
+}
 
 
 class TestAblations:
@@ -377,32 +383,31 @@ class TestAblations:
             run_ablation("mystery", model, bundle.train_graph, sup,
                          TrainConfig("classification"))
 
-    @pytest.mark.parametrize("tag", ABLATIONS)
-    def test_all_variants_complete_with_comparable_reports(self, tag):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_all_variants_complete_with_comparable_reports(self, method):
         bundle, model, sup = curriculum_fixture(seed=8)
         cfg = TrainConfig(
-            "classification", stage1_epochs=6, stage2_epochs=4, alpha=0.25
+            "classification", stage1_epochs=7, stage2_epochs=3, alpha=0.25
         )
         _, report = run_ablation(
-            tag, model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
+            method, model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
         )
         assert isinstance(report, TrainReport)
         payload = json.dumps(report.to_dict())
         assert "wall_clock" not in payload
-        expected_stages = 1 if tag in ("no-curriculum", "dropedge-only", "base-only") else 2
-        assert len(report.stages) == expected_stages
+        assert [(s.name, s.epochs_run) for s in report.stages] == EXPECTED_STAGES[method]
         assert all(np.isfinite(s.losses).all() for s in report.stages)
 
     def test_single_stage_tags_use_default_training_budget(self):
-        bundle, model, sup = curriculum_fixture(seed=9)
+        bundle, _, sup = curriculum_fixture(seed=9)
         cfg = TrainConfig("classification", stage1_epochs=7, stage2_epochs=3)
-        for tag in ("no-curriculum", "dropedge-only"):
-            m, _, s = curriculum_fixture(seed=9)[1], None, None
+        for method in ("no-curriculum", "dropedge"):
+            model = curriculum_fixture(seed=9)[1]
             _, report = run_ablation(
-                tag, m, bundle.train_graph, sup, cfg, label_set=bundle.label_set
+                method, model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
             )
             assert report.stages[0].epochs_run == 7
-            assert report.stages[0].name == tag
+            assert report.stages[0].name == method
 
     def test_no_curriculum_loss_is_sum_of_two_terms(self):
         # with alpha=0 the dropped graph equals the clean graph, so the
@@ -414,7 +419,7 @@ class TestAblations:
             label_set=bundle.label_set,
         )
         _, model_b, _ = curriculum_fixture(seed=10)
-        _, rep_b = run_ablation("base-only", model_b, bundle.train_graph, sup, cfg)
+        _, rep_b = run_ablation("base", model_b, bundle.train_graph, sup, cfg)
         assert rep_a.stages[0].losses[0] == pytest.approx(
             2.0 * rep_b.stages[0].losses[0], rel=1e-12
         )
