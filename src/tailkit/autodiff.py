@@ -34,7 +34,6 @@ __all__ = [
     "relu",
     "row_max_pool",
     "row_sum",
-    "row_sum_pool",
     "scale",
     "segment_softmax",
     "sigmoid",
@@ -363,17 +362,6 @@ def row_max_pool(x: Tensor, graph) -> Tensor:
         flat += np.arange(d)
         g = np.bincount(flat.ravel(), weights=u[nodes].ravel(), minlength=n * d)
         return g.reshape(n, d)
-
-    return _apply(value, [(x, vjp)])
-
-
-def row_sum_pool(x: Tensor, adj) -> Tensor:
-    """Per-node sum over the support rows of ``adj`` (unit weights)."""
-    gathered = x.value[adj.targets]
-    value = _segment_sum(gathered, adj.offsets, adj.num_nodes)
-
-    def vjp(u):
-        return _segment_sum(u[adj.rows][adj.t_perm], adj.t_offsets, adj.num_nodes)
 
     return _apply(value, [(x, vjp)])
 

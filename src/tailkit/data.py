@@ -20,6 +20,7 @@ __all__ = [
     "NodeSplitResult",
     "SplitBundle",
     "SplitError",
+    "check_three_ratios",
     "cold_start_remove",
     "edge_split_inductive",
     "edge_split_transductive",
@@ -111,6 +112,14 @@ def _partition_counts(total: int, ratios) -> list[int]:
     return counts
 
 
+def check_three_ratios(ratios) -> None:
+    """Refuse split ratios that are not three nonnegative parts summing to 1."""
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise SplitError(f"need three nonnegative ratios, got {ratios}")
+    if not np.isclose(sum(ratios), 1.0):
+        raise SplitError(f"ratios must sum to 1, got {ratios}")
+
+
 def edge_split_transductive(
     graph: Graph, ratios=(0.5, 0.2, 0.3), seed: int = 0
 ) -> tuple[Graph, np.ndarray, np.ndarray]:
@@ -119,10 +128,7 @@ def edge_split_transductive(
     The first two parts get ``floor(ratio * |E|)`` edges each, the last takes
     the remainder. The returned train graph contains only train edges.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise SplitError(f"need three nonnegative ratios, got {ratios}")
-    if not np.isclose(sum(ratios), 1.0):
-        raise SplitError(f"ratios must sum to 1, got {ratios}")
+    check_three_ratios(ratios)
     (rng,) = _spawn_rngs(seed, 1)
     perm = rng.permutation(graph.num_edges)
     n_train, n_val, _ = _partition_counts(graph.num_edges, ratios)

@@ -16,13 +16,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     SplitBundle,
+    check_three_ratios,
     load_dataset,
     make_classification_bundle,
     make_link_bundle,
@@ -35,8 +39,8 @@ from .evaluation import BUCKET_LABELS, EvalError, evaluate_setting, parse_settin
 from .generators import generate_bipartite, generate_scale_free
 from .losses import SupervisionSet
 from .models import TASKS, VARIANTS, EncoderConfig, init_model, load_model, save_model
-from .theory import MonteCarloConfig, TheoryError, monte_carlo_validate
-from .training import METHODS, PRESETS, TrainConfig, TrainError, run_ablation
+from .theory import MonteCarloConfig, monte_carlo_validate
+from .training import METHODS, PRESETS, TrainConfig, run_ablation
 
 __all__ = [
     "ConfigError",
@@ -68,200 +72,216 @@ class MissingInputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# configuration schema
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list", dict: "an object"}
 
 
-def _as_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    return dict(value)
+def _value(value, kind, path: str, meta):
+    """Check one JSON value against a field annotation and its bounds.
 
-
-def _take(section: dict, key: str, path: str, default=_MISSING):
-    if key in section:
-        return section.pop(key)
-    if default is _MISSING:
-        raise ConfigError(f"{path}.{key}", "required field is missing")
-    return default
-
-
-def _no_extras(section: dict, path: str) -> None:
-    if section:
-        raise ConfigError(f"{path}.{next(iter(section))}", "unknown field")
-
-
-def _int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
+    ``int`` refuses booleans and floats; ``float`` also takes an integer and
+    stores it as a float. ``X | None`` takes null, and ``tuple[X, ...]`` a
+    list whose every entry is an ``X`` within the same bounds.
+    """
+    if types.UnionType is type(kind):
+        if value is None:
+            return None
+        (kind,) = (arg for arg in typing.get_args(kind) if arg is not type(None))
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_value(v, item, f"{path}[{i}]", meta) for i, v in enumerate(value))
+    if kind is float and type(value) is int:
+        value = float(value)
+    accepted = (list, tuple) if kind is list else kind
+    if (isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted)
+            or (kind is float and not math.isfinite(value))):
+        raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    if "choices" in meta and value not in meta["choices"]:
+        raise ConfigError(path, f"expected one of {tuple(meta['choices'])}, got {value!r}")
+    if "minimum" in meta and value < meta["minimum"]:
+        raise ConfigError(path, f"must be >= {meta['minimum']}, got {value}")
+    if "maximum" in meta and value > meta["maximum"]:
+        raise ConfigError(path, f"must be <= {meta['maximum']}, got {value}")
     return value
 
 
-def _number(value, path: str, minimum=None, maximum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {value}")
-    return value
+def _section(cls, raw, path: str, *, base=None, fixed=None):
+    """Read the JSON object ``raw`` (null reads as ``{}``) into ``cls``.
 
-
-def _string(value, path: str, choices=None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(path, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(path, f"expected one of {tuple(choices)}, got {value!r}")
-    return value
-
-
-def _bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {value!r}")
-    return value
-
-
-def _float_list(value, path: str, *, length: int | None = None) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(path, f"expected a list, got {value!r}")
-    out = tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if length is not None and len(out) != length:
-        raise ConfigError(path, f"expected {length} entries, got {len(out)}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-def _normalize_dataset(raw, task: str) -> dict:
-    section = _as_mapping(raw, "$.dataset")
-    kind = _string(_take(section, "kind", "$.dataset", "synthetic"),
-                   "$.dataset.kind", ("synthetic", "files"))
-    out = {"kind": kind}
-    if kind == "files":
-        edges = _string(_take(section, "edges", "$.dataset"), "$.dataset.edges")
-        if not Path(edges).is_file():
-            raise ConfigError("$.dataset.edges", f"file not found: {edges}")
-        out["edges"] = edges
-        for key in ("features", "labels"):
-            value = _take(section, key, "$.dataset", None)
-            if value is not None:
-                value = _string(value, f"$.dataset.{key}")
-                if not Path(value).is_file():
-                    raise ConfigError(f"$.dataset.{key}", f"file not found: {value}")
-            out[key] = value
-        if task == "classification" and out["labels"] is None:
-            raise ConfigError("$.dataset.labels", "classification needs a label file")
-    elif task == "recsys":
-        out["num_users"] = _int(_take(section, "num_users", "$.dataset", 300),
-                                "$.dataset.num_users", 1)
-        out["num_items"] = _int(_take(section, "num_items", "$.dataset", 150),
-                                "$.dataset.num_items", 1)
-        out["exponent"] = _number(_take(section, "exponent", "$.dataset", 1.8),
-                                  "$.dataset.exponent")
-        out["min_interactions"] = _int(
-            _take(section, "min_interactions", "$.dataset", 2),
-            "$.dataset.min_interactions", 1)
-        max_inter = _take(section, "max_interactions", "$.dataset", None)
-        out["max_interactions"] = (
-            None if max_inter is None
-            else _int(max_inter, "$.dataset.max_interactions", 1)
-        )
-        out["num_clusters"] = _int(_take(section, "num_clusters", "$.dataset", 4),
-                                   "$.dataset.num_clusters", 1)
-        out["affinity"] = _number(_take(section, "affinity", "$.dataset", 6.0),
-                                  "$.dataset.affinity")
-        out["seed"] = _int(_take(section, "seed", "$.dataset", 0), "$.dataset.seed")
-    else:
-        out["num_nodes"] = _int(_take(section, "num_nodes", "$.dataset", 2000),
-                                "$.dataset.num_nodes", 3)
-        out["m_attach"] = _int(_take(section, "m_attach", "$.dataset", 4),
-                               "$.dataset.m_attach", 1)
-        out["feat_dim"] = _int(_take(section, "feat_dim", "$.dataset", 16),
-                               "$.dataset.feat_dim", 1)
-        out["num_classes"] = _int(_take(section, "num_classes", "$.dataset", 2),
-                                  "$.dataset.num_classes", 2)
-        out["label_noise"] = _number(_take(section, "label_noise", "$.dataset", 0.0),
-                                     "$.dataset.label_noise", 0.0, 1.0)
-        out["separation"] = _number(_take(section, "separation", "$.dataset", 2.0),
-                                    "$.dataset.separation")
-        out["feature_noise"] = _number(
-            _take(section, "feature_noise", "$.dataset", 1.0),
-            "$.dataset.feature_noise", 0.0)
-        out["community_bias"] = _number(
-            _take(section, "community_bias", "$.dataset", 4.0),
-            "$.dataset.community_bias", 0.0)
-        out["seed"] = _int(_take(section, "seed", "$.dataset", 0), "$.dataset.seed")
-    _no_extras(section, "$.dataset")
-    return out
-
-
-def _normalize_model(raw, task: str) -> dict:
-    section = _as_mapping(raw, "$.model")
-    out = {
-        "variant": _string(_take(section, "variant", "$.model", "gcn"),
-                           "$.model.variant", VARIANTS),
-        "hidden_dim": _int(_take(section, "hidden_dim", "$.model", 32),
-                           "$.model.hidden_dim", 1),
-        "output_dim": _int(_take(section, "output_dim", "$.model", 32),
-                           "$.model.output_dim", 1),
-        "num_layers": _int(_take(section, "num_layers", "$.model", 2),
-                           "$.model.num_layers", 1),
-        "featureless": _bool(
-            _take(section, "featureless", "$.model", task == "recsys"),
-            "$.model.featureless"),
-    }
-    _no_extras(section, "$.model")
-    return out
-
-
-_TRAIN_FIELDS = ("stage1_epochs", "stage2_epochs", "stage1_lr", "stage2_lr",
-                 "alpha", "l2_weight", "eval_every", "patience")
-
-
-def _normalize_train(raw, task: str) -> dict:
-    section = _as_mapping(raw, "$.train")
-    preset_name = _take(section, "preset", "$.train", None)
-    if preset_name is not None:
-        preset_name = _string(preset_name, "$.train.preset", tuple(PRESETS))
-        preset = PRESETS[preset_name]
-        if preset.task != task:
-            raise ConfigError(
-                "$.train.preset",
-                f"preset {preset_name!r} is for task {preset.task!r}, not {task!r}")
-        base = {field: getattr(preset, field) for field in _TRAIN_FIELDS}
-    else:
-        defaults = TrainConfig(task=task)
-        base = {field: getattr(defaults, field) for field in _TRAIN_FIELDS}
-    for field in _TRAIN_FIELDS:
-        if field in section:
-            base[field] = section.pop(field)
-    _no_extras(section, "$.train")
+    Every field is typed by its annotation and bounded by its metadata
+    (``minimum``, ``maximum``, ``choices``, and ``check``, a callable whose
+    ``ValueError`` names the field). An absent field takes its value from
+    ``base`` if given, else its default. ``fixed`` fields are set by the
+    caller and are not keys of the section. Unknown and missing keys are
+    errors, and the rules ``cls`` checks itself are reported on ``path``.
+    """
+    raw = {} if raw is None else _value(raw, dict, path, {})
+    values = dict(fixed or {})
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in values]
+    for key in raw:
+        if key not in {f.name for f in fields}:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    for f in fields:
+        where = f"{path}.{f.name}"
+        if f.name in raw:
+            value = _value(raw[f.name], hints[f.name], where, f.metadata)
+            if value is not None and "check" in f.metadata:
+                try:
+                    f.metadata["check"](value)
+                except ValueError as exc:
+                    raise ConfigError(where, str(exc)) from exc
+        elif base is not None:
+            value = getattr(base, f.name)
+        elif f.default is not dataclasses.MISSING:
+            value = f.default
+        else:
+            raise ConfigError(where, "required field is missing")
+        values[f.name] = value
     try:
-        TrainConfig(task=task, **base)
-    except (TrainError, TypeError) as exc:
-        raise ConfigError("$.train", str(exc)) from exc
-    return base
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
-def _normalize_settings(raw, task: str, cold_ratios) -> tuple:
+def _distinct(raw, path: str, read) -> tuple:
+    """A nonempty list without duplicates, each entry checked by ``read``."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(path, "expected a nonempty list")
+    out = tuple(read(v, f"{path}[{i}]") for i, v in enumerate(raw))
+    for i, v in enumerate(out):
+        if v in out[:i]:
+            raise ConfigError(path, f"duplicate entry {v!r}")
+    return out
+
+
+def _seeds(raw) -> tuple:
+    return _distinct(raw, "$.seeds", lambda v, path: _value(v, int, path, {"minimum": 0}))
+
+
+def _at_least(minimum, default):
+    return dataclasses.field(default=default, metadata={"minimum": minimum})
+
+
+def _unit(default):
+    return dataclasses.field(default=default, metadata={"minimum": 0.0, "maximum": 1.0})
+
+
+def _checked(check, default=dataclasses.MISSING):
+    return dataclasses.field(default=default, metadata={"check": check})
+
+
+def _existing_file(path: str) -> None:
+    if not Path(path).is_file():
+        raise ValueError(f"file not found: {path}")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Document:
+    """The top level of a config; each section is read by its own class."""
+
+    task: str = dataclasses.field(metadata={"choices": TASKS})
+    dataset: dict | None = None
+    model: dict | None = None
+    train: dict | None = None
+    methods: list = tuple(METHODS)
+    settings: list | None = None
+    seeds: list = (0,)
+    split: dict | None = None
+    eval: dict | None = None
+    theory: dict | None = None
+    output_dir: str = "runs"
+
+
+@dataclasses.dataclass(frozen=True)
+class _ScaleFreeDataset:
+    num_nodes: int = _at_least(3, 2000)
+    m_attach: int = _at_least(1, 4)
+    feat_dim: int = _at_least(1, 16)
+    num_classes: int = _at_least(2, 2)
+    label_noise: float = _unit(0.0)
+    separation: float = 2.0
+    feature_noise: float = _at_least(0.0, 1.0)
+    community_bias: float = _at_least(0.0, 4.0)
+    seed: int = _at_least(0, 0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _BipartiteDataset:
+    num_users: int = _at_least(1, 300)
+    num_items: int = _at_least(1, 150)
+    exponent: float = 1.8
+    min_interactions: int = _at_least(1, 2)
+    max_interactions: int | None = _at_least(1, None)
+    num_clusters: int = _at_least(1, 4)
+    affinity: float = 6.0
+    seed: int = _at_least(0, 0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _FilesDataset:
+    edges: str = _checked(_existing_file)
+    features: str | None = _checked(_existing_file, None)
+    labels: str | None = _checked(_existing_file, None)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Model:
+    variant: str = dataclasses.field(default="gcn", metadata={"choices": VARIANTS})
+    hidden_dim: int = _at_least(1, 32)
+    output_dim: int = _at_least(1, 32)
+    num_layers: int = _at_least(1, 2)
+    featureless: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _ClassificationSplit:
+    new_fraction: float = _unit(0.05)
+    cold_ratios: tuple[float, ...] = _unit((0.3, 0.6, 0.9))
+    labeled_fraction: float = _unit(0.10)
+
+
+@dataclasses.dataclass(frozen=True)
+class _LinkSplit:
+    new_fraction: float = _unit(0.05)
+    cold_ratios: tuple[float, ...] = _unit((0.3, 0.6, 0.9))
+    trans_ratios: tuple[float, ...] = _checked(check_three_ratios, (0.5, 0.2, 0.3))
+    inductive_ratio: float = _unit(0.5)
+
+
+@dataclasses.dataclass(frozen=True)
+class _RecsysSplit:
+    ratios: tuple[float, ...] = _checked(check_three_ratios, (0.10, 0.05, 0.85))
+
+
+_SPLITS = {"classification": _ClassificationSplit, "link": _LinkSplit,
+           "recsys": _RecsysSplit}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Eval:
+    k: int = _at_least(1, 50)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Theory(MonteCarloConfig):
+    trials: int = _at_least(1, 200)
+
+
+def _settings(raw, task: str, cold_ratios) -> tuple:
     if raw is None:
         if task == "recsys":
             return ("transductive",)
         cold = tuple(f"inductive-cold({r:g})" for r in cold_ratios)
         return ("transductive", "inductive") + cold
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError("$.settings", "expected a nonempty list")
-    out = []
-    for i, tag in enumerate(raw):
-        path = f"$.settings[{i}]"
-        tag = _string(tag, path)
+
+    def read(tag, path):
+        tag = _value(tag, str, path, {})
         try:
             kind, ratio = parse_setting(tag)
         except EvalError as exc:
@@ -271,55 +291,40 @@ def _normalize_settings(raw, task: str, cold_ratios) -> tuple:
         if ratio is not None and ratio not in cold_ratios:
             raise ConfigError(
                 path, f"cold ratio {ratio} not in $.split.cold_ratios {cold_ratios}")
-        out.append(tag)
-    if len(set(out)) != len(out):
-        raise ConfigError("$.settings", "duplicate setting")
-    return tuple(out)
+        return tag
+
+    return _distinct(raw, "$.settings", read)
 
 
-def _normalize_split(raw, task: str) -> dict:
-    section = _as_mapping(raw, "$.split") if raw is not None else {}
-    out = {}
-    if task == "recsys":
-        out["ratios"] = _float_list(
-            _take(section, "ratios", "$.split", [0.10, 0.05, 0.85]),
-            "$.split.ratios", length=3)
-    else:
-        out["new_fraction"] = _number(
-            _take(section, "new_fraction", "$.split", 0.05),
-            "$.split.new_fraction", 0.0, 1.0)
-        out["cold_ratios"] = _float_list(
-            _take(section, "cold_ratios", "$.split", [0.3, 0.6, 0.9]),
-            "$.split.cold_ratios")
-        if task == "classification":
-            out["labeled_fraction"] = _number(
-                _take(section, "labeled_fraction", "$.split", 0.10),
-                "$.split.labeled_fraction", 0.0, 1.0)
-        else:
-            out["trans_ratios"] = _float_list(
-                _take(section, "trans_ratios", "$.split", [0.5, 0.2, 0.3]),
-                "$.split.trans_ratios", length=3)
-            out["inductive_ratio"] = _number(
-                _take(section, "inductive_ratio", "$.split", 0.5),
-                "$.split.inductive_ratio", 0.0, 1.0)
-    _no_extras(section, "$.split")
-    return out
+def _train(raw, task: str) -> dict:
+    raw = dict(raw or {})
+    name, preset = raw.pop("preset", None), None
+    if name is not None:
+        preset = PRESETS[_value(name, str, "$.train.preset", {"choices": PRESETS})]
+        if preset.task != task:
+            raise ConfigError(
+                "$.train.preset",
+                f"preset {name!r} is for task {preset.task!r}, not {task!r}")
+    train = dataclasses.asdict(_section(
+        TrainConfig, raw, "$.train", base=preset, fixed={"task": task, "seed": 0}))
+    del train["task"], train["seed"]
+    return train
 
 
-def _check_split_counts(dataset: dict, split: dict, settings: tuple) -> None:
+def _check_split_counts(n, split: dict, settings: tuple) -> None:
     """Refuse a split whose node counts the split stage cannot work with.
 
     ``node_split`` holds out ``floor(new_fraction * n)`` nodes, and
     ``label_split`` labels ``floor(labeled_fraction * |V_train|)`` of the rest
     (training takes the larger half). The node count of a file dataset is
-    unknown until it is read, so there only zero fractions are caught.
+    unknown until it is read (``n=None``), so there only zero
+    fractions are caught; the split stage checks again with the count.
     """
     fraction = split.get("new_fraction")
     if fraction is None:
         return
     if fraction == 1:
         raise ConfigError("$.split.new_fraction", "must be < 1.0, got 1.0")
-    n = dataset.get("num_nodes")
     num_new = None if n is None else int(np.floor(fraction * n))
     inductive = [tag for tag in settings if tag != "transductive"]
     if inductive and (fraction == 0 or num_new == 0):
@@ -331,27 +336,6 @@ def _check_split_counts(dataset: dict, split: dict, settings: tuple) -> None:
             labeled == 0 or (n is not None and np.floor(labeled * (n - num_new)) == 0)):
         raise ConfigError(
             "$.split.labeled_fraction", "leaves no labeled training node")
-
-
-_THEORY_DEFAULTS = MonteCarloConfig()
-_THEORY_FIELDS = ("N", "T", "R", "m", "d", "delta", "separation", "seed",
-                  "stage1_steps", "stage2_steps", "lr")
-
-
-def _normalize_theory(raw) -> dict:
-    section = _as_mapping(raw, "$.theory") if raw is not None else {}
-    out = {field: getattr(_THEORY_DEFAULTS, field) for field in _THEORY_FIELDS}
-    for field in _THEORY_FIELDS:
-        if field in section:
-            out[field] = section.pop(field)
-    out["trials"] = _int(_take(section, "trials", "$.theory", 200),
-                         "$.theory.trials", 1)
-    _no_extras(section, "$.theory")
-    try:
-        MonteCarloConfig(**{k: v for k, v in out.items() if k != "trials"})
-    except (TheoryError, TypeError) as exc:
-        raise ConfigError("$.theory", str(exc)) from exc
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -372,45 +356,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        section = _as_mapping(payload, "$")
-        task = _string(_take(section, "task", "$"), "$.task", TASKS)
-        dataset = _normalize_dataset(_take(section, "dataset", "$", {}), task)
-        model = _normalize_model(_take(section, "model", "$", {}), task)
-        train = _normalize_train(_take(section, "train", "$", {}), task)
-
-        raw_methods = _take(section, "methods", "$", list(METHODS))
-        if not isinstance(raw_methods, (list, tuple)) or not raw_methods:
-            raise ConfigError("$.methods", "expected a nonempty list")
-        methods = tuple(
-            _string(m, f"$.methods[{i}]", METHODS)
-            for i, m in enumerate(raw_methods)
-        )
-        if len(set(methods)) != len(methods):
-            raise ConfigError("$.methods", "duplicate method")
-
-        raw_seeds = _take(section, "seeds", "$", [0])
-        if not isinstance(raw_seeds, (list, tuple)) or not raw_seeds:
-            raise ConfigError("$.seeds", "expected a nonempty list")
-        seeds = tuple(_int(s, f"$.seeds[{i}]", 0) for i, s in enumerate(raw_seeds))
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("$.seeds", "duplicate seed")
-
-        split = _normalize_split(_take(section, "split", "$", None), task)
-        settings = _normalize_settings(
-            _take(section, "settings", "$", None), task,
-            split.get("cold_ratios", ()))
-        _check_split_counts(dataset, split, settings)
-
-        eval_section = _as_mapping(_take(section, "eval", "$", {}), "$.eval")
-        evaluation = {"k": _int(_take(eval_section, "k", "$.eval", 50), "$.eval.k", 1)}
-        _no_extras(eval_section, "$.eval")
-
-        theory = _normalize_theory(_take(section, "theory", "$", None))
-        output_dir = _string(_take(section, "output_dir", "$", "runs"),
-                             "$.output_dir")
-        _no_extras(section, "$")
-        return cls(task, dataset, model, train, methods, settings, seeds,
-                   split, evaluation, theory, output_dir)
+        doc = _section(_Document, payload, "$")
+        task = doc.task
+        raw_dataset = dict(doc.dataset or {})
+        kind = _value(raw_dataset.pop("kind", "synthetic"), str, "$.dataset.kind",
+                      {"choices": ("synthetic", "files")})
+        dataset_cls = (_FilesDataset if kind == "files" else
+                       _BipartiteDataset if task == "recsys" else _ScaleFreeDataset)
+        dataset = {"kind": kind,
+                   **dataclasses.asdict(_section(dataset_cls, raw_dataset, "$.dataset"))}
+        if kind == "files" and task == "classification" and dataset["labels"] is None:
+            raise ConfigError("$.dataset.labels", "classification needs a label file")
+        model = _section(_Model, doc.model, "$.model",
+                         base=_Model(featureless=task == "recsys"))
+        methods = _distinct(doc.methods, "$.methods",
+                            lambda v, path: _value(v, str, path, {"choices": METHODS}))
+        split = dataclasses.asdict(_section(_SPLITS[task], doc.split, "$.split"))
+        settings = _settings(doc.settings, task, split.get("cold_ratios", ()))
+        _check_split_counts(dataset.get("num_nodes"), split, settings)
+        return cls(task, dataset, dataclasses.asdict(model), _train(doc.train, task),
+                   methods, settings, _seeds(doc.seeds), split,
+                   dataclasses.asdict(_section(_Eval, doc.eval, "$.eval")),
+                   dataclasses.asdict(_section(_Theory, doc.theory, "$.theory")),
+                   doc.output_dir)
 
     def to_dict(self) -> dict:
         return {
@@ -451,9 +419,7 @@ class ExperimentConfig:
     def with_overrides(self, *, seeds=None, output_dir=None) -> "ExperimentConfig":
         updates = {}
         if seeds is not None:
-            if not seeds:
-                raise ConfigError("$.seeds", "expected a nonempty list")
-            updates["seeds"] = tuple(_int(s, "$.seeds") for s in seeds)
+            updates["seeds"] = _seeds(seeds)
         if output_dir is not None:
             updates["output_dir"] = str(output_dir)
         return dataclasses.replace(self, **updates) if updates else self
@@ -623,6 +589,7 @@ def _build_bundle(config: ExperimentConfig, graph, labels, seed: int) -> SplitBu
 def cmd_split(config: ExperimentConfig) -> dict:
     """Build one split bundle per seed; returns {seed: path}."""
     graph, labels = _load_run_dataset(config)
+    _check_split_counts(graph.num_nodes, config.split, config.settings)
     written = {}
     for seed in config.seeds:
         path = config.seed_dir(seed) / "split.json"

@@ -20,7 +20,7 @@ shift that distinguishes edges-kept from edges-dropped inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -389,7 +389,7 @@ class MonteCarloConfig:
     d: int = 16
     delta: float = 0.1
     separation: float = 8.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"minimum": 0})  # read by the config schema
     stage1_steps: int = 300
     stage2_steps: int = 300
     lr: float = 0.5
@@ -409,12 +409,7 @@ class MonteCarloConfig:
             raise TheoryError(f"lr must be positive, got {self.lr}")
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N, "T": self.T, "R": self.R, "m": self.m, "d": self.d,
-            "delta": self.delta, "separation": self.separation, "seed": self.seed,
-            "stage1_steps": self.stage1_steps, "stage2_steps": self.stage2_steps,
-            "lr": self.lr,
-        }
+        return asdict(self)
 
 
 def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:

@@ -13,7 +13,7 @@ shared generator state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -94,18 +94,7 @@ class TrainConfig:
         return 1e-4 if self.task == "recsys" else self.stage1_lr
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "stage1_epochs": self.stage1_epochs,
-            "stage2_epochs": self.stage2_epochs,
-            "stage1_lr": self.stage1_lr,
-            "stage2_lr": self.stage2_lr,
-            "alpha": self.alpha,
-            "l2_weight": self.l2_weight,
-            "eval_every": self.eval_every,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _preset(task: str, **kw) -> TrainConfig:
@@ -143,14 +132,7 @@ class StageReport:
     epochs_run: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "losses": self.losses,
-            "val_epochs": self.val_epochs,
-            "val_values": self.val_values,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-        }
+        return asdict(self)
 
 
 @dataclass

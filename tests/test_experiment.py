@@ -1,6 +1,8 @@
 """Tests for the config schema, pipeline stages, report aggregation, and CLI."""
+import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from tailkit import experiment
 from tailkit.cli import main
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
+from tailkit.training import TrainConfig
 from tailkit.experiment import (
     _aggregate_cell,
     ConfigError,
@@ -114,11 +117,100 @@ class TestConfigSchema:
           "settings": ["transductive", "inductive-cold(0.9)"]}, "$.split.new_fraction"),
         ({"task": "classification", "dataset": {"num_nodes": 19},
           "split": {"new_fraction": 0.05}}, "$.split.new_fraction"),
+        ({"task": "classification", "train": {"stage1_epochs": 2.5}},
+         "$.train.stage1_epochs"),
+        ({"task": "classification", "train": {"stage1_epochs": True}},
+         "$.train.stage1_epochs"),
+        ({"task": "classification", "train": {"eval_every": 2.5}}, "$.train.eval_every"),
+        ({"task": "classification", "train": {"stage1_lr": float("nan")}},
+         "$.train.stage1_lr"),
+        ({"task": "classification", "dataset": {"seed": -1}}, "$.dataset.seed"),
+        ({"task": "classification", "split": {"cold_ratios": [2.0]}},
+         "$.split.cold_ratios[0]"),
+        ({"task": "link", "split": {"trans_ratios": [0.9, 0.9, 0.9]}},
+         "$.split.trans_ratios"),
+        ({"task": "link", "split": {"trans_ratios": [0.5, 0.5]}}, "$.split.trans_ratios"),
+        ({"task": "recsys", "split": {"ratios": [-0.1, 0.2, 0.9]}}, "$.split.ratios"),
+        ({"task": "classification", "theory": {"N": 100.0}}, "$.theory.N"),
+        ({"task": "classification", "theory": {"seed": 1.5}}, "$.theory.seed"),
+        ({"task": "classification", "theory": {"seed": -1}}, "$.theory.seed"),
+        ({"task": "classification", "seeds": [-1]}, "$.seeds[0]"),
+        ({"task": "classification", "train": {"task": "link"}}, "$.train.task"),
     ])
     def test_schema_violations_report_json_path(self, payload, path):
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig.from_dict(payload)
         assert excinfo.value.path == path
+
+    def test_float_fields_take_integers_and_store_floats(self):
+        config = ExperimentConfig.from_dict({
+            "task": "classification", "train": {"l2_weight": 0, "alpha": 0},
+            "theory": {"separation": 8}})
+        assert config.train["l2_weight"] == 0.0
+        assert type(config.train["l2_weight"]) is float
+        assert type(config.train["alpha"]) is float
+        assert type(config.theory["separation"]) is float
+        assert type(config.theory["N"]) is int
+
+    def test_config_hashes_are_pinned(self):
+        # the README's minimal config, the two benchmark workloads at seed 0,
+        # and the three all-defaults configs
+        configs = {
+            "e63585c28b5f": {
+                "task": "classification",
+                "dataset": {"num_nodes": 300, "m_attach": 2, "feat_dim": 8, "seed": 1},
+                "model": {"variant": "gcn", "hidden_dim": 16, "output_dim": 16},
+                "train": {"stage1_epochs": 40, "stage2_epochs": 20, "eval_every": 5,
+                          "patience": 4},
+                "methods": ["base", "tuneup"],
+                "settings": ["transductive", "inductive-cold(0.9)"],
+                "seeds": [0, 1, 2],
+                "output_dir": "runs",
+            },
+            "f8ed702e2423": {
+                "task": "link",
+                "dataset": {"num_nodes": 2000, "m_attach": 2, "feat_dim": 16, "seed": 0},
+                "model": {"variant": "gcn", "hidden_dim": 32, "output_dim": 32,
+                          "num_layers": 2},
+                "train": {"preset": "desk-link", "stage1_epochs": 40,
+                          "stage2_epochs": 40, "eval_every": 10, "patience": 10},
+                "methods": ["base", "tuneup"],
+                "settings": ["transductive", "inductive", "inductive-cold(0.9)"],
+                "split": {"cold_ratios": [0.9]},
+                "eval": {"k": 50},
+                "theory": {"trials": 20, "seed": 0},
+            },
+            "e614a83eb989": {
+                "task": "classification",
+                "dataset": {"num_nodes": 20000, "m_attach": 2, "feat_dim": 16,
+                            "num_classes": 2, "separation": 1.5, "feature_noise": 1.0,
+                            "community_bias": 4.0, "label_noise": 0.0, "seed": 0},
+                "model": {"variant": "sage-max", "hidden_dim": 32, "output_dim": 32,
+                          "num_layers": 2},
+                "train": {"stage1_epochs": 10, "stage2_epochs": 10, "stage1_lr": 0.01,
+                          "alpha": 0.5, "eval_every": 5, "patience": 10},
+                "methods": ["base", "tuneup"],
+                "settings": ["transductive", "inductive-cold(0.9)"],
+                "split": {"cold_ratios": [0.9]},
+            },
+            "ab0ad22a972f": {"task": "classification"},
+            "24ca8b6cd558": {"task": "link"},
+            "70287f071892": {"task": "recsys"},
+        }
+        for expected, payload in configs.items():
+            assert ExperimentConfig.from_dict(payload).config_hash == expected
+
+    def test_every_schema_field_is_in_the_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        reference = readme.split("## Configuration reference")[1].split("\n## ")[0]
+        documented = set(re.findall(r"`([A-Za-z_0-9]+)`", reference))
+        sections = [experiment._Document, experiment._ScaleFreeDataset,
+                    experiment._BipartiteDataset, experiment._FilesDataset,
+                    experiment._Model, TrainConfig, *experiment._SPLITS.values(),
+                    experiment._Eval, experiment._Theory]
+        accepted = {f.name for cls in sections for f in dataclasses.fields(cls)}
+        accepted |= {"kind", "preset"}
+        assert sorted(accepted - documented) == []
 
     def test_no_new_nodes_is_fine_when_only_transductive(self, tmp_path):
         config = make_config(tmp_path, split={"new_fraction": 0},
@@ -180,6 +272,10 @@ class TestConfigSchema:
         config = load_config(path, seeds=[7], output_dir=str(tmp_path / "o"))
         assert config.seeds == (7,)
         assert config.output_dir == str(tmp_path / "o")
+        for seeds, where in (([-1], "$.seeds[0]"), ([1, 1], "$.seeds"), ([], "$.seeds")):
+            with pytest.raises(ConfigError) as excinfo:
+                load_config(path, seeds=seeds)
+            assert excinfo.value.path == where
         with pytest.raises(MissingInputError):
             load_config(tmp_path / "absent.json")
         bad = tmp_path / "bad.json"
@@ -472,14 +568,58 @@ class TestCli:
          "$.split.new_fraction"),
         ({"split": {"labeled_fraction": 0}}, "$.split.labeled_fraction"),
         ({"split": {"labeled_fraction": 0.001}}, "$.split.labeled_fraction"),
+        ({"train": {"stage1_epochs": 2.5}}, "$.train.stage1_epochs"),
+        ({"train": {"stage1_epochs": True}}, "$.train.stage1_epochs"),
+        ({"train": {"eval_every": 2.5}}, "$.train.eval_every"),
+        ({"dataset": {"num_nodes": 120, "seed": -1}}, "$.dataset.seed"),
+        ({"split": {"cold_ratios": [2.0]}}, "$.split.cold_ratios"),
+        ({"task": "link", "split": {"trans_ratios": [0.9, 0.9, 0.9]}},
+         "$.split.trans_ratios"),
+        ({"task": "recsys", "dataset": {"num_users": 30, "num_items": 20},
+          "split": {"ratios": [-0.1, 0.2, 0.9]}}, "$.split.ratios"),
+        ({"theory": {"N": 100.0}}, "$.theory.N"),
+        ({"theory": {"seed": 1.5}}, "$.theory.seed"),
     ])
     def test_refused_before_any_stage_exits_2(self, tmp_path, capsys, override, path):
+        self.assert_refused(tmp_path, capsys, classification_payload(tmp_path, **override),
+                            path)
+
+    @pytest.mark.parametrize("flag,path", [
+        ("--seed=-1", "$.seeds[0]"),
+        ("--seed=1,1", "$.seeds"),
+    ])
+    def test_bad_seed_flag_refused_before_any_stage_exits_2(self, tmp_path, capsys,
+                                                             flag, path):
+        self.assert_refused(tmp_path, capsys, classification_payload(tmp_path), path, flag)
+
+    def assert_refused(self, tmp_path, capsys, payload, path, *flags):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(classification_payload(tmp_path, **override)))
-        for command in ("generate", "split", "train", "eval"):
-            assert self.run_cli(command, "--config", str(cfg_path)) == 2
+        cfg_path.write_text(json.dumps(payload))
+        for command in ("generate", "split", "train", "eval", "theory"):
+            assert self.run_cli(command, "--config", str(cfg_path), *flags) == 2
             assert path in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("split,path", [
+        ({"labeled_fraction": 0.01}, "$.split.labeled_fraction"),
+        ({"new_fraction": 0.01}, "$.split.new_fraction"),
+    ])
+    def test_file_dataset_split_counts_refused_at_split(self, tmp_path, capsys,
+                                                        split, path):
+        source = make_config(tmp_path, dataset={"num_nodes": 40, "m_attach": 2,
+                                                "feat_dim": 6, "seed": 1})
+        cmd_generate(source)
+        data = source.run_dir / "dataset"
+        cfg_path = tmp_path / "files.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, split=split, output_dir=str(tmp_path / "files"),
+            dataset={"kind": "files", "edges": str(data / "edges.txt"),
+                     "features": str(data / "features.txt"),
+                     "labels": str(data / "labels.txt")})))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        assert self.run_cli("split", "--config", str(cfg_path)) == 2
+        assert path in capsys.readouterr().err
+        assert not list((tmp_path / "files").rglob("split.json"))
 
     def test_missing_stage_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
