@@ -137,14 +137,10 @@ def _apply(value: np.ndarray, vjps: list[tuple[Tensor, Callable]]) -> Tensor:
 
 def _segment_sum(values: np.ndarray, offsets: np.ndarray, num_segments: int) -> np.ndarray:
     """Sum ``values`` rows into segments delimited by ``offsets`` (empty-safe)."""
-    out_shape = (num_segments,) + values.shape[1:]
-    if values.shape[0] == 0:
-        return np.zeros(out_shape)
-    counts = np.diff(offsets)
-    nonempty = counts > 0
-    starts = offsets[:-1][nonempty]
-    out = np.zeros(out_shape)
-    out[nonempty] = np.add.reduceat(values, starts, axis=0)
+    out = np.zeros((num_segments,) + values.shape[1:])
+    if values.shape[0]:
+        nonempty = np.diff(offsets) > 0
+        out[nonempty] = np.add.reduceat(values, offsets[:-1][nonempty], axis=0)
     return out
 
 
@@ -243,27 +239,33 @@ def pick(x: Tensor, cols) -> Tensor:
 # sparse aggregation
 # ---------------------------------------------------------------------------
 
+def _aggregate(adj, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row i sums ``weights[e] * values[targets[e]]`` over its entries e, in CSR order."""
+    return _segment_sum(values[adj.targets] * weights[:, None], adj.offsets, adj.num_nodes)
+
+
 def spmm(adj, x: Tensor) -> Tensor:
-    """Sparse-matrix times dense-matrix with constant adjacency weights."""
+    """Sparse-matrix times dense-matrix with constant adjacency weights.
+
+    The vjp Aᵀu aggregates with ``weights[mirror]`` over A's own CSR: the
+    support is symmetric, so it multiplies the same pairs as a transpose CSR
+    would and adds them in the same order.
+    """
     if x.value.ndim != 2 or x.value.shape[0] != adj.num_nodes:
         raise AutodiffError(
             f"spmm expects x of shape ({adj.num_nodes}, d), got {x.value.shape}"
         )
-    gathered = x.value[adj.targets] * adj.weights[:, None]
-    value = _segment_sum(gathered, adj.offsets, adj.num_nodes)
-
-    def vjp(u):
-        contrib = u[adj.rows] * adj.weights[:, None]
-        return _segment_sum(contrib[adj.t_perm], adj.t_offsets, adj.num_nodes)
-
-    return _apply(value, [(x, vjp)])
+    return _apply(
+        _aggregate(adj, x.value, adj.weights),
+        [(x, lambda u: _aggregate(adj, u, adj.weights[adj.mirror]))],
+    )
 
 
 def edge_spmm(weights: Tensor, x: Tensor, adj) -> Tensor:
     """Aggregation with per-edge learned weights (shape ``(nnz, 1)``).
 
-    ``adj`` supplies only the support structure (offsets/targets/rows); its
-    stored weights are ignored.
+    ``adj`` supplies only the support structure (offsets/targets/rows/mirror);
+    its stored weights are ignored.
     """
     if weights.value.shape != (adj.nnz, 1):
         raise AutodiffError(
@@ -274,16 +276,11 @@ def edge_spmm(weights: Tensor, x: Tensor, adj) -> Tensor:
             f"edge_spmm expects x of shape ({adj.num_nodes}, d), got {x.value.shape}"
         )
     w = weights.value[:, 0]
-    value = _segment_sum(x.value[adj.targets] * w[:, None], adj.offsets, adj.num_nodes)
-
-    def vjp_w(u):
-        return (u[adj.rows] * x.value[adj.targets]).sum(axis=1, keepdims=True)
-
-    def vjp_x(u):
-        contrib = u[adj.rows] * w[:, None]
-        return _segment_sum(contrib[adj.t_perm], adj.t_offsets, adj.num_nodes)
-
-    return _apply(value, [(weights, vjp_w), (x, vjp_x)])
+    return _apply(
+        _aggregate(adj, x.value, w),
+        [(weights, lambda u: (u[adj.rows] * x.value[adj.targets]).sum(axis=1, keepdims=True)),
+         (x, lambda u: _aggregate(adj, u, w[adj.mirror]))],
+    )
 
 
 def segment_softmax(logits: Tensor, offsets: np.ndarray) -> Tensor:

@@ -17,6 +17,7 @@ import numpy as np
 from .graph import Graph, GraphError, LabelSet, build_graph
 
 __all__ = [
+    "DatasetFileError",
     "NodeSplitResult",
     "SplitBundle",
     "SplitError",
@@ -39,6 +40,15 @@ __all__ = [
 
 class SplitError(ValueError):
     """Invalid split parameters or inputs."""
+
+
+class DatasetFileError(GraphError):
+    """A dataset file that cannot be read, with the offending line if known."""
+
+    def __init__(self, path, lineno: int | None, message: str):
+        self.path = path
+        where = path if lineno is None else f"{path}:{lineno}"
+        super().__init__(f"{where}: {message}")
 
 
 def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -426,7 +436,8 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
     ``%bipartite <num_users> <num_items>`` declares a user-item graph. The
     feature file is a headerless CSV whose row i holds node i's features; a
     label file has ``node_id class_id`` lines. Node count comes from the
-    bipartite marker, else the feature row count, else max endpoint + 1.
+    bipartite marker, else the feature row count, else max endpoint + 1. A
+    file that cannot be read raises :class:`DatasetFileError` naming it.
     """
     edges = []
     bipartite = None
@@ -435,48 +446,50 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
         if first and line.startswith("%bipartite"):
             parts = line.split()
             if len(parts) != 3:
-                raise GraphError(f"{edge_path}:{lineno}: malformed %bipartite line")
+                raise DatasetFileError(edge_path, lineno, "malformed %bipartite line")
             try:
                 bipartite = (int(parts[1]), int(parts[2]))
             except ValueError:
-                raise GraphError(f"{edge_path}:{lineno}: %bipartite sizes must be integers")
+                raise DatasetFileError(edge_path, lineno, "%bipartite sizes must be integers")
             first = False
             continue
         first = False
         parts = line.split()
         if len(parts) != 2:
-            raise GraphError(
-                f"{edge_path}:{lineno}: expected two node ids, got {len(parts)} tokens"
-            )
+            raise DatasetFileError(
+                edge_path, lineno, f"expected two node ids, got {len(parts)} tokens")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphError(f"{edge_path}:{lineno}: node ids must be base-10 integers")
+            raise DatasetFileError(edge_path, lineno, "node ids must be base-10 integers")
         if u < 0 or v < 0:
-            raise GraphError(f"{edge_path}:{lineno}: node ids must be nonnegative")
+            raise DatasetFileError(edge_path, lineno, "node ids must be nonnegative")
         edges.append((u, v))
 
     features = None
     if feature_path is not None:
-        features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
+        try:
+            features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise DatasetFileError(feature_path, None, str(exc)) from exc
 
     if bipartite is not None:
         num_nodes = bipartite[0] + bipartite[1]
         if features is not None and features.shape[0] != num_nodes:
-            raise GraphError(
-                f"feature row count {features.shape[0]} != num_nodes {num_nodes}"
-            )
+            raise DatasetFileError(feature_path, None, f"{features.shape[0]} rows, but the "
+                                   f"%bipartite line declares {num_nodes} nodes")
     elif features is not None:
         num_nodes = features.shape[0]
         if edges and max(max(e) for e in edges) >= num_nodes:
-            raise GraphError(
-                f"feature row count {num_nodes} != num_nodes "
-                f"{max(max(e) for e in edges) + 1} implied by the edge list"
-            )
+            raise DatasetFileError(feature_path, None, f"{num_nodes} rows, but the edge "
+                                   f"list implies {max(max(e) for e in edges) + 1} nodes")
     else:
         num_nodes = (max(max(e) for e in edges) + 1) if edges else 0
 
-    graph = build_graph(edges, num_nodes, features=features, bipartite=bipartite)
+    try:
+        graph = build_graph(edges, num_nodes, features=features, bipartite=bipartite)
+    except GraphError as exc:
+        raise DatasetFileError(edge_path, None, str(exc)) from exc
 
     label_set = None
     if label_path is not None:
@@ -484,15 +497,15 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
         for lineno, line in _parse_lines(label_path):
             parts = line.split()
             if len(parts) != 2:
-                raise GraphError(f"{label_path}:{lineno}: expected 'node_id class_id'")
+                raise DatasetFileError(label_path, lineno, "expected 'node_id class_id'")
             try:
                 node, cls_id = int(parts[0]), int(parts[1])
             except ValueError:
-                raise GraphError(f"{label_path}:{lineno}: ids must be base-10 integers")
+                raise DatasetFileError(label_path, lineno, "ids must be base-10 integers")
             if not 0 <= node < num_nodes:
-                raise GraphError(f"{label_path}:{lineno}: node {node} out of range")
+                raise DatasetFileError(label_path, lineno, f"node {node} out of range")
             if cls_id < 0:
-                raise GraphError(f"{label_path}:{lineno}: class must be nonnegative")
+                raise DatasetFileError(label_path, lineno, "class must be nonnegative")
             labels[node] = cls_id
         num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 1
         label_set = LabelSet(labels, max(num_classes, 2))

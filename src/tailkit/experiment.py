@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    DatasetFileError,
     SplitBundle,
     check_three_ratios,
     load_dataset,
@@ -210,6 +211,12 @@ class _ScaleFreeDataset:
     community_bias: float = _at_least(0.0, 4.0)
     seed: int = _at_least(0, 0)
 
+    def __post_init__(self) -> None:
+        if self.m_attach >= self.num_nodes:
+            raise ValueError(f"m_attach={self.m_attach} must be < num_nodes={self.num_nodes}")
+        if self.feat_dim < self.num_classes:
+            raise ValueError(f"feat_dim={self.feat_dim} must be >= num_classes={self.num_classes}")
+
 
 @dataclasses.dataclass(frozen=True)
 class _BipartiteDataset:
@@ -221,6 +228,15 @@ class _BipartiteDataset:
     num_clusters: int = _at_least(1, 4)
     affinity: float = 6.0
     seed: int = _at_least(0, 0)
+
+    def __post_init__(self) -> None:
+        if self.num_clusters > min(8, self.num_items):
+            raise ValueError(f"num_clusters={self.num_clusters} must be <= "
+                             f"min(8, num_items)={min(8, self.num_items)}")
+        most = min(self.num_items, self.max_interactions or self.num_items)
+        if self.min_interactions > most:
+            raise ValueError(f"min_interactions={self.min_interactions} exceeds {most}, "
+                             "the most items a user can interact with")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -488,13 +504,8 @@ def cmd_generate(config: ExperimentConfig) -> dict:
 
     dataset = config.dataset
     if dataset["kind"] == "files":
-        paths = {
-            "edges": str(Path(dataset["edges"]).resolve()),
-            "features": (None if dataset["features"] is None
-                         else str(Path(dataset["features"]).resolve())),
-            "labels": (None if dataset["labels"] is None
-                       else str(Path(dataset["labels"]).resolve())),
-        }
+        paths = {key: None if dataset[key] is None else str(Path(dataset[key]).resolve())
+                 for key in ("edges", "features", "labels")}
     else:
         # relative to the run directory, so moving a run keeps it loadable
         # and reruns into another directory produce identical bytes
@@ -530,8 +541,12 @@ def cmd_generate(config: ExperimentConfig) -> dict:
 
     resolved = {key: _resolve_data_path(config, p) for key, p in paths.items()}
     checksums = {key: _sha256(p) for key, p in resolved.items() if p is not None}
-    graph, _ = load_dataset(resolved["edges"], resolved["features"],
-                            resolved["labels"])
+    try:
+        graph, _ = load_dataset(resolved["edges"], resolved["features"],
+                                resolved["labels"])
+    except DatasetFileError as exc:
+        key = next(key for key, p in resolved.items() if p == exc.path)
+        raise ConfigError(f"$.dataset.{key}", str(exc)) from exc
     manifest = {
         "config_hash": config.config_hash,
         "task": config.task,
@@ -748,21 +763,17 @@ def cmd_eval(config: ExperimentConfig) -> dict:
 def cmd_theory(config: ExperimentConfig, *, csv: bool = False) -> dict:
     """Run the bound validation campaign; writes theory.json (and CSV)."""
     out_path = config.run_dir / "theory.json"
-    if out_path.is_file():
-        payload = _read_json(out_path, "theory")
-        if payload.get("config_hash") == config.config_hash:
-            if csv:
-                _write_theory_csv(config.run_dir / "theory.csv", payload["rows"])
-            return payload
-    params = dict(config.theory)
-    trials = params.pop("trials")
-    result = monte_carlo_validate(MonteCarloConfig(**params), trials)
-    payload = {
-        "config_hash": config.config_hash,
-        "summary": result["summary"],
-        "rows": result["rows"],
-    }
-    write_json(out_path, payload)
+    payload = _read_json(out_path, "theory") if out_path.is_file() else {}
+    if payload.get("config_hash") != config.config_hash:
+        params = dict(config.theory)
+        trials = params.pop("trials")
+        result = monte_carlo_validate(MonteCarloConfig(**params), trials)
+        payload = {
+            "config_hash": config.config_hash,
+            "summary": result["summary"],
+            "rows": result["rows"],
+        }
+        write_json(out_path, payload)
     if csv:
         _write_theory_csv(config.run_dir / "theory.csv", payload["rows"])
     return payload

@@ -193,8 +193,13 @@ class NormalizedAdjacency:
     ``mode`` is one of ``renormalized`` (symmetric degree-scaled adjacency with
     self-loops), ``row-mean`` (neighbor averaging, isolated nodes fall back to a
     unit self-entry), or ``none`` (raw 0/1 adjacency, no self-loops). ``rows``
-    repeats each row index per stored entry; ``t_perm``/``t_offsets`` give the
-    transpose's CSR ordering so both A·X and Aᵀ·X are single segment-sums.
+    repeats each row index per stored entry.
+
+    The support (the set of stored (i, j) pairs) is symmetric in every mode:
+    it is an undirected graph plus diagonal entries. ``mirror[e]`` is the
+    index of the entry (j, i) for entry ``e`` = (i, j), so the transpose is
+    this same CSR with ``weights[mirror]`` as its weights, and Aᵀ·X is a
+    segment-sum like A·X.
     """
 
     num_nodes: int
@@ -202,31 +207,12 @@ class NormalizedAdjacency:
     targets: np.ndarray
     weights: np.ndarray
     mode: str
-    rows: np.ndarray = field(repr=False, default=None)
-    t_offsets: np.ndarray = field(repr=False, default=None)
-    t_perm: np.ndarray = field(repr=False, default=None)
+    rows: np.ndarray = field(repr=False)
+    mirror: np.ndarray = field(repr=False)
 
     @property
     def nnz(self) -> int:
         return int(self.targets.shape[0])
-
-
-def _finish_adjacency(
-    num_nodes: int,
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    mode: str,
-) -> NormalizedAdjacency:
-    counts = np.diff(offsets)
-    rows = np.repeat(np.arange(num_nodes, dtype=np.int64), counts)
-    t_perm = np.lexsort((rows, targets))
-    t_counts = np.bincount(targets, minlength=num_nodes)
-    t_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(t_counts, out=t_offsets[1:])
-    return NormalizedAdjacency(
-        num_nodes, offsets, targets, weights, mode, rows, t_offsets, t_perm
-    )
 
 
 def normalize_adjacency(graph: Graph, mode: str = "renormalized") -> NormalizedAdjacency:
@@ -242,37 +228,28 @@ def normalize_adjacency(graph: Graph, mode: str = "renormalized") -> NormalizedA
         raise GraphError(f"unknown normalization {mode!r}, expected one of {NORMALIZATIONS}")
     n = graph.num_nodes
     deg = graph.degrees()
-
-    if mode == "none":
-        weights = np.ones(graph.csr_targets.shape[0], dtype=np.float64)
-        return _finish_adjacency(n, graph.csr_offsets, graph.csr_targets, weights, mode)
-
-    base_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-
-    if mode == "row-mean":
-        isolated = np.flatnonzero(deg == 0)
-        rows = np.concatenate([base_rows, isolated])
-        targets = np.concatenate([graph.csr_targets, isolated])
-        order = np.lexsort((targets, rows))
+    offsets, targets = graph.csr_offsets, graph.csr_targets
+    rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+    # diagonal entries: on every node (renormalized), on isolated nodes (row-mean)
+    diag = (np.arange(n, dtype=np.int64) if mode == "renormalized" else
+            np.flatnonzero(deg == 0) if mode == "row-mean" else np.empty(0, np.int64))
+    if diag.size:
+        rows = np.concatenate([rows, diag])
+        targets = np.concatenate([targets, diag])
+        order = np.argsort(rows * n + targets)  # keys are unique: one order
         rows, targets = rows[order], targets[order]
-        inv = np.where(deg == 0, 1.0, 1.0 / np.maximum(deg, 1))
-        weights = inv[rows]
-        counts = np.where(deg == 0, 1, deg)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return _finish_adjacency(n, offsets, targets, weights, mode)
+        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    mirror = np.argsort(targets * n + rows)
 
-    # renormalized: support is neighbors plus a self-loop on every node
-    self_ids = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([base_rows, self_ids])
-    targets = np.concatenate([graph.csr_targets, self_ids])
-    order = np.lexsort((targets, rows))
-    rows, targets = rows[order], targets[order]
-    inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
-    weights = inv_sqrt[rows] * inv_sqrt[targets]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg + 1, out=offsets[1:])
-    return _finish_adjacency(n, offsets, targets, weights, mode)
+    if mode == "renormalized":
+        inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
+        weights = inv_sqrt[rows] * inv_sqrt[targets]
+    elif mode == "row-mean":
+        weights = (1.0 / np.maximum(deg, 1))[rows]
+    else:
+        weights = np.ones(targets.shape[0], dtype=np.float64)
+    return NormalizedAdjacency(n, offsets, targets, weights, mode, rows, mirror)
 
 
 @dataclass

@@ -42,7 +42,7 @@ class SupervisionSet:
     is_pseudo: np.ndarray | None = None
     positive_pairs: np.ndarray | None = None
     pool: np.ndarray | None = None
-    _pos_sets: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    # sorted unique ``source * num_nodes + target`` of the positive pairs
     _pos_keys: np.ndarray = field(default=None, repr=False)
 
     # -- factories ----------------------------------------------------------
@@ -95,16 +95,19 @@ class SupervisionSet:
         else:
             pairs = np.concatenate([edges, edges[:, ::-1]], axis=0)
             pool = np.arange(graph.num_nodes, dtype=np.int64)
-        out = cls(task, graph.num_nodes, positive_pairs=pairs, pool=pool)
-        for s, t in pairs:
-            out._pos_sets.setdefault(int(s), [])
-            out._pos_sets[int(s)].append(int(t))
-        out._pos_sets = {s: np.unique(ts) for s, ts in out._pos_sets.items()}
-        out._pos_keys = np.unique(pairs[:, 0] * graph.num_nodes + pairs[:, 1])
-        return out
+        keys = np.unique(pairs[:, 0] * graph.num_nodes + pairs[:, 1])
+        return cls(task, graph.num_nodes, positive_pairs=pairs, pool=pool, _pos_keys=keys)
+
+    def _key_range(self, sources) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds of each source's block of ``_pos_keys``."""
+        start = np.asarray(sources, dtype=np.int64) * self.num_nodes
+        return (np.searchsorted(self._pos_keys, start),
+                np.searchsorted(self._pos_keys, start + self.num_nodes))
 
     def positives_of(self, source: int) -> np.ndarray:
-        return self._pos_sets.get(int(source), np.empty(0, dtype=np.int64))
+        """The sorted distinct targets of ``source``'s positive pairs."""
+        lo, hi = self._key_range(int(source))
+        return self._pos_keys[lo:hi] - int(source) * self.num_nodes
 
     @property
     def size(self) -> int:
@@ -162,9 +165,11 @@ def sample_negatives(supervision: SupervisionSet, sources, seed: int) -> np.ndar
     sources = np.asarray(sources, dtype=np.int64)
     pool = supervision.pool
     pool_size = pool.shape[0]
-    for s in np.unique(sources):
-        if supervision.positives_of(s).size >= pool_size:
-            raise LossError(f"source {int(s)} is linked to every candidate")
+    unique = np.unique(sources)
+    lo, hi = supervision._key_range(unique)
+    full = unique[hi - lo >= pool_size]
+    if full.size:
+        raise LossError(f"source {int(full[0])} is linked to every candidate")
 
     keys = supervision._pos_keys
     n = supervision.num_nodes

@@ -43,6 +43,10 @@ __all__ = [
 
 VARIANTS = ("gcn", "sage-mean", "sage-max", "sage-sum", "gat")
 TASKS = ("classification", "link", "recsys")
+# the aggregation operator of each variant; gat reads only its support, and
+# sage-max pools over the graph's own neighbor lists
+_NORMALIZATIONS = {"gcn": "renormalized", "gat": "renormalized",
+                   "sage-mean": "row-mean", "sage-sum": "none"}
 
 
 class ModelError(ValueError):
@@ -84,9 +88,6 @@ class Model:
     def parameters(self) -> list[Tensor]:
         """Trainable tensors in deterministic (sorted-name) order."""
         return [self.params[k] for k in sorted(self.params)]
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -200,13 +201,8 @@ def encode(model: Model, graph: Graph, *, return_attention: bool = False):
     cfg = model.config
     h = _encoder_input(model, graph)
     variant = cfg.variant
-    adj = None
-    if variant in ("gcn", "gat"):
-        adj = normalize_adjacency(graph, "renormalized")  # gat uses the support only
-    elif variant == "sage-mean":
-        adj = normalize_adjacency(graph, "row-mean")
-    elif variant == "sage-sum":
-        adj = normalize_adjacency(graph, "none")
+    mode = _NORMALIZATIONS.get(variant)
+    adj = None if mode is None else normalize_adjacency(graph, mode)
 
     attention: list[np.ndarray] = []
     for layer in range(cfg.num_layers):

@@ -263,31 +263,39 @@ def train_theory_model(
     """
     if method not in METHODS:
         raise TheoryError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _fit_stage2(world, method, _fit_stage1(world, stage1_steps, lr), stage2_steps, lr)
 
+
+def _fit_stage1(world: TheoryWorld, steps: int, lr: float) -> tuple:
+    """The method-independent stage 1: (classifier, Q, pseudo-labels on B, S mask in B)."""
     z_s = world.aggregated(world.s_idx)
     y_s = world.labels[world.s_idx]
-    w1, b1, c1, stage1_loss = _logistic_fit(z_s, y_s, stage1_steps, lr)
+    w1, b1, c1, stage1_loss = _logistic_fit(z_s, y_s, steps, lr)
     stage1 = TheoryClassifier(w1, b1, c1, stage1_surrogate=stage1_loss)
-
     q = float(_zero_one(stage1.predict(z_s), y_s).mean())
-
-    z_b = world.aggregated(world.b_idx)
-    y_b = world.labels[world.b_idx]
-    pseudo_b = stage1.predict(z_b)
+    pseudo_b = stage1.predict(world.aggregated(world.b_idx))
     s_mask = np.isin(world.b_idx, world.s_idx)
-    pseudo_b[s_mask] = y_b[s_mask]
+    pseudo_b[s_mask] = world.labels[world.b_idx][s_mask]
+    return stage1, q, pseudo_b, s_mask
 
+
+def _fit_stage2(world: TheoryWorld, method: str, fit1: tuple, steps: int, lr: float):
+    """Stage 2 of ``method`` from a :func:`_fit_stage1` result; returns
+    (classifier, profile, Q) like :func:`train_theory_model`."""
+    stage1, q, pseudo_b, s_mask = fit1
     inputs, targets = stage2_supervision(world, method, pseudo_b)
     w2, b2, c2, stage2_loss = _logistic_fit(
-        inputs, targets, stage2_steps, lr, w0=w1, b0=b1
+        inputs, targets, steps, lr, w0=stage1.weights, b0=stage1.bias
     )
     final = TheoryClassifier(
-        w2, b2, c2, stage1_surrogate=stage1_loss, stage2_surrogate=stage2_loss
+        w2, b2, c2, stage1_surrogate=stage1.stage1_surrogate, stage2_surrogate=stage2_loss
     )
 
+    z_b = world.aggregated(world.b_idx)
     x_a = world.raw(world.a_idx)
     x_b = world.raw(world.b_idx)
     y_a = world.labels[world.a_idx]
+    y_b = world.labels[world.b_idx]
     profile = LossProfile(
         ell_b=_zero_one(final.predict(x_b), y_b),
         big_ell_a=_zero_one(final.predict(x_a), y_a),
@@ -436,13 +444,9 @@ def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:
             config.N, config.T, config.R, config.m, config.d,
             config.delta, config.separation, seed=world_seed,
         )
+        fit1 = _fit_stage1(world, config.stage1_steps, config.lr)
         for method_index, method in enumerate(METHODS):
-            clf, profile, q = train_theory_model(
-                world, method,
-                stage1_steps=config.stage1_steps,
-                stage2_steps=config.stage2_steps,
-                lr=config.lr,
-            )
+            clf, profile, q = _fit_stage2(world, method, fit1, config.stage2_steps, config.lr)
             gaps = compute_gaps(world, profile)
             gap = gaps[method_index]
             tau = gaps[3]

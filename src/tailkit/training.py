@@ -97,23 +97,19 @@ class TrainConfig:
         return asdict(self)
 
 
-def _preset(task: str, **kw) -> TrainConfig:
-    return TrainConfig(task=task, **kw)
-
-
 PRESETS = {
     # desk-scale defaults used by the test suite and the bundled benchmarks
-    "desk-classification": _preset("classification"),
-    "desk-link": _preset("link", stage1_lr=0.01, l2_weight=1e-4),
-    "desk-recsys": _preset("recsys", stage1_lr=0.01, stage2_lr=1e-4, l2_weight=1e-4),
+    "desk-classification": TrainConfig("classification"),
+    "desk-link": TrainConfig("link", stage1_lr=0.01, l2_weight=1e-4),
+    "desk-recsys": TrainConfig("recsys", stage1_lr=0.01, stage2_lr=1e-4, l2_weight=1e-4),
     # published full-scale schedules, impractical as test defaults
-    "full-classification": _preset(
+    "full-classification": TrainConfig(
         "classification", stage1_epochs=1500, stage2_epochs=1500, stage1_lr=0.001
     ),
-    "full-link": _preset(
+    "full-link": TrainConfig(
         "link", stage1_epochs=1000, stage2_epochs=1000, stage1_lr=1e-4, l2_weight=1e-4
     ),
-    "full-recsys": _preset(
+    "full-recsys": TrainConfig(
         "recsys", stage1_epochs=2000, stage2_epochs=500,
         stage1_lr=0.001, stage2_lr=1e-4, l2_weight=1e-4,
     ),

@@ -235,6 +235,19 @@ class TestGradients:
             check_grads(build, [x, w, b], tol=1e-5)
 
 
+def transpose_product_oracle(adj, u, weights):
+    """Reference oracle: the transpose product that ``adj.mirror`` replaced.
+
+    Entries are reordered by (target, row) and summed over the transpose's
+    own offsets, as the ``t_perm``/``t_offsets`` vjp of spmm and edge_spmm did.
+    """
+    t_perm = np.lexsort((adj.rows, adj.targets))
+    t_offsets = np.zeros(adj.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(adj.targets, minlength=adj.num_nodes), out=t_offsets[1:])
+    contrib = u[adj.rows] * weights[:, None]
+    return ad._segment_sum(contrib[t_perm], t_offsets, adj.num_nodes)
+
+
 def _scale_free_with_isolated(seed, n=300, isolated=20):
     edges = generate_scale_free(n, 2, seed=seed)[0].edges
     return build_graph(edges, n + isolated)
@@ -293,6 +306,46 @@ class TestRowMaxPoolAgainstPerNodeLoop:
         # bytes rather than np.array_equal, so the sign of a zero must match too
         assert out.value.tobytes() == want_value.tobytes()
         assert x.grad.tobytes() == want_grad.tobytes()
+
+
+_AGGREGATION_GRAPHS = [
+    pytest.param(lambda: _scale_free_with_isolated(0), id="scale-free-0"),
+    pytest.param(lambda: _scale_free_with_isolated(1), id="scale-free-1"),
+    pytest.param(_hub, id="hub"),
+    pytest.param(lambda: build_graph(np.empty((0, 2)), 6), id="edgeless"),
+    pytest.param(lambda: build_graph(np.empty((0, 2)), 1), id="n=1"),
+]
+
+
+class TestAggregationAgainstTransposeOracle:
+    """spmm and edge_spmm gradients must equal the old transpose vjp bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["renormalized", "row-mean", "none"])
+    @pytest.mark.parametrize("make_graph", _AGGREGATION_GRAPHS)
+    def test_spmm_vjp_bitwise_equal(self, make_graph, mode):
+        adj = normalize_adjacency(make_graph(), mode)
+        upstream = _normal((adj.num_nodes, 8), 8)
+        x = ad.Tensor(_normal((adj.num_nodes, 8), 7), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.hadamard(ad.spmm(adj, x), ad.Tensor(upstream)))
+        tape.backward(loss)
+        want = transpose_product_oracle(adj, upstream, adj.weights)
+        assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make_graph", _AGGREGATION_GRAPHS)
+    def test_edge_spmm_vjp_bitwise_equal(self, make_graph):
+        # GAT coefficients: a softmax per row, so (i, j) and (j, i) differ
+        adj = normalize_adjacency(make_graph(), "renormalized")
+        logits = ad.Tensor(_normal((adj.nnz, 1), 9), requires_grad=True)
+        coeff = ad.segment_softmax(logits, adj.offsets)
+        upstream = _normal((adj.num_nodes, 8), 8)
+        x = ad.Tensor(_normal((adj.num_nodes, 8), 7), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.edge_spmm(coeff, x, adj)
+            loss = ad.sum_all(ad.hadamard(out, ad.Tensor(upstream)))
+        tape.backward(loss)
+        want = transpose_product_oracle(adj, upstream, coeff.value[:, 0])
+        assert x.grad.tobytes() == want.tobytes()
 
 
 class TestTape:

@@ -579,6 +579,12 @@ class TestCli:
           "split": {"ratios": [-0.1, 0.2, 0.9]}}, "$.split.ratios"),
         ({"theory": {"N": 100.0}}, "$.theory.N"),
         ({"theory": {"seed": 1.5}}, "$.theory.seed"),
+        ({"dataset": {"num_nodes": 60, "feat_dim": 1}}, "$.dataset"),
+        ({"dataset": {"num_nodes": 4, "m_attach": 4}}, "$.dataset"),
+        ({"task": "recsys", "dataset": {"num_items": 3}}, "$.dataset"),
+        ({"task": "recsys", "dataset": {"min_interactions": 200}}, "$.dataset"),
+        ({"task": "recsys", "dataset": {"min_interactions": 5, "max_interactions": 4}},
+         "$.dataset"),
     ])
     def test_refused_before_any_stage_exits_2(self, tmp_path, capsys, override, path):
         self.assert_refused(tmp_path, capsys, classification_payload(tmp_path, **override),
@@ -620,6 +626,25 @@ class TestCli:
         assert self.run_cli("split", "--config", str(cfg_path)) == 2
         assert path in capsys.readouterr().err
         assert not list((tmp_path / "files").rglob("split.json"))
+
+    @pytest.mark.parametrize("bad", ["edges", "features", "labels"])
+    def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, bad):
+        texts = {"edges": "0 1\n1 2\n", "features": "0.5\n1.5\n2.5\n",
+                 "labels": "0 0\n1 1\n2 0\n"}
+        texts[bad] = {"edges": "0 1\n1 x\n", "features": "0.5\nx\n2.5\n",
+                      "labels": "0 0\n1 x\n2 0\n"}[bad]
+        dataset = {"kind": "files"}
+        for key, text in texts.items():
+            (tmp_path / f"{key}.txt").write_text(text)
+            dataset[key] = str(tmp_path / f"{key}.txt")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, dataset=dataset)))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert f"$.dataset.{bad}: {tmp_path / bad}.txt" in err
+        if bad != "features":  # numpy's own message gives the row
+            assert f"{bad}.txt:2:" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_stage_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

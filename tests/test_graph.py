@@ -1,6 +1,8 @@
 """Graph container, DropEdge, and adjacency normalization against independent oracles."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,18 +232,13 @@ class TestNormalizeAdjacency:
         g, _, _ = random_graph(rng, max_nodes=40)
         for mode in ("renormalized", "row-mean", "none"):
             adj = normalize_adjacency(g, mode)
-            # t_perm sorted by target; reconstructing the transpose densely
-            # must equal the dense transpose
+            # mirror maps each entry (i, j) to the entry (j, i), so the same
+            # CSR with weights[mirror] must densify to the dense transpose
+            np.testing.assert_array_equal(adj.rows[adj.mirror], adj.targets)
+            np.testing.assert_array_equal(adj.targets[adj.mirror], adj.rows)
             dense = densify(adj)
-            t_dense = np.zeros_like(dense)
-            rows_sorted = adj.rows[adj.t_perm]
-            tgts_sorted = adj.targets[adj.t_perm]
-            w_sorted = adj.weights[adj.t_perm]
-            for j in range(adj.num_nodes):
-                for k in range(adj.t_offsets[j], adj.t_offsets[j + 1]):
-                    assert tgts_sorted[k] == j
-                    t_dense[j, rows_sorted[k]] += w_sorted[k]
-            np.testing.assert_allclose(t_dense, dense.T, atol=1e-12)
+            mirrored = replace(adj, weights=adj.weights[adj.mirror])
+            np.testing.assert_allclose(densify(mirrored), dense.T, atol=1e-12)
 
 
 class TestLabelSet:

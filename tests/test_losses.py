@@ -201,6 +201,11 @@ class TestSampleNegatives:
         sup = SupervisionSet.ranking("recsys", g)
         with pytest.raises(LossError, match="every candidate"):
             sample_negatives(sup, [0], seed=0)
+        # several offenders, given out of order: the lowest id is named
+        g = build_graph([(0, 3), (0, 4), (1, 4), (2, 3), (2, 4)], 5, bipartite=(3, 2))
+        sup = SupervisionSet.ranking("recsys", g)
+        with pytest.raises(LossError, match="source 0 is linked"):
+            sample_negatives(sup, [2, 1, 2, 0], seed=0)
 
     def test_recsys_negatives_are_items(self):
         g = build_graph([(0, 3), (1, 4), (2, 5), (0, 4)], 7, bipartite=(3, 4))

@@ -394,6 +394,25 @@ class TestMonteCarlo:
         assert first["rows"] == second["rows"]
         assert first["summary"] == second["summary"]
 
+    def test_shared_stage1_matches_training_each_method(self):
+        """A trial fits stage 1 once for all methods; its rows must equal
+        what train_theory_model gives for each method on its own."""
+        config = MonteCarloConfig(N=500, T=100, R=100, m=20, d=4, separation=2.0,
+                                  seed=5)
+        rows = iter(monte_carlo_validate(config, trials=2)["rows"])
+        for seq in np.random.SeedSequence(config.seed).spawn(2):
+            world = sample_world(config.N, config.T, config.R, config.m, config.d,
+                                 config.delta, config.separation,
+                                 seed=int(seq.generate_state(1, dtype=np.uint64)[0]))
+            for index, method in enumerate(METHODS):
+                clf, profile, q = train_theory_model(world, method)
+                gaps = compute_gaps(world, profile)
+                row = next(rows)
+                assert (row["method"], row["q"], row["gap"], row["tau"]) == (
+                    method, q, gaps[index], gaps[3])
+                assert row["stage1_surrogate"] == clf.stage1_surrogate
+                assert row["stage2_surrogate"] == clf.stage2_surrogate
+
     def test_gap_never_exceeds_bound_on_separable_worlds(self):
         config = MonteCarloConfig(N=800, T=200, R=150, m=30, d=6,
                                   separation=8.0, seed=2)
