@@ -210,9 +210,11 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         raise AutodiffError("gather_rows index out of range")
 
     def vjp(u):
-        g = np.zeros_like(x.value)
-        np.add.at(g, idx, u)
-        return g
+        # bincount adds in input order, as np.add.at does, so the sums match
+        # it bit for bit (signed zeros included)
+        n, d = x.value.shape
+        cells = (idx[:, None] * d + np.arange(d)).ravel()
+        return np.bincount(cells, weights=u.ravel(), minlength=n * d).reshape(n, d)
 
     return _apply(x.value[idx], [(x, vjp)])
 

@@ -471,7 +471,8 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
         try:
             features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:
-            raise DatasetFileError(feature_path, None, str(exc)) from exc
+            raise _feature_line_error(feature_path) or DatasetFileError(
+                feature_path, None, str(exc)) from exc
 
     if bipartite is not None:
         num_nodes = bipartite[0] + bipartite[1]
@@ -510,6 +511,28 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
         num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 1
         label_set = LabelSet(labels, max(num_classes, 2))
     return graph, label_set
+
+
+def _feature_line_error(path) -> DatasetFileError | None:
+    """The first line of a feature CSV that does not parse, or that holds a
+    different number of values than the first line (numpy reports rows
+    0-based and counts only data rows, so its message cannot name a line)."""
+    try:
+        lines = list(_parse_lines(path))
+    except UnicodeDecodeError:
+        return None  # numpy's own message names the byte
+    width = None
+    for lineno, line in lines:
+        try:
+            row = np.loadtxt([line], delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError:
+            return DatasetFileError(path, lineno, f"{line!r} is not a row of numbers")
+        if width is None:
+            width = row.shape[1]
+        elif row.shape[1] != width:
+            return DatasetFileError(
+                path, lineno, f"{row.shape[1]} values, but the first row has {width}")
+    return None
 
 
 def save_edge_list(graph: Graph, path, header_comments=()) -> None:

@@ -5,6 +5,11 @@ source's neighbors in the graph the model actually saw at inference time. Ties
 break toward the lower node id so results are reproducible across runs and
 platforms. Scoring here bypasses the autodiff tape (frozen parameters, plain
 ndarray math) but is kept numerically identical to the training-side scorer.
+
+Scoring runs one source at a time over exactly its candidate list. Blocks of
+sources, or the whole pool scored once and masked, would be fewer matrix
+products, but a BLAS product's row results can depend on its row count, so
+they would change scores in the last bits (and so the tie-breaks and recall).
 """
 from __future__ import annotations
 
@@ -57,23 +62,29 @@ def accuracy(predictions, labels, nodes) -> float:
 def recall_per_source(score_fn, sources, positives, pool, k=50, exclude=None) -> np.ndarray:
     """Per-source recall@k, in the order of ``sources``.
 
-    ``score_fn(source, candidates)`` returns one score per candidate.
-    ``positives`` maps source -> positive target ids; ``exclude`` (optional)
-    maps source -> ids dropped from its candidate list before ranking. Ties
-    break toward the lower candidate id.
+    ``score_fn(source, candidates)`` returns one score per candidate, where
+    ``candidates`` is ``pool`` (distinct ids, in its own order) minus the ids
+    that ``exclude`` (optional) maps ``source`` to. ``positives`` maps source
+    -> positive target ids. Ties break toward the lower candidate id. Recall
+    is the number of distinct positives in the top k over ``len(positives)``.
     """
     pool = np.asarray(pool, dtype=np.int64)
+    if k < 1:
+        raise EvalError(f"k must be at least 1, got {k}")
+    positions = _pool_positions(pool)
     out = np.empty(len(sources), dtype=np.float64)
     for i, source in enumerate(sources):
         source = int(source)
         pos = np.asarray(positives[source], dtype=np.int64)
         if pos.size == 0:
             raise EvalError(f"source {source} has no positives")
+        is_pos = np.zeros(pool.size, dtype=bool)
+        is_pos[positions(pos)] = True
         candidates = pool
         if exclude is not None:
-            dropped = np.asarray(exclude[source], dtype=np.int64)
-            if dropped.size:
-                candidates = candidates[~np.isin(candidates, dropped)]
+            keep = np.ones(pool.size, dtype=bool)
+            keep[positions(exclude[source])] = False
+            candidates, is_pos = pool[keep], is_pos[keep]
         if candidates.size == 0:
             raise EvalError(f"source {source} has an empty candidate pool")
         scores = np.asarray(score_fn(source, candidates), dtype=np.float64).ravel()
@@ -81,11 +92,45 @@ def recall_per_source(score_fn, sources, positives, pool, k=50, exclude=None) ->
             raise EvalError(
                 f"score function returned {scores.shape}, expected {candidates.shape}"
             )
-        # primary key: score descending; secondary: candidate id ascending
-        order = np.lexsort((candidates, -scores))
-        top = candidates[order[:k]]
-        out[i] = np.intersect1d(top, pos, assume_unique=False).size / pos.size
+        out[i] = np.count_nonzero(is_pos[_top_k(scores, candidates, k)]) / pos.size
     return out
+
+
+def _pool_positions(pool: np.ndarray):
+    """``positions(ids)``: the positions in ``pool`` (distinct ids) of those
+    ``ids`` it holds, looked up in one id-indexed table."""
+    lo = int(pool.min()) if pool.size else 0
+    slot = np.full(int(pool.max()) - lo + 1 if pool.size else 0, -1, dtype=np.int64)
+    slot[pool - lo] = np.arange(pool.size)
+    if np.count_nonzero(slot >= 0) != pool.size:
+        raise EvalError("candidate pool holds a duplicate id")
+
+    def positions(ids) -> np.ndarray:
+        rel = np.asarray(ids, dtype=np.int64) - lo
+        found = slot[rel[(rel >= 0) & (rel < slot.size)]]
+        return found[found >= 0]
+
+    return positions
+
+
+def _top_k(scores: np.ndarray, ids: np.ndarray, k: int):
+    """Indices of the k best entries by (score descending, id ascending).
+
+    Selects instead of sorting: the entries strictly better than the k-th
+    score are in, and the tie at the k-th score is filled from its lowest ids.
+    NaN ranks last, as it does in a sort.
+    """
+    if k >= scores.size:
+        return slice(None)
+    key = -scores
+    top = np.argpartition(key, k - 1)[:k]
+    kth = key[top[-1]]
+    if np.isnan(kth):
+        better, tied = top[~np.isnan(key[top])], np.flatnonzero(np.isnan(key))
+    else:
+        better, tied = top[key[top] < kth], np.flatnonzero(key == kth)
+    fill = tied[np.argsort(ids[tied])[: k - better.size]]
+    return np.concatenate([better, fill])
 
 
 def recall_at_k(score_fn, sources, positives, pool, k=50, exclude=None) -> float:
@@ -194,36 +239,61 @@ def ranking_score_fn(model: Model, embeddings: np.ndarray):
     """A ``(source, candidates) -> scores`` closure over frozen embeddings.
 
     Plain ndarray replica of the training-side pair scorer (same operations in
-    the same order, so the two agree bit for bit).
+    the same order, so the two agree bit for bit). The intermediate rows live
+    in buffers the closure allocates once; every call returns a fresh array.
     """
+    n, d = embeddings.shape
+    rows = np.empty((n, d), dtype=embeddings.dtype)
+
+    def gathered(source, candidates):
+        """``embeddings[source] * embeddings[candidates]`` in ``rows``."""
+        candidates = np.asarray(candidates, dtype=np.int64)
+        m = candidates.size
+        if m and (candidates.min() < -n or candidates.max() >= n):
+            raise EvalError(f"candidate ids must index {n} embedding rows")
+        out = rows[:m] if m <= n else np.empty((m, d), dtype=embeddings.dtype)
+        # within [-n, n) "wrap" indexes as embeddings[candidates] does, and
+        # unlike the default mode it writes into ``out`` without a temporary
+        np.take(embeddings, candidates, axis=0, out=out, mode="wrap")
+        return np.multiply(embeddings[source], out, out=out)
+
     if model.task == "link":
         w1 = model.params["head.w1"].value
         b1 = model.params["head.b1"].value
         w2 = model.params["head.w2"].value
         b2 = model.params["head.b2"].value
+        hidden = np.empty((n, w1.shape[1]))
 
         def score(source, candidates):
-            had = embeddings[source] * embeddings[candidates]
-            h = np.maximum(had @ w1 + b1, 0.0)
+            had = gathered(source, candidates)
+            m = had.shape[0]
+            h = hidden[:m] if m <= n else np.empty((m, w1.shape[1]))
+            np.matmul(had, w1, out=h)
+            h += b1
+            np.maximum(h, 0.0, out=h)
             return (h @ w2 + b2).ravel()
 
         return score
     if model.task == "recsys":
 
         def score(source, candidates):
-            return (embeddings[source] * embeddings[candidates]).sum(axis=1)
+            return gathered(source, candidates).sum(axis=1)
 
         return score
     raise EvalError(f"no ranking scorer for task {model.task!r}")
 
 
 def _positives_from_edges(edges: np.ndarray, both_directions: bool = True) -> dict:
-    table: dict[int, list] = {}
-    for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
-        table.setdefault(int(u), []).append(int(v))
-        if both_directions:
-            table.setdefault(int(v), []).append(int(u))
-    return {s: np.unique(t) for s, t in table.items()}
+    """Source -> sorted distinct targets, from one sort of the pair keys."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if both_directions:
+        edges = np.concatenate([edges, edges[:, ::-1]])
+    if edges.size == 0:
+        return {}
+    n = int(edges.max()) + 1
+    sources, targets = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
+    starts = np.flatnonzero(np.diff(sources)) + 1
+    return dict(zip(sources[np.r_[0, starts]].tolist(), np.split(targets, starts)))
 
 
 def _neighbor_exclusions(graph: Graph, sources) -> dict:

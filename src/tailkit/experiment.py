@@ -474,11 +474,30 @@ def write_json(path, payload) -> None:
     os.replace(tmp, path)
 
 
+def _parse_json(path) -> dict | None:
+    """The JSON object in ``path``; None when it is unreadable or is not one."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 def _read_json(path, stage: str) -> dict:
+    """An earlier stage's output; a missing or unparsable one exits 3."""
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"{path} not found; run the {stage!r} stage first")
-    return json.loads(path.read_text(encoding="utf-8"))
+    payload = _parse_json(path)
+    if payload is None:
+        raise MissingInputError(f"{path} is not valid JSON; rerun the {stage!r} stage")
+    return payload
+
+
+def _previous_output(path) -> dict:
+    """A stage's own output from an earlier run, or ``{}`` when it is missing
+    or does not parse (a crash mid-write), so the stage recomputes it."""
+    return _parse_json(path) or {}
 
 
 def _sha256(path) -> str:
@@ -497,10 +516,9 @@ def cmd_generate(config: ExperimentConfig) -> dict:
     records paths and digests so later stages can verify what they load.
     """
     manifest_path = config.run_dir / "dataset.json"
-    if manifest_path.is_file():
-        manifest = _read_json(manifest_path, "generate")
-        if manifest.get("config_hash") == config.config_hash:
-            return manifest
+    manifest = _previous_output(manifest_path)
+    if manifest.get("config_hash") == config.config_hash:
+        return manifest
 
     dataset = config.dataset
     if dataset["kind"] == "files":
@@ -608,11 +626,9 @@ def cmd_split(config: ExperimentConfig) -> dict:
     written = {}
     for seed in config.seeds:
         path = config.seed_dir(seed) / "split.json"
-        if path.is_file():
-            payload = _read_json(path, "split")
-            if payload.get("config_hash") == config.config_hash:
-                written[seed] = str(path)
-                continue
+        if _previous_output(path).get("config_hash") == config.config_hash:
+            written[seed] = str(path)
+            continue
         bundle = _build_bundle(config, graph, labels, seed)
         write_json(path, {
             "config_hash": config.config_hash,
@@ -672,14 +688,12 @@ def cmd_train(config: ExperimentConfig) -> dict:
     results = {}
     for seed in config.seeds:
         out_path = config.seed_dir(seed) / "train.json"
-        if out_path.is_file():
-            payload = _read_json(out_path, "train")
-            if payload.get("config_hash") == config.config_hash and all(
-                (config.run_dir / rel).is_file()
-                for rel in payload["checkpoints"].values()
-            ):
-                results[seed] = payload
-                continue
+        payload = _previous_output(out_path)
+        if payload.get("config_hash") == config.config_hash and all(
+            (config.run_dir / rel).is_file() for rel in payload["checkpoints"].values()
+        ):
+            results[seed] = payload
+            continue
         bundle = _load_bundle(config, graph, seed)
         encoder = _encoder_config(config, bundle.train_graph)
         supervision = _make_supervision(config, bundle)
@@ -724,11 +738,10 @@ def cmd_eval(config: ExperimentConfig) -> dict:
     results = {}
     for seed in config.seeds:
         out_path = config.seed_dir(seed) / "eval.json"
-        if out_path.is_file():
-            payload = _read_json(out_path, "eval")
-            if payload.get("config_hash") == config.config_hash:
-                results[seed] = payload
-                continue
+        payload = _previous_output(out_path)
+        if payload.get("config_hash") == config.config_hash:
+            results[seed] = payload
+            continue
         bundle = _load_bundle(config, graph, seed)
         train_payload = _read_json(config.seed_dir(seed) / "train.json", "train")
         if train_payload.get("config_hash") != config.config_hash:
@@ -763,7 +776,7 @@ def cmd_eval(config: ExperimentConfig) -> dict:
 def cmd_theory(config: ExperimentConfig, *, csv: bool = False) -> dict:
     """Run the bound validation campaign; writes theory.json (and CSV)."""
     out_path = config.run_dir / "theory.json"
-    payload = _read_json(out_path, "theory") if out_path.is_file() else {}
+    payload = _previous_output(out_path)
     if payload.get("config_hash") != config.config_hash:
         params = dict(config.theory)
         trials = params.pop("trials")

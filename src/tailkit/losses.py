@@ -80,10 +80,18 @@ class SupervisionSet:
         if edges is None:
             edges = graph.edges
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        sets = graph.neighbor_sets()
-        for u, v in edges:
-            if int(v) not in sets[int(u)]:
-                raise LossError(f"positive ({u}, {v}) is not an edge of the supervision graph")
+        n = graph.num_nodes
+        # CSR neighbors are sorted per row, so the keys are sorted; the n * n
+        # sentinel keeps every lookup in bounds, and -1 (an id out of range)
+        # matches nothing
+        graph_keys = np.append(
+            np.repeat(np.arange(n), graph.degrees()) * n + graph.csr_targets, n * n)
+        in_range = ((edges >= 0) & (edges < n)).all(axis=1)
+        keys = np.where(in_range, edges[:, 0] * n + edges[:, 1], -1)
+        found = graph_keys[np.searchsorted(graph_keys, keys)] == keys
+        if not found.all():
+            u, v = edges[np.argmin(found)]
+            raise LossError(f"positive ({u}, {v}) is not an edge of the supervision graph")
         if task == "recsys":
             if graph.bipartite is None:
                 raise LossError("recsys supervision needs a bipartite graph")

@@ -41,6 +41,13 @@ def check_grads(build, params, tol=1e-6):
         assert (np.abs(analytic - n) / denom).max() < tol
 
 
+def gather_rows_vjp_add_at(shape, idx, upstream):
+    """Reference oracle: the ``np.add.at`` vjp that ``ad.gather_rows`` replaced."""
+    g = np.zeros(shape)
+    np.add.at(g, idx, upstream)
+    return g
+
+
 def row_max_pool_per_node(x, graph, upstream):
     """Reference oracle: the per-node loop that ``ad.row_max_pool`` replaced.
 
@@ -315,6 +322,42 @@ _AGGREGATION_GRAPHS = [
     pytest.param(lambda: build_graph(np.empty((0, 2)), 6), id="edgeless"),
     pytest.param(lambda: build_graph(np.empty((0, 2)), 1), id="n=1"),
 ]
+
+
+def _mixed_signs(shape, seed):
+    """Normals with a third of the entries replaced by +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    return np.where(rng.random(shape) < 1 / 3, zeros, rng.normal(size=shape))
+
+
+class TestGatherRowsVjpAgainstAddAt:
+    """The bincount vjp must reproduce ``np.add.at`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, idx, make_u",
+        [
+            pytest.param(7, [0, 3, 3, 6, 0, 0, 2], _normal, id="repeated"),
+            pytest.param(5, [4] * 9, _normal, id="one-row-many-times"),
+            pytest.param(6, [], _normal, id="empty"),
+            pytest.param(6, [1, 1, 5, 1], _signed_zeros, id="signed-zeros"),
+            pytest.param(9, np.random.default_rng(3).integers(0, 9, 200), _mixed_signs,
+                         id="random-mixed-signs"),
+            pytest.param(4, [3, 0, 3], lambda shape, seed: _normal(shape, seed) * 1e300,
+                         id="huge"),
+        ],
+    )
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_gradient_bitwise_equal(self, n, idx, make_u, d):
+        idx = np.asarray(idx, dtype=np.int64)
+        upstream = make_u((idx.size, d), 9)
+        x = ad.Tensor(_normal((n, d), 8), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.gather_rows(x, idx)
+            loss = ad.sum_all(ad.hadamard(out, ad.Tensor(upstream)))
+        tape.backward(loss)
+        want = gather_rows_vjp_add_at((n, d), idx, upstream)
+        assert x.grad.tobytes() == want.tobytes()
 
 
 class TestAggregationAgainstTransposeOracle:

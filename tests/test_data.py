@@ -480,6 +480,22 @@ class TestDatasetFiles:
         with pytest.raises(GraphError, match=":2:"):
             load_dataset(path)
 
+    def test_malformed_feature_line_reports_number(self, tmp_path):
+        epath, fpath = tmp_path / "e.txt", tmp_path / "f.txt"
+        epath.write_text("0 1\n1 2\n")
+        # the line number counts comment and blank lines, as for the other files
+        for text, where in [("0.5\nx\n2.5\n", ":2:"), ("# c\n\n0.5,1\n\n1.5\n2.5,3\n", ":5:"),
+                            ("1,2\n3,4\n5,nan,\n", ":3:")]:
+            fpath.write_text(text)
+            with pytest.raises(GraphError, match=f"f.txt{where}"):
+                load_dataset(epath, feature_path=fpath)
+        fpath.write_bytes(b"0.5\n\xff\xfe\n2.5\n")  # not UTF-8: numpy's message, no line
+        with pytest.raises(GraphError, match="f.txt: 'utf-8' codec"):
+            load_dataset(epath, feature_path=fpath)
+        fpath.write_text("# c\n0.5\n\n1.5 # x\n2.5\n")
+        graph, _ = load_dataset(epath, feature_path=fpath)
+        assert graph.features.ravel().tolist() == [0.5, 1.5, 2.5]
+
     def test_label_file_errors(self, tmp_path):
         epath, lpath = tmp_path / "e.txt", tmp_path / "y.txt"
         epath.write_text("0 1\n")

@@ -17,6 +17,7 @@ from tailkit.evaluation import (
     recall_per_source,
     validation_metric,
 )
+from tailkit.evaluation import _positives_from_edges
 from tailkit.generators import generate_bipartite, generate_scale_free
 from tailkit.graph import build_graph
 from tailkit.models import EncoderConfig, encode, init_model, score_pairs
@@ -35,6 +36,58 @@ def brute_force_recall(score_fn, sources, positives, pool, k, exclude=None):
         pos = {int(p) for p in positives[s]}
         total += len(top & pos) / len(pos)
     return total / len(sources)
+
+
+def recall_per_source_set_algebra(score_fn, sources, positives, pool, k=50, exclude=None):
+    """Reference oracle: the isin/lexsort/intersect1d loop that
+    ``recall_per_source`` replaced, kept verbatim."""
+    pool = np.asarray(pool, dtype=np.int64)
+    out = np.empty(len(sources), dtype=np.float64)
+    for i, source in enumerate(sources):
+        source = int(source)
+        pos = np.asarray(positives[source], dtype=np.int64)
+        if pos.size == 0:
+            raise EvalError(f"source {source} has no positives")
+        candidates = pool
+        if exclude is not None:
+            dropped = np.asarray(exclude[source], dtype=np.int64)
+            if dropped.size:
+                candidates = candidates[~np.isin(candidates, dropped)]
+        if candidates.size == 0:
+            raise EvalError(f"source {source} has an empty candidate pool")
+        scores = np.asarray(score_fn(source, candidates), dtype=np.float64).ravel()
+        order = np.lexsort((candidates, -scores))
+        top = candidates[order[:k]]
+        out[i] = np.intersect1d(top, pos, assume_unique=False).size / pos.size
+    return out
+
+
+def fresh_ranking_score_fn(model, embeddings):
+    """Reference oracle: the scorer that allocated every intermediate per call."""
+    if model.task == "link":
+        w1 = model.params["head.w1"].value
+        b1 = model.params["head.b1"].value
+        w2 = model.params["head.w2"].value
+        b2 = model.params["head.b2"].value
+
+        def score(source, candidates):
+            had = embeddings[source] * embeddings[candidates]
+            h = np.maximum(had @ w1 + b1, 0.0)
+            return (h @ w2 + b2).ravel()
+
+        return score
+    return lambda source, candidates: (
+        embeddings[source] * embeddings[candidates]).sum(axis=1)
+
+
+def positives_from_edges_loop(edges, both_directions=True):
+    """Reference oracle: the per-edge loop that ``_positives_from_edges`` replaced."""
+    table = {}
+    for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
+        table.setdefault(int(u), []).append(int(v))
+        if both_directions:
+            table.setdefault(int(v), []).append(int(u))
+    return {s: np.unique(t) for s, t in table.items()}
 
 
 def table_score_fn(table):
@@ -335,3 +388,183 @@ class TestValidationMetric:
         model = init_model(EncoderConfig("gcn", 4, 8, 8), "link", seed=5)
         val = validation_metric(model, bundle, k=10)
         assert 0.0 <= val <= 1.0
+
+
+class RecordingScores:
+    """A score table lookup that records every candidate array it is given."""
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = []
+
+    def __call__(self, source, candidates):
+        self.calls.append((source, candidates.copy()))
+        return self.table[source, candidates]
+
+
+def _ranking_case(seed, *, levels=None, k=7, cover_top=False, outside=False,
+                  duplicates=False, shuffled=False, special=False):
+    """Sources 0..8 over a pool of 61 of the ids 0..96 (so ids outside it exist)."""
+    rng = np.random.default_rng(seed)
+    num_ids, num_sources = 97, 9
+    pool = np.sort(rng.choice(num_ids, size=61, replace=False))
+    if shuffled:
+        pool = rng.permutation(pool)
+    if levels is None:
+        table = rng.standard_normal((num_sources, num_ids))
+    else:
+        table = rng.integers(0, levels, size=(num_sources, num_ids)).astype(np.float64)
+    if special:
+        cells = rng.choice(table.size, size=200, replace=False)
+        table.ravel()[cells] = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf], size=200)
+    outsiders = np.concatenate([np.setdiff1d(np.arange(num_ids), pool), [-3, 500]])
+    positives, exclude = {}, {}
+    for s in range(num_sources):
+        pos = rng.choice(pool, size=int(rng.integers(1, 6)), replace=False)
+        dropped = rng.choice(pool, size=int(rng.integers(0, 8)), replace=False)
+        if cover_top:
+            ranked = pool[np.lexsort((pool, -table[s, pool]))]
+            dropped = np.concatenate([dropped, ranked[:k]])
+        if outside:
+            pos = np.concatenate([pos, rng.choice(outsiders, size=2, replace=False)])
+            dropped = np.concatenate([dropped, rng.choice(outsiders, size=3, replace=False)])
+        if duplicates:
+            pos = np.concatenate([pos, pos[:2]])
+            dropped = np.concatenate([dropped, dropped[:2]])
+        positives[s], exclude[s] = pos, dropped
+    return table, np.arange(num_sources), positives, pool, k, exclude
+
+
+_RANKING_CASES = [
+    pytest.param(dict(), id="plain"),
+    pytest.param(dict(levels=3), id="tie-heavy"),
+    pytest.param(dict(levels=2, k=20), id="tie-heavy-k20"),
+    pytest.param(dict(cover_top=True), id="exclusions-cover-top-k"),
+    pytest.param(dict(levels=3, cover_top=True, k=12), id="ties-and-covered-top-k"),
+    pytest.param(dict(k=61), id="k-equals-pool"),
+    pytest.param(dict(k=500), id="k-above-pool"),
+    pytest.param(dict(k=1, levels=2), id="k=1-ties"),
+    pytest.param(dict(outside=True), id="ids-outside-pool"),
+    pytest.param(dict(duplicates=True, levels=3), id="duplicate-ids"),
+    pytest.param(dict(shuffled=True, levels=3), id="unsorted-pool"),
+    pytest.param(dict(shuffled=True, outside=True, duplicates=True, cover_top=True),
+                 id="all-at-once"),
+    pytest.param(dict(special=True, k=15), id="nan-inf-signed-zero"),
+    pytest.param(dict(special=True, levels=2, shuffled=True, k=30), id="special-ties-unsorted"),
+]
+
+
+class TestRecallAgainstSetAlgebraOracle:
+    """The mask-and-partition loop against the isin/lexsort/intersect1d loop
+    it replaced: per-source recall byte for byte, and the exact candidate
+    arrays handed to the score function."""
+
+    @pytest.mark.parametrize("case", _RANKING_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_source_bytes_and_candidates(self, case, seed):
+        table, sources, positives, pool, k, exclude = _ranking_case(seed, **case)
+        for excl in (exclude, None):
+            new, old = RecordingScores(table), RecordingScores(table)
+            got = recall_per_source(new, sources, positives, pool, k, excl)
+            want = recall_per_source_set_algebra(old, sources, positives, pool, k, excl)
+            assert got.tobytes() == want.tobytes()
+            assert len(new.calls) == len(old.calls)
+            for (s_new, c_new), (s_old, c_old) in zip(new.calls, old.calls):
+                assert s_new == s_old
+                assert c_new.dtype == c_old.dtype and np.array_equal(c_new, c_old)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            case = dict(levels=int(rng.integers(1, 5)), k=int(rng.integers(1, 70)),
+                        cover_top=bool(rng.integers(2)), outside=bool(rng.integers(2)),
+                        duplicates=bool(rng.integers(2)), shuffled=bool(rng.integers(2)),
+                        special=bool(rng.integers(2)))
+            table, sources, positives, pool, k, exclude = _ranking_case(trial, **case)
+            fn = RecordingScores(table)
+            try:
+                want = recall_per_source_set_algebra(fn, sources, positives, pool, k, exclude)
+            except EvalError as exc:  # the top k covered the whole pool
+                with pytest.raises(EvalError, match=str(exc)):
+                    recall_per_source(fn, sources, positives, pool, k, exclude)
+                continue
+            got = recall_per_source(fn, sources, positives, pool, k, exclude)
+            assert got.tobytes() == want.tobytes(), case
+
+    def test_invalid_requests_rejected(self):
+        fn = table_score_fn({(0, c): 1.0 for c in range(4)})
+        with pytest.raises(EvalError, match="duplicate"):
+            recall_per_source(fn, [0], {0: np.array([1])}, np.array([0, 1, 1, 2]))
+        with pytest.raises(EvalError, match="k must be"):
+            recall_per_source(fn, [0], {0: np.array([1])}, np.arange(4), k=0)
+
+    def test_positives_from_edges_matches_loop(self):
+        rng = np.random.default_rng(12)
+        edges = rng.integers(0, 40, size=(150, 2))
+        for both in (True, False):
+            got = _positives_from_edges(edges, both_directions=both)
+            want = positives_from_edges_loop(edges, both_directions=both)
+            assert sorted(got) == sorted(want)
+            for s in want:
+                assert got[s].dtype == want[s].dtype
+                assert np.array_equal(got[s], want[s])
+        assert _positives_from_edges(np.empty((0, 2), dtype=np.int64)) == {}
+
+
+def _link_scorer_fixture():
+    """A link bundle whose per-source candidate counts include values that are
+    not multiples of 4 or 8 (the GEMM's row blocking)."""
+    graph, _ = generate_scale_free(203, 2, feat_dim=6, seed=5)
+    bundle = make_link_bundle(graph, seed=5)
+    model = init_model(EncoderConfig("gcn", 6, 12, 12), "link", seed=5)
+    emb = encode(model, bundle.train_graph).value
+    pool = np.asarray(bundle.v_train, dtype=np.int64)
+    return model, emb, bundle.train_graph, pool, np.arange(bundle.train_graph.num_nodes)
+
+
+def _recsys_scorer_fixture():
+    graph = generate_bipartite(41, 53, seed=6)
+    bundle = make_recsys_bundle(graph, seed=6)
+    model = init_model(
+        EncoderConfig("gcn", 8, 12, 12), "recsys", num_nodes=94, featureless=True, seed=6)
+    emb = encode(model, bundle.train_graph).value
+    pool = np.arange(41, 94, dtype=np.int64)
+    return model, emb, bundle.train_graph, pool, np.arange(41)
+
+
+class TestBufferedScorerAgainstFreshScorer:
+    @pytest.mark.parametrize("fixture", [_link_scorer_fixture, _recsys_scorer_fixture],
+                             ids=["link", "recsys"])
+    def test_bytes_equal_across_calls(self, fixture):
+        model, emb, graph, pool, sources = fixture()
+        buffered = ranking_score_fn(model, emb)
+        fresh = fresh_ranking_score_fn(model, emb)
+        got, want, counts = [], [], set()
+        for s in sources:
+            candidates = pool[~np.isin(pool, graph.neighbors(int(s)))]
+            counts.add(candidates.size)
+            got.append(buffered(int(s), candidates))
+            want.append(fresh(int(s), candidates))
+        # earlier results must survive later calls: no buffer is handed out
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert any(c % 4 for c in counts) and any(c % 8 == 4 for c in counts)
+
+    @pytest.mark.parametrize("fixture", [_link_scorer_fixture, _recsys_scorer_fixture],
+                             ids=["link", "recsys"])
+    def test_more_candidates_than_rows(self, fixture):
+        model, emb, _, pool, _ = fixture()
+        candidates = np.concatenate([np.arange(emb.shape[0]), pool[:3]])
+        got = ranking_score_fn(model, emb)(1, candidates)
+        assert got.tobytes() == fresh_ranking_score_fn(model, emb)(1, candidates).tobytes()
+
+    def test_candidate_ids_outside_the_embedding_rows_rejected(self):
+        model, emb, _, pool, _ = _link_scorer_fixture()
+        n = emb.shape[0]
+        score = ranking_score_fn(model, emb)
+        for bad in ([0, n], [-n - 1, 2]):
+            with pytest.raises(EvalError, match="candidate ids"):
+                score(1, np.array(bad))
+        wrapped = np.array([-1, -n, 3, n - 1])  # negative ids index from the end, as before
+        want = fresh_ranking_score_fn(model, emb)(1, wrapped)
+        assert score(1, wrapped).tobytes() == want.tobytes()

@@ -627,23 +627,23 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not list((tmp_path / "files").rglob("split.json"))
 
-    @pytest.mark.parametrize("bad", ["edges", "features", "labels"])
+    @pytest.mark.parametrize("bad", ["edges", "features", "labels", "features-width"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, bad):
         texts = {"edges": "0 1\n1 2\n", "features": "0.5\n1.5\n2.5\n",
                  "labels": "0 0\n1 1\n2 0\n"}
-        texts[bad] = {"edges": "0 1\n1 x\n", "features": "0.5\nx\n2.5\n",
-                      "labels": "0 0\n1 x\n2 0\n"}[bad]
+        key = bad.split("-")[0]
+        texts[key] = {"edges": "0 1\n1 x\n", "features": "0.5\nx\n2.5\n",
+                      "labels": "0 0\n1 x\n2 0\n",
+                      "features-width": "0.5\n1.5,2\n2.5\n"}[bad]
         dataset = {"kind": "files"}
-        for key, text in texts.items():
-            (tmp_path / f"{key}.txt").write_text(text)
-            dataset[key] = str(tmp_path / f"{key}.txt")
+        for name, text in texts.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+            dataset[name] = str(tmp_path / f"{name}.txt")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(classification_payload(tmp_path, dataset=dataset)))
         assert self.run_cli("generate", "--config", str(cfg_path)) == 2
         err = capsys.readouterr().err
-        assert f"$.dataset.{bad}: {tmp_path / bad}.txt" in err
-        if bad != "features":  # numpy's own message gives the row
-            assert f"{bad}.txt:2:" in err
+        assert f"$.dataset.{key}: {tmp_path / key}.txt:2:" in err
         assert not (tmp_path / "runs").exists()
 
     def test_missing_stage_exits_3(self, tmp_path, capsys):
@@ -651,6 +651,38 @@ class TestCli:
         cfg_path.write_text(json.dumps(classification_payload(tmp_path)))
         assert self.run_cli("eval", "--config", str(cfg_path)) == 3
         assert "generate" in capsys.readouterr().err
+
+    def test_truncated_train_output_exits_3_at_eval_and_is_rewritten(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        for command in ("generate", "split", "train"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        train_json = load_config(cfg_path).seed_dir(0) / "train.json"
+        intact = train_json.read_bytes()
+        train_json.write_bytes(intact[:40])
+        capsys.readouterr()
+        assert self.run_cli("eval", "--config", str(cfg_path)) == 3
+        assert (f"missing input: {train_json} is not valid JSON; "
+                "rerun the 'train' stage") in capsys.readouterr().err
+        assert self.run_cli("train", "--config", str(cfg_path)) == 0
+        assert train_json.read_bytes() == intact
+        assert self.run_cli("eval", "--config", str(cfg_path)) == 0
+
+    def test_truncated_split_exits_3_at_train_and_is_rewritten(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        for command in ("generate", "split"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        split_json = load_config(cfg_path).seed_dir(0) / "split.json"
+        intact = split_json.read_bytes()
+        split_json.write_bytes(intact[:40])
+        capsys.readouterr()
+        assert self.run_cli("train", "--config", str(cfg_path)) == 3
+        assert (f"missing input: {split_json} is not valid JSON; "
+                "rerun the 'split' stage") in capsys.readouterr().err
+        assert not (split_json.parent / "train.json").exists()
+        assert self.run_cli("split", "--config", str(cfg_path)) == 0
+        assert split_json.read_bytes() == intact
 
     def test_report_without_inputs_exits_3(self, tmp_path):
         assert self.run_cli("report", str(tmp_path / "missing")) == 3
