@@ -6,7 +6,6 @@ from .graph import (
     LabelSet,
     NormalizedAdjacency,
     build_graph,
-    degree,
     drop_edges,
     normalize_adjacency,
 )
@@ -17,7 +16,6 @@ from .models import (
     ModelError,
     TASKS,
     VARIANTS,
-    classify,
     encode,
     init_model,
     load_model,
@@ -93,9 +91,7 @@ __all__ = [
     "accuracy",
     "bpr_loss",
     "build_graph",
-    "classify",
     "cross_entropy",
-    "degree",
     "drop_edges",
     "encode",
     "evaluate_setting",

@@ -23,7 +23,6 @@ __all__ = [
     "add_bias",
     "concat_cols",
     "edge_spmm",
-    "elu",
     "gather_rows",
     "hadamard",
     "leaky_relu",
@@ -36,7 +35,6 @@ __all__ = [
     "row_sum",
     "scale",
     "segment_softmax",
-    "sigmoid",
     "softplus",
     "spmm",
     "sub",
@@ -374,21 +372,9 @@ def relu(x: Tensor) -> Tensor:
     return _apply(np.where(mask, x.value, 0.0), [(x, lambda u: u * mask)])
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    neg = np.exp(np.minimum(x.value, 0.0)) - 1.0
-    value = np.where(x.value > 0, x.value, alpha * neg)
-    deriv = np.where(x.value > 0, 1.0, alpha * (neg + 1.0))
-    return _apply(value, [(x, lambda u: u * deriv)])
-
-
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     deriv = np.where(x.value > 0, 1.0, slope)
     return _apply(x.value * deriv, [(x, lambda u: u * deriv)])
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = 0.5 * (1.0 + np.tanh(0.5 * x.value))
-    return _apply(s, [(x, lambda u: u * s * (1.0 - s))])
 
 
 def softplus(x: Tensor) -> Tensor:

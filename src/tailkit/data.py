@@ -10,7 +10,10 @@ keeping feature rows and ids stable across settings.
 """
 from __future__ import annotations
 
+import io
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "save_edge_list",
     "save_features",
     "save_labels",
+    "write_atomic",
 ]
 
 
@@ -160,16 +164,24 @@ def recsys_split(
     return edge_split_transductive(graph, ratios, seed)
 
 
-def _owners(edges: np.ndarray, new_nodes: np.ndarray) -> np.ndarray:
-    """The new endpoint of each edge; for new-new edges, the lower id owns it."""
-    is_new = np.isin(edges, new_nodes)
+def _pick_per_owner(edges: np.ndarray, new_nodes, ratio: float, seed: int) -> np.ndarray:
+    """Mask of ``floor(ratio * k)`` edges drawn at random from each owner's k.
+
+    An edge's owner is its new endpoint, or the lower id when both are new.
+    """
+    is_new = np.isin(edges, np.asarray(new_nodes, dtype=np.int64))
     if not is_new.any(axis=1).all():
         bad = edges[~is_new.any(axis=1)][0]
         raise SplitError(f"edge ({bad[0]}, {bad[1]}) touches no new node")
     both = is_new.all(axis=1)
     owner = np.where(is_new[:, 0], edges[:, 0], edges[:, 1])
     owner[both] = edges[both].min(axis=1)
-    return owner
+    (rng,) = _spawn_rngs(seed, 1)
+    picked = np.zeros(edges.shape[0], dtype=bool)
+    for node in np.unique(owner):
+        idx = np.flatnonzero(owner == node)
+        picked[rng.permutation(idx)[:int(np.floor(ratio * idx.size))]] = True
+    return picked
 
 
 def edge_split_inductive(
@@ -184,17 +196,8 @@ def edge_split_inductive(
     if not 0.0 <= ratio <= 1.0:
         raise SplitError(f"ratio must be in [0, 1], got {ratio}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    new_nodes = np.asarray(new_nodes, dtype=np.int64)
-    if edges.size == 0:
-        return edges.copy(), edges.copy()
-    owner = _owners(edges, new_nodes)
-    (rng,) = _spawn_rngs(seed, 1)
-    input_mask = np.zeros(edges.shape[0], dtype=bool)
-    for node in np.unique(owner):
-        idx = np.flatnonzero(owner == node)
-        take = int(np.floor(ratio * idx.size))
-        input_mask[rng.permutation(idx)[:take]] = True
-    return edges[input_mask], edges[~input_mask]
+    is_input = _pick_per_owner(edges, new_nodes, ratio, seed)
+    return edges[is_input], edges[~is_input]
 
 
 def cold_start_remove(input_edges, new_nodes, removal_ratio: float, seed: int = 0) -> np.ndarray:
@@ -202,16 +205,7 @@ def cold_start_remove(input_edges, new_nodes, removal_ratio: float, seed: int = 
     if not 0.0 <= removal_ratio <= 1.0:
         raise SplitError(f"removal_ratio must be in [0, 1], got {removal_ratio}")
     edges = np.asarray(input_edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size == 0:
-        return edges.copy()
-    owner = _owners(edges, np.asarray(new_nodes, dtype=np.int64))
-    (rng,) = _spawn_rngs(seed, 1)
-    keep_mask = np.ones(edges.shape[0], dtype=bool)
-    for node in np.unique(owner):
-        idx = np.flatnonzero(owner == node)
-        remove = int(np.floor(removal_ratio * idx.size))
-        keep_mask[rng.permutation(idx)[:remove]] = False
-    return edges[keep_mask]
+    return edges[~_pick_per_owner(edges, new_nodes, removal_ratio, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +295,7 @@ class SplitBundle:
             lab = payload["labels"]
             label_set = LabelSet(
                 np.asarray(lab["labels"], dtype=np.int64), lab["num_classes"]
-            ).with_splits(
-                lab["train_labeled"], lab["validation"], lab["unlabeled"], payload["v_new"]
-            )
+            ).with_splits(lab["train_labeled"], lab["validation"], lab["unlabeled"])
         return cls(
             task=payload["task"],
             seed=payload["seed"],
@@ -337,10 +329,6 @@ def make_classification_bundle(
     ns = node_split(graph, new_fraction, seed=_entropy(r_node))
     train, val, unlabeled = label_split(ns.v_train, labeled_fraction, seed=_entropy(r_label))
     new_input = _concat_edges(ns.cross_edges, ns.new_new_edges)
-    cold = {
-        float(r): cold_start_remove(new_input, ns.v_new, float(r), seed=_entropy(r_cold) + i)
-        for i, r in enumerate(cold_ratios)
-    }
     return SplitBundle(
         task="classification",
         seed=seed,
@@ -348,9 +336,9 @@ def make_classification_bundle(
         v_train=ns.v_train,
         v_new=ns.v_new,
         train_graph=ns.train_graph,
-        label_set=labels.with_splits(train, val, unlabeled, ns.v_new),
+        label_set=labels.with_splits(train, val, unlabeled),
         new_input_edges=new_input,
-        cold_input_edges=cold,
+        cold_input_edges=_cold_variants(new_input, ns.v_new, cold_ratios, r_cold),
     )
 
 
@@ -373,10 +361,6 @@ def make_link_bundle(
     new_input, new_test = edge_split_inductive(
         new_edges, ns.v_new, inductive_ratio, seed=_entropy(r_ind)
     )
-    cold = {
-        float(r): cold_start_remove(new_input, ns.v_new, float(r), seed=_entropy(r_cold) + i)
-        for i, r in enumerate(cold_ratios)
-    }
     return SplitBundle(
         task="link",
         seed=seed,
@@ -388,7 +372,7 @@ def make_link_bundle(
         trans_test_edges=test_edges,
         new_input_edges=new_input,
         new_test_edges=new_test,
-        cold_input_edges=cold,
+        cold_input_edges=_cold_variants(new_input, ns.v_new, cold_ratios, r_cold),
     )
 
 
@@ -410,6 +394,14 @@ def _entropy(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def _cold_variants(new_input, v_new, cold_ratios, seq: np.random.SeedSequence) -> dict:
+    """The new nodes' input edges thinned once per cold-start ratio."""
+    return {
+        float(r): cold_start_remove(new_input, v_new, float(r), seed=_entropy(seq) + i)
+        for i, r in enumerate(cold_ratios)
+    }
+
+
 def _concat_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = a.reshape(-1, 2)
     b = b.reshape(-1, 2)
@@ -420,12 +412,27 @@ def _concat_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # file formats
 # ---------------------------------------------------------------------------
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` through a sibling temp file and ``os.replace``, so a
+    crash never leaves a truncated file behind for a resumed stage to accept."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def _parse_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+    """(line number, text) of each line that is not blank or a comment."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFileError(path, data.count(b"\n", 0, exc.start) + 1,
+                               f"byte {data[exc.start]:#04x} is not UTF-8") from exc
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, LabelSet | None]:
@@ -517,12 +524,8 @@ def _feature_line_error(path) -> DatasetFileError | None:
     """The first line of a feature CSV that does not parse, or that holds a
     different number of values than the first line (numpy reports rows
     0-based and counts only data rows, so its message cannot name a line)."""
-    try:
-        lines = list(_parse_lines(path))
-    except UnicodeDecodeError:
-        return None  # numpy's own message names the byte
     width = None
-    for lineno, line in lines:
+    for lineno, line in _parse_lines(path):
         try:
             row = np.loadtxt([line], delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError:
@@ -535,22 +538,19 @@ def _feature_line_error(path) -> DatasetFileError | None:
     return None
 
 
-def save_edge_list(graph: Graph, path, header_comments=()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments:
-            fh.write(f"# {comment}\n")
-        if graph.bipartite is not None:
-            fh.write(f"%bipartite {graph.bipartite[0]} {graph.bipartite[1]}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+def save_edge_list(graph: Graph, path) -> None:
+    lines = [f"{u} {v}\n" for u, v in graph.edges]
+    if graph.bipartite is not None:
+        lines.insert(0, f"%bipartite {graph.bipartite[0]} {graph.bipartite[1]}\n")
+    write_atomic(path, "".join(lines))
 
 
 def save_features(features: np.ndarray, path) -> None:
-    np.savetxt(path, features, delimiter=",", fmt="%.17g")
+    buffer = io.StringIO()
+    np.savetxt(buffer, features, delimiter=",", fmt="%.17g")
+    write_atomic(path, buffer.getvalue())
 
 
 def save_labels(label_set: LabelSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for node, cls_id in enumerate(label_set.labels):
-            if cls_id >= 0:
-                fh.write(f"{node} {cls_id}\n")
+    write_atomic(path, "".join(f"{node} {cls_id}\n"
+                               for node, cls_id in enumerate(label_set.labels) if cls_id >= 0))

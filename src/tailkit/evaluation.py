@@ -207,9 +207,6 @@ class MetricReport:
             "buckets": self.buckets,
         }
 
-    def csv_rows(self) -> list[tuple[str, float | None, int]]:
-        return [(row["bucket"], row["mean"], row["count"]) for row in self.buckets]
-
 
 # ---------------------------------------------------------------------------
 # harness

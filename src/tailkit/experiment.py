@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import types
 import typing
 from pathlib import Path
@@ -35,6 +34,7 @@ from .data import (
     save_edge_list,
     save_features,
     save_labels,
+    write_atomic,
 )
 from .evaluation import BUCKET_LABELS, EvalError, evaluate_setting, parse_setting, validation_metric
 from .generators import generate_bipartite, generate_scale_free
@@ -464,14 +464,9 @@ def canonical_json(payload) -> str:
 
 
 def write_json(path, payload) -> None:
-    """Write through a sibling temp file, so a crash never leaves a truncated
-    file behind for a resumed stage to accept."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Key-sorted, indented JSON, written atomically."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_json(path) -> dict | None:
@@ -498,6 +493,15 @@ def _previous_output(path) -> dict:
     """A stage's own output from an earlier run, or ``{}`` when it is missing
     or does not parse (a crash mid-write), so the stage recomputes it."""
     return _parse_json(path) or {}
+
+
+def _load_checkpoint(path):
+    """The model saved at ``path``; None when it is missing or does not load
+    (a crash mid-write, or a file cut short), so training writes it again."""
+    try:
+        return load_model(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
 
 
 def _sha256(path) -> str:
@@ -690,7 +694,8 @@ def cmd_train(config: ExperimentConfig) -> dict:
         out_path = config.seed_dir(seed) / "train.json"
         payload = _previous_output(out_path)
         if payload.get("config_hash") == config.config_hash and all(
-            (config.run_dir / rel).is_file() for rel in payload["checkpoints"].values()
+            _load_checkpoint(config.run_dir / rel) is not None
+            for rel in payload["checkpoints"].values()
         ):
             results[seed] = payload
             continue
@@ -755,7 +760,11 @@ def cmd_eval(config: ExperimentConfig) -> dict:
                 raise MissingInputError(
                     f"no checkpoint for method {method!r} under seed {seed}; "
                     "rerun the 'train' stage")
-            model = load_model(config.run_dir / train_payload["checkpoints"][method])
+            checkpoint = config.run_dir / train_payload["checkpoints"][method]
+            model = _load_checkpoint(checkpoint)
+            if model is None:
+                raise MissingInputError(
+                    f"{checkpoint} is not a loadable checkpoint; rerun the 'train' stage")
             reports[method] = {
                 setting: evaluate_setting(
                     model, bundle, setting, k=config.evaluation["k"]).to_dict()
@@ -808,7 +817,7 @@ def _write_theory_csv(path, rows) -> None:
     lines = [",".join(_THEORY_CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(_csv_value(row[col]) for col in _THEORY_CSV_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +938,7 @@ def _write_report_csv(path, report) -> None:
                 lines.append(
                     f"{setting},{method},bucket,{bucket['bucket']},"
                     f"{mean},{std},{bucket['count']}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def render_report_table(report: dict) -> str:

@@ -96,8 +96,7 @@ def generate_bipartite(
     num_clusters: int = 4,
     affinity: float = 6.0,
     seed: int = 0,
-    return_latents: bool = False,
-):
+) -> Graph:
     """User-item interaction graph with power-law user activity.
 
     Per-user interaction counts follow a truncated discrete power law
@@ -106,9 +105,6 @@ def generate_bipartite(
     orthogonal directions); a user's items are drawn without replacement with
     probability proportional to ``exp(affinity * <user latent, item latent>)``,
     so same-cluster items dominate. Item ids are offset by ``num_users``.
-
-    With ``return_latents=True`` also returns the planted user and item latent
-    matrices (used by scoring sanity checks).
     """
     if num_users < 1 or num_items < 1:
         raise GraphError("need at least one user and one item")
@@ -146,11 +142,8 @@ def generate_bipartite(
         for it in items:
             edges.append((u, num_users + int(it)))
 
-    graph = build_graph(
+    return build_graph(
         np.asarray(edges, dtype=np.int64),
         num_users + num_items,
         bipartite=(num_users, num_items),
     )
-    if return_latents:
-        return graph, user_latents, item_latents
-    return graph

@@ -16,7 +16,6 @@ __all__ = [
     "LabelSet",
     "NormalizedAdjacency",
     "build_graph",
-    "degree",
     "drop_edges",
     "normalize_adjacency",
 ]
@@ -68,10 +67,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Degree of every node as an int64 array."""
         return np.diff(self.csr_offsets)
-
-    def neighbor_sets(self) -> list[set[int]]:
-        off, tgt = self.csr_offsets, self.csr_targets
-        return [set(tgt[off[i]:off[i + 1]].tolist()) for i in range(self.num_nodes)]
 
     def edge_hash(self) -> str:
         """Stable hex digest of the edge structure (used to tag eval reports)."""
@@ -154,12 +149,6 @@ def build_graph(
 
     offsets, targets = _csr_from_edges(num_nodes, edges)
     return Graph(num_nodes, edges, offsets, targets, features, bipartite)
-
-
-def degree(graph: Graph, node: int) -> int:
-    """Number of neighbors of ``node``."""
-    _check_node(graph, node)
-    return int(graph.csr_offsets[node + 1] - graph.csr_offsets[node])
 
 
 def drop_edges(graph: Graph, alpha: float, seed: int) -> Graph:
@@ -256,19 +245,16 @@ def normalize_adjacency(graph: Graph, mode: str = "renormalized") -> NormalizedA
 class LabelSet:
     """Ground-truth class labels for a node universe.
 
-    ``labels[i]`` is the class of node i, or -1 when unknown. ``is_pseudo``
-    marks provenance (model-assigned rather than observed); ground truth from
-    generators or files is all-False. The optional index arrays are filled in
-    by the split protocols and consumed by pseudo-labeling.
+    ``labels[i]`` is the class of node i, or -1 when unknown. The optional
+    index arrays are filled in by the split protocols and consumed by
+    pseudo-labeling.
     """
 
     labels: np.ndarray
     num_classes: int
-    is_pseudo: np.ndarray | None = None
     train_labeled: np.ndarray | None = None
     validation: np.ndarray | None = None
     unlabeled: np.ndarray | None = None
-    new_nodes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -280,26 +266,18 @@ class LabelSet:
             raise GraphError(
                 f"label {int(self.labels.max())} >= num_classes={self.num_classes}"
             )
-        if self.is_pseudo is None:
-            self.is_pseudo = np.zeros(self.labels.shape[0], dtype=bool)
 
     @property
     def num_nodes(self) -> int:
         return int(self.labels.shape[0])
 
     def with_splits(
-        self,
-        train_labeled: np.ndarray,
-        validation: np.ndarray,
-        unlabeled: np.ndarray,
-        new_nodes: np.ndarray,
+        self, train_labeled: np.ndarray, validation: np.ndarray, unlabeled: np.ndarray
     ) -> "LabelSet":
         return LabelSet(
             self.labels.copy(),
             self.num_classes,
-            self.is_pseudo.copy(),
             np.asarray(train_labeled, dtype=np.int64),
             np.asarray(validation, dtype=np.int64),
             np.asarray(unlabeled, dtype=np.int64),
-            np.asarray(new_nodes, dtype=np.int64),
         )

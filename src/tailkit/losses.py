@@ -68,38 +68,20 @@ class SupervisionSet:
         return out
 
     @classmethod
-    def ranking(cls, task: str, graph: Graph, edges=None):
-        """Ranking supervision from a training graph.
+    def ranking(cls, task: str, graph: Graph):
+        """Ranking supervision from every edge of a training graph.
 
-        ``edges`` defaults to every graph edge; when given, each must exist in
-        the graph. Link prediction sources both endpoints (each undirected edge
-        yields two oriented positives); recsys orients user -> item only.
+        Link prediction sources both endpoints (each undirected edge yields two
+        oriented positives); recsys orients user -> item only.
         """
         if task not in ("link", "recsys"):
             raise LossError(f"ranking task must be link or recsys, got {task!r}")
-        if edges is None:
-            edges = graph.edges
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        n = graph.num_nodes
-        # CSR neighbors are sorted per row, so the keys are sorted; the n * n
-        # sentinel keeps every lookup in bounds, and -1 (an id out of range)
-        # matches nothing
-        graph_keys = np.append(
-            np.repeat(np.arange(n), graph.degrees()) * n + graph.csr_targets, n * n)
-        in_range = ((edges >= 0) & (edges < n)).all(axis=1)
-        keys = np.where(in_range, edges[:, 0] * n + edges[:, 1], -1)
-        found = graph_keys[np.searchsorted(graph_keys, keys)] == keys
-        if not found.all():
-            u, v = edges[np.argmin(found)]
-            raise LossError(f"positive ({u}, {v}) is not an edge of the supervision graph")
+        edges = graph.edges
         if task == "recsys":
             if graph.bipartite is None:
                 raise LossError("recsys supervision needs a bipartite graph")
-            num_users = graph.bipartite[0]
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            pairs = np.stack([lo, hi], axis=1)  # user first
-            pool = np.arange(num_users, graph.num_nodes, dtype=np.int64)
+            pairs = edges  # canonical u < v puts the user first
+            pool = np.arange(graph.bipartite[0], graph.num_nodes, dtype=np.int64)
         else:
             pairs = np.concatenate([edges, edges[:, ::-1]], axis=0)
             pool = np.arange(graph.num_nodes, dtype=np.int64)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, GraphError, normalize_adjacency
+from .data import write_atomic
+from .graph import Graph, normalize_adjacency
 
 __all__ = [
     "EncoderConfig",
@@ -30,13 +31,10 @@ __all__ = [
     "ModelError",
     "TASKS",
     "VARIANTS",
-    "classify",
     "classify_embeddings",
     "encode",
     "init_model",
-    "link_score",
     "load_model",
-    "recsys_score",
     "save_model",
     "score_pairs",
 ]
@@ -103,15 +101,6 @@ class Model:
     @property
     def has_embedding_table(self) -> bool:
         return "embed.table" in self.params
-
-    def param_hash(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for k in sorted(self.params):
-            h.update(k.encode())
-            h.update(np.ascontiguousarray(self.params[k].value).tobytes())
-        return h.hexdigest()[:16]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -245,12 +234,7 @@ def classify_embeddings(model: Model, embeddings: Tensor) -> Tensor:
     return ad.log_softmax(logits)
 
 
-def classify(model: Model, graph: Graph) -> Tensor:
-    """Log class probabilities for every node, shape (num_nodes, num_classes)."""
-    return classify_embeddings(model, encode(model, graph))
-
-
-def score_pairs(model: Model, embeddings: Tensor, pairs: np.ndarray, *, graph: Graph | None = None) -> Tensor:
+def score_pairs(model: Model, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
     """Scores for (source, target) rows given precomputed embeddings, shape (P, 1)."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     zs = ad.gather_rows(embeddings, pairs[:, 0])
@@ -260,36 +244,8 @@ def score_pairs(model: Model, embeddings: Tensor, pairs: np.ndarray, *, graph: G
         h = ad.relu(ad.add_bias(ad.matmul(had, model.params["head.w1"]), model.params["head.b1"]))
         return ad.add_bias(ad.matmul(h, model.params["head.w2"]), model.params["head.b2"])
     if model.task == "recsys":
-        if graph is not None:
-            _check_user_item(graph, pairs)
         return ad.row_sum(had)
     raise ModelError(f"score_pairs called on a {model.task} model")
-
-
-def _check_user_item(graph: Graph, pairs: np.ndarray) -> None:
-    if graph.bipartite is None:
-        raise ModelError("recsys scoring needs a bipartite graph")
-    num_users = graph.bipartite[0]
-    if pairs.size and not (
-        (pairs[:, 0] < num_users).all() and (pairs[:, 1] >= num_users).all()
-    ):
-        raise ModelError("recsys pairs must be (user, item) with item ids offset by num_users")
-
-
-def link_score(model: Model, graph: Graph, pairs) -> Tensor:
-    """MLP score on the Hadamard product of the two endpoint embeddings."""
-    if model.task != "link":
-        raise ModelError(f"link_score called on a {model.task} model")
-    return score_pairs(model, encode(model, graph), pairs)
-
-
-def recsys_score(model: Model, graph: Graph, pairs) -> Tensor:
-    """Inner-product score for (user, item) pairs."""
-    if model.task != "recsys":
-        raise ModelError(f"recsys_score called on a {model.task} model")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    _check_user_item(graph, pairs)
-    return score_pairs(model, encode(model, graph), pairs, graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +278,7 @@ def save_model(model: Model, path) -> None:
             for k, p in sorted(model.params.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> Model:

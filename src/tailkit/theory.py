@@ -89,14 +89,6 @@ class TheoryWorld:
             raise TheoryError("m exceeds R")
 
     @property
-    def num_points(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def block_sum(self) -> np.ndarray:
         """Sum of all block features: the shared aggregation term on B."""
         return self.features[self.b_idx].sum(axis=0)
@@ -416,9 +408,6 @@ class MonteCarloConfig:
         if self.lr <= 0:
             raise TheoryError(f"lr must be positive, got {self.lr}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:
     """Sample worlds, train every method, and tally bound violations.
@@ -474,7 +463,7 @@ def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:
             )
     summary = {
         "trials": trials,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "violation_rate": {m: violations[m] / trials for m in METHODS},
         "mean_gap": {m: gap_sums[m] / trials for m in METHODS},
         "mean_bound": {m: bound_sums[m] / trials for m in METHODS},

@@ -12,7 +12,6 @@ shared generator state.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -93,9 +92,6 @@ class TrainConfig:
             return self.stage2_lr
         return 1e-4 if self.task == "recsys" else self.stage1_lr
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 PRESETS = {
     # desk-scale defaults used by the test suite and the bundled benchmarks
@@ -127,23 +123,14 @@ class StageReport:
     best_epoch: int = 0
     epochs_run: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainReport:
-    """Full trace of a run: stages, config echo, seed.
-
-    ``wall_clock`` is measured and kept in memory for interactive reporting
-    but deliberately left out of the serialized form, which must be identical
-    across reruns.
-    """
+    """Full trace of a run: stages, config echo, seed."""
 
     stages: list
     config: dict
     seed: int
-    wall_clock: float = 0.0
 
     @property
     def stage_boundaries(self) -> list:
@@ -155,7 +142,7 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return {
-            "stages": [s.to_dict() for s in self.stages],
+            "stages": [asdict(s) for s in self.stages],
             "stage_boundaries": self.stage_boundaries,
             "config": self.config,
             "seed": self.seed,
@@ -318,7 +305,6 @@ def run_ablation(
     pseudo = pseudo and config.task == "classification"
     if pseudo and label_set is None:
         raise TrainError(f"method {method!r} needs a label_set to produce pseudo-labels")
-    start = time.perf_counter()
     stages = [_run_stage(
         model, graph, supervision, config,
         name="base" if stage2_mode else method, stage_index=0,
@@ -334,7 +320,4 @@ def run_ablation(
             lr=config.resolved_stage2_lr, mode=stage2_mode,
             validation_fn=validation_fn,
         ))
-    report = TrainReport(
-        stages, config.to_dict(), config.seed, wall_clock=time.perf_counter() - start
-    )
-    return model, report
+    return model, TrainReport(stages, asdict(config), config.seed)

@@ -38,7 +38,7 @@ from tailkit.models import (
     TASKS,
     VARIANTS,
     EncoderConfig,
-    classify,
+    classify_embeddings,
     encode,
     init_model,
     score_pairs,
@@ -107,7 +107,7 @@ def test_criterion_01_gradients_match_finite_differences():
                 num_nodes=10, featureless=task == "recsys", seed=7)
             if task == "classification":
                 def loss_fn(model=model, graph=graph):
-                    return cross_entropy(classify(model, graph), sup)
+                    return cross_entropy(classify_embeddings(model, encode(model, graph)), sup)
             else:
                 pos = link_pairs if task == "link" else rec_pairs
                 neg = link_negs if task == "link" else rec_negs

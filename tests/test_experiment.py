@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -10,7 +11,10 @@ import pytest
 
 from tailkit import experiment
 from tailkit.cli import main
+from tailkit.data import save_edge_list, save_features, save_labels
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
+from tailkit.graph import LabelSet, build_graph
+from tailkit.models import EncoderConfig, init_model, save_model
 from tailkit.training import TrainConfig
 from tailkit.experiment import (
     _aggregate_cell,
@@ -376,6 +380,27 @@ class TestStages:
         assert again == payload
 
 
+def crash(src, dst):
+    raise OSError("disk went away")
+
+
+# each writer's output for a size; a different size gives different bytes
+WRITERS = {
+    "save_model": lambda path, size: save_model(
+        init_model(EncoderConfig("gcn", 2, size, 2), "link"), path),
+    "save_edge_list": lambda path, size: save_edge_list(
+        build_graph([(0, i) for i in range(1, size)], size), path),
+    "save_features": lambda path, size: save_features(np.ones((size, 2)), path),
+    "save_labels": lambda path, size: save_labels(LabelSet(np.zeros(size), 2), path),
+    "theory_csv": lambda path, size: experiment._write_theory_csv(
+        path, [dict.fromkeys(experiment._THEORY_CSV_COLUMNS, i) for i in range(size)]),
+    "report_csv": lambda path, size: experiment._write_report_csv(path, {
+        "settings": ["transductive"], "methods": [f"m{i}" for i in range(size)],
+        "table": {"transductive": {f"m{i}": {"mean": 0.5, "std": 0.0, "buckets": []}
+                                   for i in range(size)}}}),
+}
+
+
 def pipeline(config):
     cmd_generate(config)
     cmd_split(config)
@@ -519,14 +544,23 @@ class TestDeterminism:
         path = tmp_path / "seed" / "train.json"
         write_json(path, {"epochs": [1, 2, 3]})
         before = path.read_bytes()
-
-        def crash(src, dst):
-            raise OSError("disk went away")
-
-        monkeypatch.setattr(experiment.os, "replace", crash)
+        monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError):
             write_json(path, {"epochs": list(range(10_000))})
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        WRITERS[writer](path, 3)
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            WRITERS[writer](path, 5)
+        assert path.read_bytes() == before
+        monkeypatch.undo()
+        WRITERS[writer](path, 5)
+        assert path.read_bytes() != before
 
 
 class TestCli:
@@ -627,17 +661,20 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not list((tmp_path / "files").rglob("split.json"))
 
-    @pytest.mark.parametrize("bad", ["edges", "features", "labels", "features-width"])
+    @pytest.mark.parametrize("bad", ["edges", "features", "labels", "features-width",
+                                     "edges-utf8", "labels-utf8"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, bad):
-        texts = {"edges": "0 1\n1 2\n", "features": "0.5\n1.5\n2.5\n",
-                 "labels": "0 0\n1 1\n2 0\n"}
+        texts = {"edges": b"0 1\n1 2\n", "features": b"0.5\n1.5\n2.5\n",
+                 "labels": b"0 0\n1 1\n2 0\n"}
         key = bad.split("-")[0]
-        texts[key] = {"edges": "0 1\n1 x\n", "features": "0.5\nx\n2.5\n",
-                      "labels": "0 0\n1 x\n2 0\n",
-                      "features-width": "0.5\n1.5,2\n2.5\n"}[bad]
+        texts[key] = {"edges": b"0 1\n1 x\n", "features": b"0.5\nx\n2.5\n",
+                      "labels": b"0 0\n1 x\n2 0\n",
+                      "features-width": b"0.5\n1.5,2\n2.5\n",
+                      "edges-utf8": b"0 1\n1 \xff2\n",
+                      "labels-utf8": b"0 0\n1 \xff1\n2 0\n"}[bad]
         dataset = {"kind": "files"}
         for name, text in texts.items():
-            (tmp_path / f"{name}.txt").write_text(text)
+            (tmp_path / f"{name}.txt").write_bytes(text)
             dataset[name] = str(tmp_path / f"{name}.txt")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(classification_payload(tmp_path, dataset=dataset)))
@@ -683,6 +720,22 @@ class TestCli:
         assert not (split_json.parent / "train.json").exists()
         assert self.run_cli("split", "--config", str(cfg_path)) == 0
         assert split_json.read_bytes() == intact
+
+    def test_truncated_checkpoint_exits_3_at_eval_and_is_retrained(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        for command in ("generate", "split", "train"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        checkpoint = load_config(cfg_path).seed_dir(0) / "models" / "base.json"
+        intact = checkpoint.read_bytes()
+        checkpoint.write_bytes(intact[:40])
+        capsys.readouterr()
+        assert self.run_cli("eval", "--config", str(cfg_path)) == 3
+        assert (f"missing input: {checkpoint} is not a loadable checkpoint; "
+                "rerun the 'train' stage") in capsys.readouterr().err
+        assert self.run_cli("train", "--config", str(cfg_path)) == 0
+        assert checkpoint.read_bytes() == intact
+        assert self.run_cli("eval", "--config", str(cfg_path)) == 0
 
     def test_report_without_inputs_exits_3(self, tmp_path):
         assert self.run_cli("report", str(tmp_path / "missing")) == 3

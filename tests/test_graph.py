@@ -12,7 +12,6 @@ from tailkit.graph import (
     GraphError,
     LabelSet,
     build_graph,
-    degree,
     drop_edges,
     normalize_adjacency,
 )
@@ -53,7 +52,7 @@ class TestBuildGraph:
     def test_triangle(self):
         g = build_graph([(0, 1), (1, 2), (2, 0)], 3)
         assert g.num_edges == 3
-        assert degree(g, 0) == degree(g, 1) == degree(g, 2) == 2
+        assert g.degrees().tolist() == [2, 2, 2]
         np.testing.assert_array_equal(g.neighbors(1), [0, 2])
 
     def test_duplicate_and_reversed_edges_collapse(self):
@@ -103,9 +102,8 @@ class TestBuildGraph:
         np.testing.assert_array_equal(g1.csr_targets, g2.csr_targets)
         # every stored edge satisfies u < v and both CSR directions exist
         assert (g1.edges[:, 0] < g1.edges[:, 1]).all()
-        sets = g1.neighbor_sets()
         for u, v in g1.edges:
-            assert v in sets[u] and u in sets[v]
+            assert v in g1.neighbors(u) and u in g1.neighbors(v)
 
 
 class TestDropEdges:
@@ -245,7 +243,6 @@ class TestLabelSet:
     def test_basic(self):
         ls = LabelSet(np.array([0, 1, 1, 0]), 2)
         assert ls.num_nodes == 4
-        assert not ls.is_pseudo.any()
 
     def test_label_out_of_range(self):
         with pytest.raises(GraphError):
@@ -253,6 +250,6 @@ class TestLabelSet:
 
     def test_with_splits(self):
         ls = LabelSet(np.array([0, 1, 1, 0]), 2)
-        got = ls.with_splits([0], [1], [2], [3])
+        got = ls.with_splits([0], [1], [2])
         np.testing.assert_array_equal(got.train_labeled, [0])
-        np.testing.assert_array_equal(got.new_nodes, [3])
+        np.testing.assert_array_equal(got.unlabeled, [2])

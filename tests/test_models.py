@@ -10,12 +10,10 @@ from tailkit.models import (
     EncoderConfig,
     ModelError,
     VARIANTS,
-    classify,
+    classify_embeddings,
     encode,
     init_model,
-    link_score,
     load_model,
-    recsys_score,
     save_model,
     score_pairs,
 )
@@ -123,7 +121,7 @@ class TestHeads:
     def test_classifier_rows_normalize(self):
         g = small_graph()
         model = init_model(EncoderConfig("gcn", 5, 6, 4), "classification", num_classes=3)
-        log_probs = classify(model, g).value
+        log_probs = classify_embeddings(model, encode(model, g)).value
         assert log_probs.shape == (8, 3)
         np.testing.assert_allclose(np.exp(log_probs).sum(axis=1), 1.0, atol=1e-12)
 
@@ -141,7 +139,7 @@ class TestHeads:
     def test_link_score_end_to_end_shape(self):
         g = small_graph()
         model = init_model(EncoderConfig("sage-mean", 5, 6, 4), "link", seed=1)
-        out = link_score(model, g, [(0, 1), (2, 5), (7, 3)])
+        out = score_pairs(model, encode(model, g), [(0, 1), (2, 5), (7, 3)])
         assert out.value.shape == (3, 1)
 
     def test_recsys_inner_product(self):
@@ -150,23 +148,15 @@ class TestHeads:
             EncoderConfig("sage-mean", 3, 4, 3), "recsys", num_nodes=4, featureless=True, seed=2
         )
         emb = encode(model, g)
-        scores = recsys_score(model, g, [(0, 2), (1, 2)])
+        scores = score_pairs(model, emb, [(0, 2), (1, 2)])
         np.testing.assert_allclose(scores.value[0, 0], emb.value[0] @ emb.value[2], atol=1e-12)
         np.testing.assert_allclose(scores.value[1, 0], emb.value[1] @ emb.value[2], atol=1e-12)
-
-    def test_recsys_partition_enforced(self):
-        g = build_graph([(0, 2), (1, 3)], 4, bipartite=(2, 2))
-        model = init_model(
-            EncoderConfig("sage-mean", 3, 4, 3), "recsys", num_nodes=4, featureless=True
-        )
-        with pytest.raises(ModelError, match="user"):
-            recsys_score(model, g, [(2, 3)])
 
     def test_wrong_task_rejected(self):
         g = small_graph()
         model = init_model(EncoderConfig("gcn", 5, 6, 4), "link")
         with pytest.raises(ModelError):
-            classify(model, g)
+            classify_embeddings(model, encode(model, g))
 
     def test_embedding_table_iff_featureless(self):
         with_table = init_model(
@@ -216,7 +206,7 @@ class TestGradientsEndToEnd:
         labels = np.array([0, 1, 0, 1, 1, 0, 1])
 
         def forward():
-            log_probs = classify(model, g)
+            log_probs = classify_embeddings(model, encode(model, g))
             return ad.scale(ad.mean_all(ad.pick(log_probs, labels)), -1.0)
 
         model.zero_grad()

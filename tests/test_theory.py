@@ -58,8 +58,6 @@ class TestSampleWorld:
         assert world.a_idx.size == 120
         assert world.b_idx.size == 100
         assert world.s_idx.size == 20
-        assert world.num_points == 400
-        assert world.dim == 6
         assert world.features.shape == (400, 6)
 
     def test_index_sets_disjoint_and_duplicate_free(self):
