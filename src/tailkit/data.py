@@ -414,11 +414,16 @@ def _concat_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def write_atomic(path, text: str) -> None:
     """Write ``text`` through a sibling temp file and ``os.replace``, so a
-    crash never leaves a truncated file behind for a resumed stage to accept."""
+    crash never leaves a truncated file behind for a resumed stage to accept.
+    A write that fails removes the temp file and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_lines(path):

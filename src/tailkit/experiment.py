@@ -177,6 +177,11 @@ def _checked(check, default=dataclasses.MISSING):
     return dataclasses.field(default=default, metadata={"check": check})
 
 
+def _positive(value) -> None:
+    if not value > 0:
+        raise ValueError(f"must be > 0, got {value}")
+
+
 def _existing_file(path: str) -> None:
     if not Path(path).is_file():
         raise ValueError(f"file not found: {path}")
@@ -208,7 +213,7 @@ class _ScaleFreeDataset:
     label_noise: float = _unit(0.0)
     separation: float = 2.0
     feature_noise: float = _at_least(0.0, 1.0)
-    community_bias: float = _at_least(0.0, 4.0)
+    community_bias: float = _checked(_positive, 4.0)
     seed: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:
@@ -521,7 +526,8 @@ def cmd_generate(config: ExperimentConfig) -> dict:
     """
     manifest_path = config.run_dir / "dataset.json"
     manifest = _previous_output(manifest_path)
-    if manifest.get("config_hash") == config.config_hash:
+    if (manifest.get("config_hash") == config.config_hash
+            and _changed_dataset_file(config, manifest) is None):
         return manifest
 
     dataset = config.dataset
@@ -589,18 +595,35 @@ def _resolve_data_path(config: ExperimentConfig, path):
     return str(path if path.is_absolute() else config.run_dir / path)
 
 
+def _changed_dataset_file(config: ExperimentConfig, manifest: dict):
+    """The first dataset file in ``manifest`` that is missing or whose sha256
+    differs from the recorded one; None when every file matches."""
+    for key, digest in manifest["checksums"].items():
+        path = _resolve_data_path(config, manifest["paths"][key])
+        if not Path(path).is_file() or _sha256(path) != digest:
+            return path
+    return None
+
+
 def _load_run_dataset(config: ExperimentConfig):
-    manifest = _read_json(config.run_dir / "dataset.json", "generate")
+    """The dataset ``generate`` recorded; a file that changed since, or that
+    does not parse, exits 3 naming the ``generate`` stage."""
+    manifest_path = config.run_dir / "dataset.json"
+    manifest = _read_json(manifest_path, "generate")
     if manifest.get("config_hash") != config.config_hash:
         raise ConfigError(
             "$.config_hash",
             f"dataset manifest belongs to {manifest.get('config_hash')!r}, "
             f"expected {config.config_hash!r}")
-    paths = manifest["paths"]
-    return load_dataset(
-        _resolve_data_path(config, paths["edges"]),
-        _resolve_data_path(config, paths["features"]),
-        _resolve_data_path(config, paths["labels"]))
+    changed = _changed_dataset_file(config, manifest)
+    if changed is not None:
+        raise MissingInputError(f"{changed} is missing or does not match its checksum "
+                                f"in {manifest_path}; rerun the 'generate' stage")
+    paths = {key: _resolve_data_path(config, p) for key, p in manifest["paths"].items()}
+    try:
+        return load_dataset(paths["edges"], paths["features"], paths["labels"])
+    except DatasetFileError as exc:
+        raise MissingInputError(f"{exc}; rerun the 'generate' stage") from exc
 
 
 def _build_bundle(config: ExperimentConfig, graph, labels, seed: int) -> SplitBundle:

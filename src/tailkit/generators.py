@@ -36,6 +36,13 @@ def generate_scale_free(
     community c has mean ``separation * e_c`` and isotropic ``feature_noise``
     standard deviation. Labels equal communities, except a ``label_noise``
     fraction of nodes reassigned to a different class uniformly.
+
+    Each draw is ``Generator.choice(i, p=w / w.sum())``'s arithmetic written
+    out (see :func:`_attach`), so the graph is bit-for-bit the one ``choice``
+    draws, without its per-call validation. Drawing stays quadratic in ``n``:
+    only the full sequential ``cumsum`` over every existing node reproduces
+    ``choice``'s draw bit for bit, and a sub-quadratic sampler would change
+    every generated dataset.
     """
     if m_attach < 1 or n <= m_attach:
         raise GraphError(f"need n > m_attach >= 1, got n={n}, m_attach={m_attach}")
@@ -48,28 +55,12 @@ def generate_scale_free(
         )
     if not 0.0 <= label_noise <= 1.0:
         raise GraphError(f"label_noise must be in [0, 1], got {label_noise}")
+    if not 0.0 < community_bias < np.inf:
+        raise GraphError(f"community_bias must be positive and finite, got {community_bias}")
 
     rng = np.random.default_rng(seed)
     communities = rng.integers(num_classes, size=n)
-    deg = np.zeros(n, dtype=np.int64)
-    edges = np.empty((m_attach * (n - m_attach), 2), dtype=np.int64)
-    k = 0
-    for i in range(m_attach, n):
-        weights = (deg[:i] + 1.0) * np.where(
-            communities[:i] == communities[i], community_bias, 1.0
-        )
-        chosen: list[int] = []
-        for _ in range(m_attach):
-            w = weights.copy()
-            if chosen:
-                w[chosen] = 0.0
-            p = w / w.sum()
-            chosen.append(int(rng.choice(i, p=p)))
-        for t in chosen:
-            edges[k] = (t, i)
-            k += 1
-            deg[t] += 1
-            deg[i] += 1
+    edges = _attach(rng, communities, m_attach, community_bias)
 
     means = np.zeros((num_classes, feat_dim))
     means[np.arange(num_classes), np.arange(num_classes)] = separation
@@ -82,8 +73,45 @@ def generate_scale_free(
         shift = rng.integers(1, num_classes, size=num_flip)
         labels[flip] = (labels[flip] + shift) % num_classes
 
-    graph = build_graph(edges[:k], n, features=features)
+    graph = build_graph(edges, n, features=features)
     return graph, LabelSet(labels, num_classes)
+
+
+def _attach(rng, communities, m_attach: int, community_bias: float) -> np.ndarray:
+    """The ``(target, node)`` edges of preferential attachment, node by node.
+
+    ``tables[c, t]`` is always ``(deg[t] + 1.0) * (community_bias if
+    communities[t] == c else 1.0)``, the weight of target ``t`` for a node of
+    community ``c``; after each node only the entries whose degree changed are
+    recomputed. A target already drawn for the node is zeroed in place (and
+    restored by that recomputation), so the ``m_attach`` targets are distinct.
+    Each draw repeats ``Generator.choice(i, p=w / total)``: the cumulative sum
+    of the probabilities, rescaled by its last entry, searched for one
+    ``rng.random()``.
+    """
+    n = communities.shape[0]
+    factors = np.where(communities == np.arange(communities.max() + 1)[:, None],
+                       community_bias, 1.0)
+    tables = factors.copy()  # every degree is 0, and (0 + 1.0) * factor == factor
+    deg = np.zeros(n, dtype=np.int64)
+    edges = np.empty((n - m_attach, m_attach, 2), dtype=np.int64)
+    edges[:, :, 1] = np.arange(m_attach, n)[:, None]
+    for i in range(m_attach, n):
+        w = tables[communities[i], :i]
+        chosen = edges[i - m_attach, :, 0]
+        for j in range(m_attach):
+            total = w.sum()
+            if not 0.0 < total < np.inf:
+                raise GraphError(f"node {i}'s attachment weights sum to {total}")
+            cdf = (w / total).cumsum()
+            cdf /= cdf[-1]
+            chosen[j] = cdf.searchsorted(rng.random(), side="right")
+            w[chosen[j]] = 0.0
+        deg[chosen] += 1
+        deg[i] += m_attach
+        touched = np.append(chosen, i)
+        tables[:, touched] = (deg[touched] + 1.0) * factors[:, touched]
+    return edges.reshape(-1, 2)
 
 
 def generate_bipartite(

@@ -303,6 +303,21 @@ class TestStages:
         digest = hashlib.sha256((run / "dataset/edges.txt").read_bytes()).hexdigest()
         assert manifest["checksums"]["edges"] == digest
 
+    def test_generated_dataset_digests_are_pinned(self, tmp_path):
+        # a generator change that alters the data must show up here
+        config = make_config(tmp_path, dataset={
+            "num_nodes": 2000, "m_attach": 3, "feat_dim": 8, "num_classes": 3,
+            "label_noise": 0.1, "community_bias": 2.5, "seed": 4})
+        manifest = cmd_generate(config)
+        assert manifest["checksums"] == {
+            "edges": "0ed028d30ccfb1d229debbec81602489d9d1599a06c863852f3d06b8a59ea0f4",
+            "features": "ec32a6b7f0c189d987c8a27c321d982296cf04ca48eca862085b356cf3fdde7c",
+            "labels": "7c247ee56fea49a57ffcd40a30d6f7d706e80ca3740e11e316781f02efc10656",
+        }
+        for key, digest in manifest["checksums"].items():
+            path = config.run_dir / "dataset" / f"{key}.txt"
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_generate_skips_existing_output(self, tmp_path):
         config = make_config(tmp_path)
         cmd_generate(config)
@@ -558,6 +573,7 @@ class TestDeterminism:
         with pytest.raises(OSError):
             WRITERS[writer](path, 5)
         assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
         monkeypatch.undo()
         WRITERS[writer](path, 5)
         assert path.read_bytes() != before
@@ -619,6 +635,8 @@ class TestCli:
         ({"task": "recsys", "dataset": {"min_interactions": 200}}, "$.dataset"),
         ({"task": "recsys", "dataset": {"min_interactions": 5, "max_interactions": 4}},
          "$.dataset"),
+        ({"dataset": {"num_nodes": 60, "community_bias": 0.0}}, "$.dataset.community_bias"),
+        ({"dataset": {"num_nodes": 60, "community_bias": -1}}, "$.dataset.community_bias"),
     ])
     def test_refused_before_any_stage_exits_2(self, tmp_path, capsys, override, path):
         self.assert_refused(tmp_path, capsys, classification_payload(tmp_path, **override),
@@ -682,6 +700,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"$.dataset.{key}: {tmp_path / key}.txt:2:" in err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key,text", [
+        ("edges", b"0 1\n1 \xff2\n"),
+        ("edges", b"0 1\n1 2\n"),
+        ("features", b"0.5\n"),
+        ("labels", None),
+    ])
+    def test_changed_dataset_file_exits_3_and_is_regenerated(self, tmp_path, capsys,
+                                                              key, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        config = load_config(cfg_path)
+        dataset = config.run_dir / "dataset"
+        intact = {p.name: p.read_bytes() for p in dataset.iterdir()}
+        target = dataset / f"{key}.txt"
+        if text is None:
+            target.unlink()
+        else:
+            target.write_bytes(text)
+        capsys.readouterr()
+        for command in ("split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 3
+            assert (f"missing input: {target} is missing or does not match its checksum "
+                    f"in {config.run_dir / 'dataset.json'}; rerun the 'generate' stage"
+                    ) in capsys.readouterr().err
+        assert not (config.seed_dir(0) / "split.json").exists()
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        assert {p.name: p.read_bytes() for p in dataset.iterdir()} == intact
+        assert self.run_cli("split", "--config", str(cfg_path)) == 0
+
+    def test_dataset_file_that_does_not_parse_exits_3(self, tmp_path, capsys):
+        # a file whose checksum matches but that does not parse: only a
+        # manifest edited by hand can get here
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path)))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        config = load_config(cfg_path)
+        edges = config.run_dir / "dataset" / "edges.txt"
+        edges.write_bytes(b"0 1\n1 \xff2\n")
+        manifest_path = config.run_dir / "dataset.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["checksums"]["edges"] = hashlib.sha256(edges.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self.run_cli("split", "--config", str(cfg_path)) == 3
+        assert (f"missing input: {edges}:2: byte 0xff is not UTF-8; "
+                "rerun the 'generate' stage") in capsys.readouterr().err
 
     def test_missing_stage_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -2,8 +2,87 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from tailkit import generators
 from tailkit.generators import generate_bipartite, generate_scale_free
+from tailkit.graph import GraphError
+
+
+def attach_choice_loop(rng, communities, m_attach, community_bias):
+    """The attachment loop ``generators._attach`` replaced, kept as its oracle:
+    every node rebuilds its weights from the degrees and draws each target
+    with ``Generator.choice``."""
+    n = communities.shape[0]
+    deg = np.zeros(n, dtype=np.int64)
+    edges = np.empty((m_attach * (n - m_attach), 2), dtype=np.int64)
+    k = 0
+    for i in range(m_attach, n):
+        weights = (deg[:i] + 1.0) * np.where(
+            communities[:i] == communities[i], community_bias, 1.0
+        )
+        chosen: list[int] = []
+        for _ in range(m_attach):
+            w = weights.copy()
+            if chosen:
+                w[chosen] = 0.0
+            p = w / w.sum()
+            chosen.append(int(rng.choice(i, p=p)))
+        for t in chosen:
+            edges[k] = (t, i)
+            k += 1
+            deg[t] += 1
+            deg[i] += 1
+    return edges
+
+
+ORACLE_GRID = [(m_attach, num_classes, bias) for m_attach in (1, 2, 3, 4)
+               for num_classes in (2, 3, 5) for bias in (0.5, 1.0, 4.0)]
+
+
+class TestAttachmentAgainstChoiceOracle:
+    """``_attach`` draws bit for bit what ``Generator.choice`` drew."""
+
+    @pytest.mark.parametrize("m_attach,num_classes,bias", ORACLE_GRID)
+    def test_same_edges_and_next_draw(self, m_attach, num_classes, bias):
+        seed = 10 * m_attach + num_classes
+        communities = np.random.default_rng(seed).integers(num_classes, size=300)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        edges = generators._attach(rng, communities, m_attach, bias)
+        expected = attach_choice_loop(oracle_rng, communities, m_attach, bias)
+        assert edges.dtype == expected.dtype
+        assert edges.tobytes() == expected.tobytes()
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("n,m_attach,num_classes,bias,label_noise,seed", [
+        *((150, m, c, b, 0.1, m + c) for m, c, b in ORACLE_GRID),
+        (2000, 2, 2, 4.0, 0.0, 0),
+        (2000, 3, 3, 2.5, 0.1, 4),
+    ])
+    def test_generator_output_identical(self, monkeypatch, n, m_attach, num_classes,
+                                        bias, label_noise, seed):
+        def generate():
+            return generate_scale_free(n, m_attach, feat_dim=6, num_classes=num_classes,
+                                       label_noise=label_noise, seed=seed,
+                                       community_bias=bias)
+
+        graph, labels = generate()
+        monkeypatch.setattr(generators, "_attach", attach_choice_loop)
+        oracle_graph, oracle_labels = generate()
+        assert graph.edges.tobytes() == oracle_graph.edges.tobytes()
+        assert graph.features.tobytes() == oracle_graph.features.tobytes()
+        assert labels.labels.tobytes() == oracle_labels.labels.tobytes()
+
+    @pytest.mark.parametrize("bias", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bias_must_be_positive_and_finite(self, bias):
+        with pytest.raises(GraphError, match="community_bias"):
+            generate_scale_free(60, 2, community_bias=bias)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_weights_that_overflow_are_refused(self):
+        # (deg + 1) * 1e308 is inf once a target has an edge
+        with pytest.raises(GraphError, match="weights sum to inf"):
+            generate_scale_free(60, 2, community_bias=1e308)
 
 
 class TestScaleFree:
