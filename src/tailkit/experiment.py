@@ -500,6 +500,16 @@ def _previous_output(path) -> dict:
     return _parse_json(path) or {}
 
 
+def _checkpoint_paths(config: ExperimentConfig, train_payload: dict) -> dict:
+    """{method: path} of the checkpoint ``train.json`` records for each
+    configured method; a method it records none for is left out."""
+    checkpoints = train_payload.get("checkpoints")
+    if not isinstance(checkpoints, dict):
+        return {}
+    return {method: config.run_dir / checkpoints[method] for method in config.methods
+            if isinstance(checkpoints.get(method), str)}
+
+
 def _load_checkpoint(path):
     """The model saved at ``path``; None when it is missing or does not load
     (a crash mid-write, or a file cut short), so training writes it again."""
@@ -527,7 +537,7 @@ def cmd_generate(config: ExperimentConfig) -> dict:
     manifest_path = config.run_dir / "dataset.json"
     manifest = _previous_output(manifest_path)
     if (manifest.get("config_hash") == config.config_hash
-            and _changed_dataset_file(config, manifest) is None):
+            and _dataset_mismatch(config, manifest) is None):
         return manifest
 
     dataset = config.dataset
@@ -595,19 +605,28 @@ def _resolve_data_path(config: ExperimentConfig, path):
     return str(path if path.is_absolute() else config.run_dir / path)
 
 
-def _changed_dataset_file(config: ExperimentConfig, manifest: dict):
-    """The first dataset file in ``manifest`` that is missing or whose sha256
-    differs from the recorded one; None when every file matches."""
-    for key, digest in manifest["checksums"].items():
-        path = _resolve_data_path(config, manifest["paths"][key])
+def _dataset_mismatch(config: ExperimentConfig, manifest: dict):
+    """Why the dataset ``manifest`` records cannot be used, or None: it lacks
+    its ``paths`` or ``checksums``, or a file is missing or its sha256
+    differs from the recorded one."""
+    manifest_path = config.run_dir / "dataset.json"
+    paths, checksums = manifest.get("paths"), manifest.get("checksums")
+    if not (isinstance(paths, dict) and isinstance(checksums, dict)
+            and set(paths) == {"edges", "features", "labels"}
+            and all(p is None or isinstance(p, str) for p in paths.values())
+            and set(checksums) == {key for key, p in paths.items() if p is not None}):
+        return f"{manifest_path} does not record the dataset's paths and checksums"
+    for key, digest in checksums.items():
+        path = _resolve_data_path(config, paths[key])
         if not Path(path).is_file() or _sha256(path) != digest:
-            return path
+            return f"{path} is missing or does not match its checksum in {manifest_path}"
     return None
 
 
 def _load_run_dataset(config: ExperimentConfig):
-    """The dataset ``generate`` recorded; a file that changed since, or that
-    does not parse, exits 3 naming the ``generate`` stage."""
+    """The dataset ``generate`` recorded; a manifest or file that changed
+    since, or a file that does not parse, exits 3 naming the ``generate``
+    stage."""
     manifest_path = config.run_dir / "dataset.json"
     manifest = _read_json(manifest_path, "generate")
     if manifest.get("config_hash") != config.config_hash:
@@ -615,10 +634,9 @@ def _load_run_dataset(config: ExperimentConfig):
             "$.config_hash",
             f"dataset manifest belongs to {manifest.get('config_hash')!r}, "
             f"expected {config.config_hash!r}")
-    changed = _changed_dataset_file(config, manifest)
-    if changed is not None:
-        raise MissingInputError(f"{changed} is missing or does not match its checksum "
-                                f"in {manifest_path}; rerun the 'generate' stage")
+    mismatch = _dataset_mismatch(config, manifest)
+    if mismatch is not None:
+        raise MissingInputError(f"{mismatch}; rerun the 'generate' stage")
     paths = {key: _resolve_data_path(config, p) for key, p in manifest["paths"].items()}
     try:
         return load_dataset(paths["edges"], paths["features"], paths["labels"])
@@ -708,22 +726,22 @@ def _make_supervision(config: ExperimentConfig, bundle: SplitBundle):
 def cmd_train(config: ExperimentConfig) -> dict:
     """Train every configured method for every seed; returns {seed: summary}.
 
-    All methods of one seed share the same parameter initialization, so the
-    comparison isolates the training strategy.
+    All methods of one seed start from the same parameter initialization, so
+    the comparison isolates the training strategy, and methods with the same
+    stage 1 share one run of it (``run_ablation``).
     """
     graph, _ = _load_run_dataset(config)
     results = {}
     for seed in config.seeds:
         out_path = config.seed_dir(seed) / "train.json"
         payload = _previous_output(out_path)
-        if payload.get("config_hash") == config.config_hash and all(
-            _load_checkpoint(config.run_dir / rel) is not None
-            for rel in payload["checkpoints"].values()
-        ):
+        saved = _checkpoint_paths(config, payload)
+        if (payload.get("config_hash") == config.config_hash
+                and len(saved) == len(config.methods)
+                and all(_load_checkpoint(p) is not None for p in saved.values())):
             results[seed] = payload
             continue
         bundle = _load_bundle(config, graph, seed)
-        encoder = _encoder_config(config, bundle.train_graph)
         supervision = _make_supervision(config, bundle)
         label_set = bundle.label_set if config.task == "classification" else None
         k = config.evaluation["k"]
@@ -731,22 +749,22 @@ def cmd_train(config: ExperimentConfig) -> dict:
         def validate(model, bundle=bundle, k=k):
             return validation_metric(model, bundle, k=k)
 
-        train_config = TrainConfig(task=config.task, seed=seed, **config.train)
+        model = init_model(
+            _encoder_config(config, bundle.train_graph), config.task,
+            num_classes=label_set.num_classes if label_set is not None else None,
+            num_nodes=bundle.train_graph.num_nodes,
+            featureless=config.model["featureless"],
+            seed=seed)
+        trained = run_ablation(
+            config.methods, model, bundle.train_graph, supervision,
+            TrainConfig(task=config.task, seed=seed, **config.train),
+            label_set=label_set, validation_fn=validate)
         methods, checkpoints = {}, {}
-        for method in config.methods:
-            model = init_model(
-                encoder, config.task,
-                num_classes=label_set.num_classes if label_set is not None else None,
-                num_nodes=bundle.train_graph.num_nodes,
-                featureless=config.model["featureless"],
-                seed=seed)
-            trained, report = run_ablation(
-                method, model, bundle.train_graph, supervision,
-                train_config, label_set=label_set, validation_fn=validate)
+        for method, (model, report) in trained.items():
             rel = f"{seed}/models/{method}.json"
             checkpoint = config.run_dir / rel
             checkpoint.parent.mkdir(parents=True, exist_ok=True)
-            save_model(trained, checkpoint)
+            save_model(model, checkpoint)
             methods[method] = report.to_dict()
             checkpoints[method] = rel
         payload = {
@@ -777,17 +795,18 @@ def cmd_eval(config: ExperimentConfig) -> dict:
                 "$.config_hash",
                 f"training output for seed {seed} belongs to "
                 f"{train_payload.get('config_hash')!r}")
+        checkpoints = _checkpoint_paths(config, train_payload)
         reports = {}
         for method in config.methods:
-            if method not in train_payload["checkpoints"]:
+            if method not in checkpoints:
                 raise MissingInputError(
                     f"no checkpoint for method {method!r} under seed {seed}; "
                     "rerun the 'train' stage")
-            checkpoint = config.run_dir / train_payload["checkpoints"][method]
-            model = _load_checkpoint(checkpoint)
+            model = _load_checkpoint(checkpoints[method])
             if model is None:
                 raise MissingInputError(
-                    f"{checkpoint} is not a loadable checkpoint; rerun the 'train' stage")
+                    f"{checkpoints[method]} is not a loadable checkpoint; "
+                    "rerun the 'train' stage")
             reports[method] = {
                 setting: evaluate_setting(
                     model, bundle, setting, k=config.evaluation["k"]).to_dict()

@@ -98,6 +98,12 @@ class Model:
         for k, p in self.params.items():
             p.value[...] = values[k]
 
+    def copy(self) -> "Model":
+        """The same model with parameter arrays of its own."""
+        params = {k: Tensor(p.value.copy(), requires_grad=p.requires_grad)
+                  for k, p in self.params.items()}
+        return Model(self.config, self.task, params, self.num_classes)
+
     @property
     def has_embedding_table(self) -> bool:
         return "embed.table" in self.params

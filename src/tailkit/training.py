@@ -1,7 +1,8 @@
 """Conventional training, the two-stage tuneup curriculum, and its ablations.
 
-Every training method is one row of :data:`METHODS`, run by
-:func:`run_ablation`. The full curriculum, ``tuneup``, trains stage 1 on the
+Every training method is one row of :data:`METHODS`. :func:`run_ablation`
+trains a list of them from one initialization, running each distinct stage 1
+once. The full curriculum, ``tuneup``, trains stage 1 on the
 clean graph. Stage 2 restarts the optimizer and fine-tunes on a freshly
 resampled edge-dropped graph at every update, supervising classification
 with the stage-1 snapshot's pseudo-labels and the ranking tasks with the
@@ -12,6 +13,7 @@ shared generator state.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -281,7 +283,7 @@ def pseudo_label(model: Model, graph: Graph, label_set: LabelSet) -> Supervision
 
 
 def run_ablation(
-    method: str,
+    methods: Sequence[str],
     model: Model,
     graph: Graph,
     supervision: SupervisionSet,
@@ -289,35 +291,52 @@ def run_ablation(
     *,
     label_set: LabelSet | None = None,
     validation_fn=None,
-) -> tuple[Model, TrainReport]:
-    """Train ``model`` in place with the strategy of ``METHODS[method]``.
+) -> dict[str, tuple[Model, TrainReport]]:
+    """Train each of ``methods`` from the initialization ``model``.
 
-    Stage 1 runs ``stage1_epochs`` at ``stage1_lr``. A two-stage method then
-    fine-tunes for ``stage2_epochs`` at the resolved stage-2 rate with a fresh
-    optimizer, on pseudo-labels from the stage-1 snapshot when its row asks
-    for them. A single stage is named after the method; two are "base" and
-    "finetune".
+    Returns ``{method: (trained model, report)}`` in the order given; every
+    model owns its parameters and ``model`` itself is left as it was. Stage 1
+    runs ``stage1_epochs`` at ``stage1_lr``. A two-stage method then
+    fine-tunes a copy of the stage-1 snapshot for ``stage2_epochs`` at the
+    resolved stage-2 rate with a fresh optimizer, on pseudo-labels from that
+    snapshot when its row asks for them. A single stage is named after the
+    method; two are "base" and "finetune".
+
+    Methods whose stage 1 is the same (mode and name) share one run of it,
+    and its report, and pseudo-labels are made once per stage-1 snapshot:
+    each method's result is the one it would get trained alone.
     """
-    if method not in METHODS:
-        raise TrainError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
     _check_inputs(model, supervision, config)
-    stage1_mode, stage2_mode, pseudo = METHODS[method]
-    pseudo = pseudo and config.task == "classification"
-    if pseudo and label_set is None:
-        raise TrainError(f"method {method!r} needs a label_set to produce pseudo-labels")
-    stages = [_run_stage(
-        model, graph, supervision, config,
-        name="base" if stage2_mode else method, stage_index=0,
-        epochs=config.stage1_epochs, lr=config.stage1_lr, mode=stage1_mode,
-        validation_fn=validation_fn,
-    )]
-    if stage2_mode:
-        if pseudo:
-            supervision = pseudo_label(model, graph, label_set)
-        stages.append(_run_stage(
-            model, graph, supervision, config,
-            name="finetune", stage_index=1, epochs=config.stage2_epochs,
-            lr=config.resolved_stage2_lr, mode=stage2_mode,
-            validation_fn=validation_fn,
-        ))
-    return model, TrainReport(stages, asdict(config), config.seed)
+    pseudo_task = config.task == "classification"
+    for method in methods:
+        if method not in METHODS:
+            raise TrainError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
+        if pseudo_task and METHODS[method][2] and label_set is None:
+            raise TrainError(f"method {method!r} needs a label_set to produce pseudo-labels")
+    stage1, pseudo_labels, out = {}, {}, {}
+    for method in methods:
+        stage1_mode, stage2_mode, pseudo = METHODS[method]
+        pseudo = pseudo and pseudo_task
+        key = (stage1_mode, "base" if stage2_mode else method)
+        if key not in stage1:
+            trained = model.copy()
+            stage1[key] = trained, _run_stage(
+                trained, graph, supervision, config,
+                name=key[1], stage_index=0,
+                epochs=config.stage1_epochs, lr=config.stage1_lr, mode=stage1_mode,
+                validation_fn=validation_fn,
+            )
+        trained, first = stage1[key]
+        stages = [first]
+        if stage2_mode:
+            if pseudo and key not in pseudo_labels:
+                pseudo_labels[key] = pseudo_label(trained, graph, label_set)
+            trained = trained.copy()
+            stages.append(_run_stage(
+                trained, graph, pseudo_labels[key] if pseudo else supervision, config,
+                name="finetune", stage_index=1, epochs=config.stage2_epochs,
+                lr=config.resolved_stage2_lr, mode=stage2_mode,
+                validation_fn=validation_fn,
+            ))
+        out[method] = trained, TrainReport(stages, asdict(config), config.seed)
+    return out

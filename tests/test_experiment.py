@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailkit import experiment
+from tailkit import experiment, training
 from tailkit.cli import main
 from tailkit.data import save_edge_list, save_features, save_labels
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
@@ -317,6 +319,53 @@ class TestStages:
         for key, digest in manifest["checksums"].items():
             path = config.run_dir / "dataset" / f"{key}.txt"
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("task,overrides,digests", [
+        ("classification", {}, {
+            "models/base.json": "24c096e6dd5130532a96c2c618043b9098bc7e0a7c966424eb00f6a296af927c",
+            "models/dropedge.json":
+                "772c9dd791679ce9403a84ec28e2888df2c62963ba259dc4887bd671d5eabe7c",
+            "models/no-curriculum.json":
+                "f4440c20ea50ad84a0a08a5d4655ff21b620da9f01938319447a633bc322d7b9",
+            "models/no-pseudo.json":
+                "1437e2631b157e198dc6bd0942304ea7bbfba875f285f5bea1288dd82363ce12",
+            "models/no-syntails.json":
+                "58ac1c81f3d688bba7b47afc4236999d0dc74621fca191c67ae6c1706983572b",
+            "models/tuneup.json":
+                "c7e3afbab3800c7bc3b6b0e42afc0fcff3ce4db9cce46a2c96c6829cdf90586b",
+            "train.json": "2090802dc79b246516554ae3fbd47e28ac33a861bab2f947aa81247e629da3d1",
+        }),
+        ("link", {
+            "model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8},
+            "train": {"preset": "desk-link", "stage1_epochs": 8, "stage2_epochs": 4,
+                      "eval_every": 4, "patience": 3},
+        }, {
+            "models/base.json": "f3d3e56ab281fbcad01851fb58173c83196deaf1f97f3deaacb00b870e9cd213",
+            "models/dropedge.json":
+                "b236f6a7b2aec57f2669af4cc21494eef1ee021868c4dc864d8dcc50925ecde6",
+            "models/no-curriculum.json":
+                "e4714e033b13428e155bbf63c31b8fdee7866fa18bd3b727844dc3f9aa2fd7ae",
+            "models/no-pseudo.json":
+                "1e867ad8a07466689b19c930125615475c1384bac38b66925e98e816dd81813d",
+            "models/no-syntails.json":
+                "526a60076f3655ecee6fea0ff68a34db97548191c98cb2a9d90cf2ab4d49c6f3",
+            "models/tuneup.json":
+                "1e867ad8a07466689b19c930125615475c1384bac38b66925e98e816dd81813d",
+            "train.json": "cb15f07988d54e5abd552dd16bcba5c7a51f39b02e56b99e853f0ed73c75694e",
+        }),
+    ])
+    def test_training_digests_are_pinned(self, tmp_path, task, overrides, digests):
+        # a training change that alters any method's result must show up
+        # here; the values were taken when each method ran its own stage 1
+        config = make_config(tmp_path, task=task, methods=list(training.METHODS),
+                             seeds=[0], **overrides)
+        cmd_generate(config)
+        cmd_split(config)
+        cmd_train(config)
+        written = {str(p.relative_to(config.seed_dir(0))): p
+                   for p in config.seed_dir(0).rglob("*.json") if p.name != "split.json"}
+        assert {rel: hashlib.sha256(p.read_bytes()).hexdigest()
+                for rel, p in written.items()} == digests
 
     def test_generate_skips_existing_output(self, tmp_path):
         config = make_config(tmp_path)
@@ -748,6 +797,53 @@ class TestCli:
         assert self.run_cli("split", "--config", str(cfg_path)) == 3
         assert (f"missing input: {edges}:2: byte 0xff is not UTF-8; "
                 "rerun the 'generate' stage") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["checksums", "paths"])
+    def test_manifest_without_a_key_exits_3_and_is_regenerated(self, tmp_path, capsys,
+                                                                key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        manifest_path = load_config(cfg_path).run_dir / "dataset.json"
+        intact = manifest_path.read_bytes()
+        manifest = json.loads(intact)
+        del manifest[key]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for command in ("split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 3
+            assert (f"missing input: {manifest_path} does not record the dataset's paths "
+                    "and checksums; rerun the 'generate' stage") in capsys.readouterr().err
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        assert manifest_path.read_bytes() == intact
+        assert self.run_cli("split", "--config", str(cfg_path)) == 0
+
+    def test_train_output_without_checkpoints_exits_3_and_is_rewritten(self, tmp_path,
+                                                                       capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        for command in ("generate", "split", "train"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        train_json = load_config(cfg_path).seed_dir(0) / "train.json"
+        intact = train_json.read_bytes()
+        payload = json.loads(intact)
+        del payload["checkpoints"]
+        train_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.run_cli("eval", "--config", str(cfg_path)) == 3
+        assert ("missing input: no checkpoint for method 'base' under seed 0; "
+                "rerun the 'train' stage") in capsys.readouterr().err
+        assert self.run_cli("train", "--config", str(cfg_path)) == 0
+        assert train_json.read_bytes() == intact
+        assert self.run_cli("eval", "--config", str(cfg_path)) == 0
+
+    def test_module_entry_point_runs_from_a_source_checkout(self, tmp_path):
+        src = Path(experiment.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-m", "tailkit", "--help"], cwd=tmp_path,
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: tailkit")
 
     def test_missing_stage_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -8,12 +8,12 @@ import pytest
 import tailkit.training as training
 from tailkit import autodiff as ad
 from tailkit.autodiff import AdamState, Tape
-from tailkit.data import make_classification_bundle, make_link_bundle
+from tailkit.data import make_classification_bundle, make_link_bundle, make_recsys_bundle
 from tailkit.evaluation import predict_classes, validation_metric
 from tailkit.generators import generate_bipartite, generate_scale_free
 from tailkit.graph import LabelSet, build_graph
 from tailkit.losses import SupervisionSet, cross_entropy
-from tailkit.models import EncoderConfig, classify_embeddings, encode, init_model
+from tailkit.models import EncoderConfig, classify_embeddings, encode, init_model, save_model
 from tailkit.training import (
     METHODS,
     PRESETS,
@@ -46,6 +46,11 @@ def two_clique_instance(per_side=10, feat_dim=4, seed=0):
     graph = build_graph(edges, n, features=feats)
     sup = SupervisionSet.classification(np.arange(n), labels, 2, n)
     return graph, sup, labels
+
+
+def train_alone(method, model, graph, sup, cfg, **kwargs):
+    """``method``'s (model, report) when it is the only method trained."""
+    return run_ablation([method], model, graph, sup, cfg, **kwargs)[method]
 
 
 def small_model(graph, task="classification", hidden=8, seed=0, variant="gcn"):
@@ -91,8 +96,8 @@ class TestTrainBase:
         model = small_model(graph)
         before = model.copy_values()
         cfg = TrainConfig("classification", stage1_epochs=0)
-        _, report = run_ablation("base", model, graph, sup, cfg)
-        for name, value in model.copy_values().items():
+        trained, report = train_alone("base", model, graph, sup, cfg)
+        for name, value in trained.copy_values().items():
             assert np.array_equal(value, before[name])
         assert report.stages[0].epochs_run == 0
 
@@ -100,7 +105,7 @@ class TestTrainBase:
         graph, sup, labels = two_clique_instance()
         model = small_model(graph)
         cfg = TrainConfig("classification", stage1_epochs=200, stage1_lr=0.05)
-        run_ablation("base", model, graph, sup, cfg)
+        model, _ = train_alone("base", model, graph, sup, cfg)
         preds = predict_classes(model, graph)
         assert (preds == labels).all()
 
@@ -111,7 +116,7 @@ class TestTrainBase:
         lr = 0.01
 
         cfg = TrainConfig("classification", stage1_epochs=1, stage1_lr=lr)
-        _, report = run_ablation("base", model_a, graph, sup, cfg)
+        model_a, report = train_alone("base", model_a, graph, sup, cfg)
 
         model_b.zero_grad()
         with Tape() as tape:
@@ -130,13 +135,13 @@ class TestTrainBase:
             np.array([], dtype=np.int64), np.array([], dtype=np.int64), 2, graph.num_nodes
         )
         with pytest.raises(TrainError):
-            run_ablation("base", model, graph, empty, TrainConfig("classification"))
+            train_alone("base", model, graph, empty, TrainConfig("classification"))
 
     def test_task_mismatch_rejected(self):
         graph, sup, _ = two_clique_instance()
         model = small_model(graph)
         with pytest.raises(TrainError):
-            run_ablation("base", model, graph, sup, TrainConfig("link"))
+            train_alone("base", model, graph, sup, TrainConfig("link"))
 
     def test_bitwise_deterministic(self):
         graph, sup, _ = two_clique_instance()
@@ -144,7 +149,7 @@ class TestTrainBase:
         runs = []
         for _ in range(2):
             model = small_model(graph, seed=4)
-            _, report = run_ablation("base", model, graph, sup, cfg)
+            model, report = train_alone("base", model, graph, sup, cfg)
             runs.append((report.stages[0].losses, param_bytes(model)))
         assert runs[0] == runs[1]
 
@@ -163,8 +168,8 @@ class TestEarlyStopping:
         cfg = TrainConfig(
             "classification", stage1_epochs=100, eval_every=1, patience=3
         )
-        _, report = run_ablation("base", model, graph, sup, cfg,
-                                 validation_fn=fake_validation)
+        model, report = train_alone("base", model, graph, sup, cfg,
+                                    validation_fn=fake_validation)
         stage = report.stages[0]
         assert stage.epochs_run == 5  # best at epoch 2, then 3 stalls
         assert stage.best_epoch == 2
@@ -182,7 +187,7 @@ class TestEarlyStopping:
             graph.num_nodes,
         )
         cfg = TrainConfig("classification", stage1_epochs=60, eval_every=5, patience=4)
-        _, report = run_ablation(
+        model, report = train_alone(
             "base", model, bundle.train_graph, sup, cfg,
             validation_fn=lambda m: validation_metric(m, bundle),
         )
@@ -196,7 +201,7 @@ class TestEarlyStopping:
         graph, sup, _ = two_clique_instance()
         model = small_model(graph)
         cfg = TrainConfig("classification", stage1_epochs=7)
-        _, report = run_ablation("base", model, graph, sup, cfg)
+        _, report = train_alone("base", model, graph, sup, cfg)
         assert report.stages[0].best_epoch == 7
 
 
@@ -276,7 +281,7 @@ class TestTuneup:
     def test_two_stages_with_configured_budgets(self):
         bundle, model, sup = curriculum_fixture()
         cfg = TrainConfig("classification", stage1_epochs=12, stage2_epochs=8, alpha=0.5)
-        _, report = run_ablation(
+        _, report = train_alone(
             "tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
         )
         assert [s.name for s in report.stages] == ["base", "finetune"]
@@ -295,7 +300,7 @@ class TestTuneup:
 
         monkeypatch.setattr(training, "pseudo_label", counted)
         cfg = TrainConfig("classification", stage1_epochs=5, stage2_epochs=15)
-        run_ablation("tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
+        train_alone("tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
         assert len(calls) == 1
 
     def test_supervision_and_labels_untouched(self):
@@ -303,7 +308,7 @@ class TestTuneup:
         nodes_before = sup.nodes.copy()
         labels_before = bundle.label_set.labels.copy()
         cfg = TrainConfig("classification", stage1_epochs=6, stage2_epochs=6)
-        run_ablation("tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
+        train_alone("tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set)
         assert np.array_equal(sup.nodes, nodes_before)
         assert np.array_equal(bundle.label_set.labels, labels_before)
 
@@ -311,18 +316,18 @@ class TestTuneup:
         bundle, model, sup = curriculum_fixture()
         cfg = TrainConfig("classification", stage1_epochs=2, stage2_epochs=2)
         with pytest.raises(TrainError):
-            run_ablation("tuneup", model, bundle.train_graph, sup, cfg)
+            train_alone("tuneup", model, bundle.train_graph, sup, cfg)
 
     def test_alpha_zero_no_pseudo_is_continued_conventional_training(self):
         bundle, model_a, sup = curriculum_fixture(seed=3)
         cfg = TrainConfig("classification", stage1_epochs=15, stage2_epochs=10, alpha=0.0)
-        _, report_a = run_ablation("no-pseudo", model_a, bundle.train_graph, sup, cfg)
+        model_a, report_a = train_alone("no-pseudo", model_a, bundle.train_graph, sup, cfg)
 
         _, model_b, _ = curriculum_fixture(seed=3)
         stage1_cfg = TrainConfig("classification", stage1_epochs=15)
-        run_ablation("base", model_b, bundle.train_graph, sup, stage1_cfg)
+        model_b, _ = train_alone("base", model_b, bundle.train_graph, sup, stage1_cfg)
         stage2_cfg = TrainConfig("classification", stage1_epochs=10)
-        _, report_b = run_ablation("base", model_b, bundle.train_graph, sup, stage2_cfg)
+        model_b, report_b = train_alone("base", model_b, bundle.train_graph, sup, stage2_cfg)
 
         assert param_bytes(model_a) == param_bytes(model_b)
         assert report_a.stages[1].losses == report_b.stages[0].losses
@@ -332,7 +337,7 @@ class TestTuneup:
         for _ in range(2):
             bundle, model, sup = curriculum_fixture(seed=5)
             cfg = TrainConfig("classification", stage1_epochs=8, stage2_epochs=8, alpha=0.5)
-            _, report = run_ablation(
+            model, report = train_alone(
                 "tuneup", model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
             )
             runs.append(
@@ -348,7 +353,7 @@ class TestTuneup:
         sup = SupervisionSet.ranking("link", bundle.train_graph)
         model = init_model(EncoderConfig("gcn", 4, 8, 8), "link", seed=11)
         cfg = TrainConfig("link", stage1_epochs=40, stage2_epochs=10, stage1_lr=0.02)
-        _, report = run_ablation("tuneup", model, bundle.train_graph, sup, cfg)
+        _, report = train_alone("tuneup", model, bundle.train_graph, sup, cfg)
         losses = report.stages[0].losses
         assert losses[-1] < losses[0]
         assert np.isfinite(losses).all()
@@ -361,7 +366,7 @@ class TestTuneup:
             num_nodes=graph.num_nodes, featureless=True, seed=12,
         )
         cfg = TrainConfig("recsys", stage1_epochs=30, stage2_epochs=5, stage1_lr=0.05)
-        _, report = run_ablation("tuneup", model, graph, sup, cfg)
+        _, report = train_alone("tuneup", model, graph, sup, cfg)
         losses = report.stages[0].losses
         assert losses[-1] < losses[0]
         # fine-tuning stage ran at the dedicated low learning rate
@@ -384,7 +389,7 @@ class TestAblations:
     def test_unknown_tag(self):
         bundle, model, sup = curriculum_fixture()
         with pytest.raises(TrainError):
-            run_ablation("mystery", model, bundle.train_graph, sup,
+            train_alone("mystery", model, bundle.train_graph, sup,
                          TrainConfig("classification"))
 
     @pytest.mark.parametrize("method", METHODS)
@@ -393,7 +398,7 @@ class TestAblations:
         cfg = TrainConfig(
             "classification", stage1_epochs=7, stage2_epochs=3, alpha=0.25
         )
-        _, report = run_ablation(
+        _, report = train_alone(
             method, model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
         )
         assert isinstance(report, TrainReport)
@@ -406,7 +411,7 @@ class TestAblations:
         cfg = TrainConfig("classification", stage1_epochs=7, stage2_epochs=3)
         for method in ("no-curriculum", "dropedge"):
             model = curriculum_fixture(seed=9)[1]
-            _, report = run_ablation(
+            _, report = train_alone(
                 method, model, bundle.train_graph, sup, cfg, label_set=bundle.label_set
             )
             assert report.stages[0].epochs_run == 7
@@ -417,12 +422,12 @@ class TestAblations:
         # combined per-update loss is exactly twice the single-graph loss
         bundle, model_a, sup = curriculum_fixture(seed=10)
         cfg = TrainConfig("classification", stage1_epochs=1, stage2_epochs=1, alpha=0.0)
-        _, rep_a = run_ablation(
+        _, rep_a = train_alone(
             "no-curriculum", model_a, bundle.train_graph, sup, cfg,
             label_set=bundle.label_set,
         )
         _, model_b, _ = curriculum_fixture(seed=10)
-        _, rep_b = run_ablation("base", model_b, bundle.train_graph, sup, cfg)
+        _, rep_b = train_alone("base", model_b, bundle.train_graph, sup, cfg)
         assert rep_a.stages[0].losses[0] == pytest.approx(
             2.0 * rep_b.stages[0].losses[0], rel=1e-12
         )
@@ -434,6 +439,118 @@ class TestAblations:
         sup = SupervisionSet.ranking("link", graph)
         model = init_model(EncoderConfig("gcn", 4, 6, 6), "link", seed=13)
         cfg = TrainConfig("link", stage1_epochs=4, stage2_epochs=4)
-        _, report = run_ablation("no-syntails", model, graph, sup, cfg)
+        _, report = train_alone("no-syntails", model, graph, sup, cfg)
         assert [s.name for s in report.stages] == ["base", "finetune"]
         assert report.stages[1].epochs_run == 4
+
+
+def run_one_method(method, model, graph, supervision, config, *, label_set=None,
+                   validation_fn=None):
+    """The one-method-at-a-time loop that ``run_ablation`` replaced, kept as its
+    oracle: ``model`` is trained in place through the method's own stage 1."""
+    stage1_mode, stage2_mode, pseudo = METHODS[method]
+    stages = [training._run_stage(
+        model, graph, supervision, config,
+        name="base" if stage2_mode else method, stage_index=0,
+        epochs=config.stage1_epochs, lr=config.stage1_lr, mode=stage1_mode,
+        validation_fn=validation_fn,
+    )]
+    if stage2_mode:
+        if pseudo and config.task == "classification":
+            supervision = pseudo_label(model, graph, label_set)
+        stages.append(training._run_stage(
+            model, graph, supervision, config,
+            name="finetune", stage_index=1, epochs=config.stage2_epochs,
+            lr=config.resolved_stage2_lr, mode=stage2_mode,
+            validation_fn=validation_fn,
+        ))
+    return model, TrainReport(stages, asdict(config), config.seed)
+
+
+def oracle_case(case):
+    """(make_model, graph, supervision, config, label_set, validation_fn) of a
+    small instance on which early stopping restores a snapshot in some stage."""
+    if case in ("gcn", "sage-max"):
+        graph, labels = generate_scale_free(120, 2, feat_dim=4, seed=21)
+        bundle = make_classification_bundle(graph, labels, seed=21)
+        ls = bundle.label_set
+        sup = SupervisionSet.classification(
+            ls.train_labeled, ls.labels[ls.train_labeled], 2, graph.num_nodes)
+        encoder = EncoderConfig(case, 4, 8, 8, num_layers=2)
+        make = lambda: init_model(encoder, "classification", num_classes=2, seed=21)  # noqa: E731
+        cfg = TrainConfig("classification", stage1_epochs=12, stage2_epochs=8,
+                          eval_every=2, patience=2, seed=21)
+        return make, bundle.train_graph, sup, cfg, ls, lambda m: validation_metric(m, bundle)
+    if case == "link":
+        rng = np.random.default_rng(22)
+        upper = np.triu(rng.random((60, 60)) < 0.12, k=1)
+        graph = build_graph(np.argwhere(upper), 60, features=rng.standard_normal((60, 4)))
+        bundle = make_link_bundle(graph, seed=22)
+        encoder = EncoderConfig("sage-mean", 4, 8, 8, num_layers=2)
+        make = lambda: init_model(encoder, "link", seed=22)  # noqa: E731
+    else:
+        graph = generate_bipartite(30, 25, seed=23)
+        bundle = make_recsys_bundle(graph, seed=23)
+        encoder = EncoderConfig("gcn", 8, 8, 8, num_layers=2)
+        make = lambda: init_model(  # noqa: E731
+            encoder, "recsys", num_nodes=graph.num_nodes, featureless=True, seed=23)
+    sup = SupervisionSet.ranking(case, bundle.train_graph)
+    cfg = TrainConfig(case, stage1_epochs=10, stage2_epochs=6, stage1_lr=0.02,
+                      eval_every=2, patience=2, seed=22)
+    return make, bundle.train_graph, sup, cfg, None, lambda m: validation_metric(m, bundle, k=10)
+
+
+class TestSharedStageOne:
+    @pytest.mark.parametrize("case", ["gcn", "sage-max", "link", "recsys"])
+    def test_matches_one_method_at_a_time(self, tmp_path, case):
+        make, graph, sup, cfg, label_set, validate = oracle_case(case)
+        shared = run_ablation(list(METHODS), make(), graph, sup, cfg,
+                              label_set=label_set, validation_fn=validate)
+        assert list(shared) == list(METHODS)
+        for method, (model, report) in shared.items():
+            expected_model, expected_report = run_one_method(
+                method, make(), graph, sup, cfg,
+                label_set=label_set, validation_fn=validate)
+            save_model(model, tmp_path / "shared.json")
+            save_model(expected_model, tmp_path / "alone.json")
+            assert ((tmp_path / "shared.json").read_bytes()
+                    == (tmp_path / "alone.json").read_bytes()), method
+            assert report.to_dict() == expected_report.to_dict(), method
+
+    def test_every_model_owns_its_parameters(self):
+        make, graph, sup, cfg, label_set, validate = oracle_case("gcn")
+        model = make()
+        initial = param_bytes(model)
+        shared = run_ablation(list(METHODS), model, graph, sup, cfg, label_set=label_set)
+        assert param_bytes(model) == initial
+        for changed, (trained, _) in shared.items():
+            others = {m: param_bytes(o) for m, (o, _) in shared.items() if m != changed}
+            for p in trained.parameters():
+                p.value += 1.0
+            assert others == {
+                m: param_bytes(o) for m, (o, _) in shared.items() if m != changed}, changed
+            assert param_bytes(model) == initial
+
+    def test_stage_one_runs_once_per_distinct_row(self, monkeypatch):
+        make, graph, sup, cfg, label_set, _ = oracle_case("gcn")
+        stages, labelled = [], []
+        run_stage, label = training._run_stage, training.pseudo_label
+
+        def counted_stage(*args, **kwargs):
+            stages.append((kwargs["stage_index"], kwargs["mode"], kwargs["name"]))
+            return run_stage(*args, **kwargs)
+
+        def counted_label(*args, **kwargs):
+            labelled.append(1)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_run_stage", counted_stage)
+        monkeypatch.setattr(training, "pseudo_label", counted_label)
+        run_ablation(list(METHODS), make(), graph, sup, cfg, label_set=label_set)
+        assert sorted(s for s in stages if s[0] == 0) == [
+            (0, "both", "no-curriculum"), (0, "clean", "base"), (0, "dropped", "dropedge")]
+        # tuneup, no-pseudo and no-syntails each fine-tune once
+        assert sorted(s for s in stages if s[0] == 1) == [
+            (1, "clean", "finetune"), (1, "dropped", "finetune"), (1, "dropped", "finetune")]
+        # tuneup and no-syntails share the snapshot's pseudo-labels
+        assert len(labelled) == 1
