@@ -5,7 +5,7 @@ theory, and report. Every stage reads one JSON config (``--config``), with
 ``--seed`` and ``--out`` overriding the seed list and output directory.
 Exit codes: 0 on success, 2 for config schema violations (reported with the
 JSON path of the offending field), 3 when a required earlier stage output
-is missing.
+is missing or unusable.
 """
 from __future__ import annotations
 
@@ -42,9 +42,8 @@ def _load(args) -> ExperimentConfig:
 def _run_generate(args) -> int:
     config = _load(args)
     manifest = cmd_generate(config)
-    edges = config.run_dir / manifest["paths"]["edges"]
     print(f"generate: {manifest['num_nodes']} nodes, "
-          f"{manifest['num_edges']} edges -> {edges}")
+          f"{manifest['num_edges']} edges -> {config.run_dir / 'dataset.json'}")
     return 0
 
 

@@ -4,12 +4,14 @@ A single JSON document describes an experiment: the task, a dataset (either
 synthetic generator parameters or paths to files on disk), the encoder and
 training hyperparameters, the methods to compare, the evaluation settings,
 and the seeds. Every stage writes deterministic JSON under
-``<output_dir>/<config-hash>/``, so reruns are byte-identical, finished
-stages are skipped, and outputs from different configurations can never be
-mixed up silently. Stages are pure functions of the declared inputs: the
-dataset stage feeds the split stage, splits feed training, training feeds
-evaluation, and the report stage reduces the per-seed evaluations into a
-mean and standard deviation table per method, setting, and degree bucket.
+``<output_dir>/<config-hash>/``, so reruns are byte-identical and outputs
+from different configurations can never be mixed up silently; each output
+records the sha256 of the files it was computed from, so a finished stage is
+skipped until one of them changes. Stages are pure functions of their
+inputs: the dataset stage feeds the split stage, splits feed training,
+training feeds evaluation, and the report stage reduces the per-seed
+evaluations into a mean and standard deviation table per method, setting,
+and degree bucket.
 """
 from __future__ import annotations
 
@@ -333,14 +335,18 @@ def _train(raw, task: str) -> dict:
 
 
 def _check_split_counts(n, split: dict, settings: tuple) -> None:
-    """Refuse a split whose node counts the split stage cannot work with.
+    """Refuse a split that leaves a part the later stages need empty.
 
     ``node_split`` holds out ``floor(new_fraction * n)`` nodes, and
     ``label_split`` labels ``floor(labeled_fraction * |V_train|)`` of the rest
-    (training takes the larger half). The node count of a file dataset is
-    unknown until it is read (``n=None``), so there only zero
-    fractions are caught; the split stage checks again with the count.
+    (training takes the larger half, validation the rest). The node count of
+    a file dataset is unknown until it is read (``n=None``), so there only
+    zero fractions are caught; the split stage checks again with the count.
     """
+    for key in ("trans_ratios", "ratios"):
+        for part, what in enumerate(("training", "validation")):
+            if key in split and split[key][part] == 0:
+                raise ConfigError(f"$.split.{key}", f"holds out no {what} edge")
     fraction = split.get("new_fraction")
     if fraction is None:
         return
@@ -354,9 +360,12 @@ def _check_split_counts(n, split: dict, settings: tuple) -> None:
             f"holds out no new node, but settings {inductive} evaluate on new nodes")
     labeled = split.get("labeled_fraction")
     if labeled is not None and (
-            labeled == 0 or (n is not None and np.floor(labeled * (n - num_new)) == 0)):
-        raise ConfigError(
-            "$.split.labeled_fraction", "leaves no labeled training node")
+            labeled == 0 or (n is not None and np.floor(labeled * (n - num_new)) < 2)):
+        raise ConfigError("$.split.labeled_fraction",
+                          "labels fewer than 2 nodes: one to train on, one to validate")
+    if labeled == 1 and "transductive" in settings:
+        raise ConfigError("$.split.labeled_fraction",
+                          "leaves no unlabeled node for the 'transductive' setting")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -483,49 +492,98 @@ def _parse_json(path) -> dict | None:
     return payload if isinstance(payload, dict) else None
 
 
-def _read_json(path, stage: str) -> dict:
-    """An earlier stage's output; a missing or unparsable one exits 3."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingInputError(f"{path} not found; run the {stage!r} stage first")
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _checkpoint(seed: int, method: str) -> str:
+    return f"{seed}/models/{method}.json"
+
+
+def _stage_output(config: ExperimentConfig, name: str, seed):
+    """``(path, stage, keys, files)`` of the stage output ``name`` (of
+    ``seed``, for a per-seed one): the stage that writes it, the keys it must
+    carry, and the files its checksums record (those it was computed from,
+    and the checkpoints beside ``train.json``), run-relative unless absolute."""
+    split = f"{seed}/split.json"
+    stage, keys, files = {
+        "dataset.json": ("generate", ("paths", "num_nodes", "num_edges"),
+                         [p for p in _data_paths(config).values() if p is not None]),
+        "split.json": ("split", ("bundle",), ["dataset.json"]),
+        "train.json": ("train", ("methods", "checkpoints"), [
+            "dataset.json", split, *(_checkpoint(seed, m) for m in config.methods)]),
+        "eval.json": ("eval", ("methods", "settings", "reports"),
+                      ["dataset.json", split, f"{seed}/train.json"]),
+        "theory.json": ("theory", ("summary", "rows"), []),
+    }[name]
+    path = config.run_dir / name if seed is None else config.seed_dir(seed) / name
+    return path, stage, keys, files
+
+
+def _output(config: ExperimentConfig, name: str, seed=None):
+    """``(payload, None)`` when the stage output ``name`` (of ``seed``) is
+    usable: it parses, carries the config hash, its stage's keys and a
+    ``checksums`` map, and each file in that map or among the files its stage
+    records still has the recorded sha256. Else ``(None, why not)``."""
+    path, _, keys, files = _stage_output(config, name, seed)
     payload = _parse_json(path)
     if payload is None:
-        raise MissingInputError(f"{path} is not valid JSON; rerun the {stage!r} stage")
+        return None, f"{path} {'is not valid JSON' if path.is_file() else 'not found'}"
+    if payload.get("config_hash") != config.config_hash:
+        return None, (f"{path} belongs to config {payload.get('config_hash')!r}, "
+                      f"not {config.config_hash!r}")
+    checksums = payload.get("checksums")
+    for key in ("checksums", *keys):
+        if key not in payload or not isinstance(checksums, dict):
+            return None, f"{path} does not record {key!r}"
+    for rel in dict.fromkeys([*files, *checksums]):
+        file = config.run_dir / rel
+        if not file.is_file() or _sha256(file) != checksums.get(rel):
+            return None, f"{file} is missing or does not match its checksum in {path}"
+    return payload, None
+
+
+def _input(config: ExperimentConfig, name: str, seed=None) -> dict:
+    """An earlier stage's output; an unusable one exits 3 naming why."""
+    payload, reason = _output(config, name, seed)
+    if reason is not None:
+        stage = _stage_output(config, name, seed)[1]
+        raise MissingInputError(f"{reason}; rerun the {stage!r} stage")
     return payload
 
 
-def _previous_output(path) -> dict:
-    """A stage's own output from an earlier run, or ``{}`` when it is missing
-    or does not parse (a crash mid-write), so the stage recomputes it."""
-    return _parse_json(path) or {}
-
-
-def _checkpoint_paths(config: ExperimentConfig, train_payload: dict) -> dict:
-    """{method: path} of the checkpoint ``train.json`` records for each
-    configured method; a method it records none for is left out."""
-    checkpoints = train_payload.get("checkpoints")
-    if not isinstance(checkpoints, dict):
-        return {}
-    return {method: config.run_dir / checkpoints[method] for method in config.methods
-            if isinstance(checkpoints.get(method), str)}
-
-
-def _load_checkpoint(path):
-    """The model saved at ``path``; None when it is missing or does not load
-    (a crash mid-write, or a file cut short), so training writes it again."""
-    try:
-        return load_model(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _write_output(config: ExperimentConfig, name: str, seed, payload: dict) -> dict:
+    """Write a stage output with the config hash and the checksums of the
+    files it records."""
+    path, _, _, files = _stage_output(config, name, seed)
+    payload = {"config_hash": config.config_hash, **payload,
+               "checksums": {rel: _sha256(config.run_dir / rel) for rel in files}}
+    write_json(path, payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
+
+def _data_paths(config: ExperimentConfig) -> dict:
+    """{edges, features, labels: path or None}; synthetic files are named
+    relative to the run directory, so moving a run keeps it loadable and
+    reruns into another directory produce identical bytes."""
+    dataset = config.dataset
+    if dataset["kind"] == "files":
+        return {key: None if dataset[key] is None else str(Path(dataset[key]).resolve())
+                for key in ("edges", "features", "labels")}
+    return {"edges": "dataset/edges.txt",
+            "features": None if config.task == "recsys" else "dataset/features.txt",
+            "labels": "dataset/labels.txt" if config.task == "classification" else None}
+
+
+def _read_dataset(config: ExperimentConfig):
+    """The graph and labels in the dataset's files."""
+    return load_dataset(*(None if p is None else str(config.run_dir / p)
+                          for p in _data_paths(config).values()))
+
 
 def cmd_generate(config: ExperimentConfig) -> dict:
     """Materialize the dataset and write its manifest.
@@ -534,22 +592,12 @@ def cmd_generate(config: ExperimentConfig) -> dict:
     file-backed datasets are checksummed in place. Either way the manifest
     records paths and digests so later stages can verify what they load.
     """
-    manifest_path = config.run_dir / "dataset.json"
-    manifest = _previous_output(manifest_path)
-    if (manifest.get("config_hash") == config.config_hash
-            and _dataset_mismatch(config, manifest) is None):
+    manifest, stale = _output(config, "dataset.json")
+    if stale is None:
         return manifest
-
-    dataset = config.dataset
-    if dataset["kind"] == "files":
-        paths = {key: None if dataset[key] is None else str(Path(dataset[key]).resolve())
-                 for key in ("edges", "features", "labels")}
-    else:
-        # relative to the run directory, so moving a run keeps it loadable
-        # and reruns into another directory produce identical bytes
-        data_dir = config.run_dir / "dataset"
-        data_dir.mkdir(parents=True, exist_ok=True)
-        paths = {"edges": "dataset/edges.txt", "features": None, "labels": None}
+    dataset, paths = config.dataset, _data_paths(config)
+    if dataset["kind"] == "synthetic":
+        (config.run_dir / "dataset").mkdir(parents=True, exist_ok=True)
         if config.task == "recsys":
             graph = generate_bipartite(
                 dataset["num_users"], dataset["num_items"],
@@ -559,7 +607,6 @@ def cmd_generate(config: ExperimentConfig) -> dict:
                 num_clusters=dataset["num_clusters"],
                 affinity=dataset["affinity"],
                 seed=dataset["seed"])
-            save_edge_list(graph, data_dir / "edges.txt")
         else:
             graph, labels = generate_scale_free(
                 dataset["num_nodes"], dataset["m_attach"],
@@ -570,76 +617,31 @@ def cmd_generate(config: ExperimentConfig) -> dict:
                 separation=dataset["separation"],
                 feature_noise=dataset["feature_noise"],
                 community_bias=dataset["community_bias"])
-            save_edge_list(graph, data_dir / "edges.txt")
-            paths["features"] = "dataset/features.txt"
-            save_features(graph.features, data_dir / "features.txt")
-            if config.task == "classification":
-                paths["labels"] = "dataset/labels.txt"
-                save_labels(labels, data_dir / "labels.txt")
-
-    resolved = {key: _resolve_data_path(config, p) for key, p in paths.items()}
-    checksums = {key: _sha256(p) for key, p in resolved.items() if p is not None}
+            save_features(graph.features, config.run_dir / paths["features"])
+            if paths["labels"] is not None:
+                save_labels(labels, config.run_dir / paths["labels"])
+        save_edge_list(graph, config.run_dir / paths["edges"])
     try:
-        graph, _ = load_dataset(resolved["edges"], resolved["features"],
-                                resolved["labels"])
+        graph, _ = _read_dataset(config)
     except DatasetFileError as exc:
-        key = next(key for key, p in resolved.items() if p == exc.path)
+        key = next(key for key, p in paths.items()
+                   if p is not None and str(config.run_dir / p) == exc.path)
         raise ConfigError(f"$.dataset.{key}", str(exc)) from exc
-    manifest = {
-        "config_hash": config.config_hash,
+    return _write_output(config, "dataset.json", None, {
         "task": config.task,
         "dataset": dict(dataset),
         "paths": paths,
-        "checksums": checksums,
         "num_nodes": graph.num_nodes,
         "num_edges": int(graph.edges.shape[0]),
-    }
-    write_json(manifest_path, manifest)
-    return manifest
-
-
-def _resolve_data_path(config: ExperimentConfig, path):
-    if path is None:
-        return None
-    path = Path(path)
-    return str(path if path.is_absolute() else config.run_dir / path)
-
-
-def _dataset_mismatch(config: ExperimentConfig, manifest: dict):
-    """Why the dataset ``manifest`` records cannot be used, or None: it lacks
-    its ``paths`` or ``checksums``, or a file is missing or its sha256
-    differs from the recorded one."""
-    manifest_path = config.run_dir / "dataset.json"
-    paths, checksums = manifest.get("paths"), manifest.get("checksums")
-    if not (isinstance(paths, dict) and isinstance(checksums, dict)
-            and set(paths) == {"edges", "features", "labels"}
-            and all(p is None or isinstance(p, str) for p in paths.values())
-            and set(checksums) == {key for key, p in paths.items() if p is not None}):
-        return f"{manifest_path} does not record the dataset's paths and checksums"
-    for key, digest in checksums.items():
-        path = _resolve_data_path(config, paths[key])
-        if not Path(path).is_file() or _sha256(path) != digest:
-            return f"{path} is missing or does not match its checksum in {manifest_path}"
-    return None
+    })
 
 
 def _load_run_dataset(config: ExperimentConfig):
-    """The dataset ``generate`` recorded; a manifest or file that changed
-    since, or a file that does not parse, exits 3 naming the ``generate``
-    stage."""
-    manifest_path = config.run_dir / "dataset.json"
-    manifest = _read_json(manifest_path, "generate")
-    if manifest.get("config_hash") != config.config_hash:
-        raise ConfigError(
-            "$.config_hash",
-            f"dataset manifest belongs to {manifest.get('config_hash')!r}, "
-            f"expected {config.config_hash!r}")
-    mismatch = _dataset_mismatch(config, manifest)
-    if mismatch is not None:
-        raise MissingInputError(f"{mismatch}; rerun the 'generate' stage")
-    paths = {key: _resolve_data_path(config, p) for key, p in manifest["paths"].items()}
+    """The dataset ``generate`` recorded; an unusable manifest, or a file
+    that does not parse, exits 3 naming the ``generate`` stage."""
+    _input(config, "dataset.json")
     try:
-        return load_dataset(paths["edges"], paths["features"], paths["labels"])
+        return _read_dataset(config)
     except DatasetFileError as exc:
         raise MissingInputError(f"{exc}; rerun the 'generate' stage") from exc
 
@@ -654,44 +656,39 @@ def _build_bundle(config: ExperimentConfig, graph, labels, seed: int) -> SplitBu
             cold_ratios=split["cold_ratios"],
             seed=seed)
     if config.task == "link":
-        return make_link_bundle(
+        key, bundle = "trans_ratios", make_link_bundle(
             graph,
             new_fraction=split["new_fraction"],
             trans_ratios=split["trans_ratios"],
             inductive_ratio=split["inductive_ratio"],
             cold_ratios=split["cold_ratios"],
             seed=seed)
-    return make_recsys_bundle(graph, ratios=split["ratios"], seed=seed)
+    else:
+        key, bundle = "ratios", make_recsys_bundle(graph, ratios=split["ratios"], seed=seed)
+    for part, count in (("training", bundle.train_graph.num_edges),
+                        ("validation", len(bundle.trans_val_edges))):
+        if count == 0:
+            raise ConfigError(f"$.split.{key}", f"holds out no {part} edge for seed {seed}")
+    return bundle
 
 
 def cmd_split(config: ExperimentConfig) -> dict:
-    """Build one split bundle per seed; returns {seed: path}."""
+    """Build one split bundle per seed; returns {seed: path}.
+
+    Every bundle is built before any is written, so a split that leaves
+    training or validation empty (``_build_bundle``) writes nothing.
+    """
     graph, labels = _load_run_dataset(config)
     _check_split_counts(graph.num_nodes, config.split, config.settings)
-    written = {}
-    for seed in config.seeds:
-        path = config.seed_dir(seed) / "split.json"
-        if _previous_output(path).get("config_hash") == config.config_hash:
-            written[seed] = str(path)
-            continue
-        bundle = _build_bundle(config, graph, labels, seed)
-        write_json(path, {
-            "config_hash": config.config_hash,
-            "seed": seed,
-            "bundle": bundle.to_dict(),
-        })
-        written[seed] = str(path)
-    return written
+    bundles = {seed: _build_bundle(config, graph, labels, seed) for seed in config.seeds
+               if _output(config, "split.json", seed)[1] is not None}
+    for seed, bundle in bundles.items():
+        _write_output(config, "split.json", seed, {"seed": seed, "bundle": bundle.to_dict()})
+    return {seed: str(config.seed_dir(seed) / "split.json") for seed in config.seeds}
 
 
 def _load_bundle(config: ExperimentConfig, graph, seed: int) -> SplitBundle:
-    payload = _read_json(config.seed_dir(seed) / "split.json", "split")
-    if payload.get("config_hash") != config.config_hash:
-        raise ConfigError(
-            "$.config_hash",
-            f"split for seed {seed} belongs to {payload.get('config_hash')!r}, "
-            f"expected {config.config_hash!r}")
-    return SplitBundle.from_dict(payload["bundle"], graph)
+    return SplitBundle.from_dict(_input(config, "split.json", seed)["bundle"], graph)
 
 
 def _encoder_config(config: ExperimentConfig, graph) -> EncoderConfig:
@@ -733,13 +730,8 @@ def cmd_train(config: ExperimentConfig) -> dict:
     graph, _ = _load_run_dataset(config)
     results = {}
     for seed in config.seeds:
-        out_path = config.seed_dir(seed) / "train.json"
-        payload = _previous_output(out_path)
-        saved = _checkpoint_paths(config, payload)
-        if (payload.get("config_hash") == config.config_hash
-                and len(saved) == len(config.methods)
-                and all(_load_checkpoint(p) is not None for p in saved.values())):
-            results[seed] = payload
+        results[seed], stale = _output(config, "train.json", seed)
+        if stale is None:
             continue
         bundle = _load_bundle(config, graph, seed)
         supervision = _make_supervision(config, bundle)
@@ -759,22 +751,15 @@ def cmd_train(config: ExperimentConfig) -> dict:
             config.methods, model, bundle.train_graph, supervision,
             TrainConfig(task=config.task, seed=seed, **config.train),
             label_set=label_set, validation_fn=validate)
-        methods, checkpoints = {}, {}
-        for method, (model, report) in trained.items():
-            rel = f"{seed}/models/{method}.json"
-            checkpoint = config.run_dir / rel
-            checkpoint.parent.mkdir(parents=True, exist_ok=True)
-            save_model(model, checkpoint)
-            methods[method] = report.to_dict()
-            checkpoints[method] = rel
-        payload = {
-            "config_hash": config.config_hash,
+        checkpoints = {method: _checkpoint(seed, method) for method in trained}
+        (config.seed_dir(seed) / "models").mkdir(exist_ok=True)
+        for method, (model, _) in trained.items():
+            save_model(model, config.run_dir / checkpoints[method])
+        results[seed] = _write_output(config, "train.json", seed, {
             "seed": seed,
-            "methods": methods,
+            "methods": {method: report.to_dict() for method, (_, report) in trained.items()},
             "checkpoints": checkpoints,
-        }
-        write_json(out_path, payload)
-        results[seed] = payload
+        })
     return results
 
 
@@ -783,61 +768,39 @@ def cmd_eval(config: ExperimentConfig) -> dict:
     graph, _ = _load_run_dataset(config)
     results = {}
     for seed in config.seeds:
-        out_path = config.seed_dir(seed) / "eval.json"
-        payload = _previous_output(out_path)
-        if payload.get("config_hash") == config.config_hash:
-            results[seed] = payload
+        results[seed], stale = _output(config, "eval.json", seed)
+        if stale is None:
             continue
         bundle = _load_bundle(config, graph, seed)
-        train_payload = _read_json(config.seed_dir(seed) / "train.json", "train")
-        if train_payload.get("config_hash") != config.config_hash:
-            raise ConfigError(
-                "$.config_hash",
-                f"training output for seed {seed} belongs to "
-                f"{train_payload.get('config_hash')!r}")
-        checkpoints = _checkpoint_paths(config, train_payload)
+        _input(config, "train.json", seed)  # its checksums vouch for the checkpoints
         reports = {}
         for method in config.methods:
-            if method not in checkpoints:
-                raise MissingInputError(
-                    f"no checkpoint for method {method!r} under seed {seed}; "
-                    "rerun the 'train' stage")
-            model = _load_checkpoint(checkpoints[method])
-            if model is None:
-                raise MissingInputError(
-                    f"{checkpoints[method]} is not a loadable checkpoint; "
-                    "rerun the 'train' stage")
+            model = load_model(config.run_dir / _checkpoint(seed, method))
             reports[method] = {
                 setting: evaluate_setting(
                     model, bundle, setting, k=config.evaluation["k"]).to_dict()
                 for setting in config.settings
             }
-        payload = {
-            "config_hash": config.config_hash,
+        results[seed] = _write_output(config, "eval.json", seed, {
             "seed": seed,
             "methods": list(config.methods),
             "settings": list(config.settings),
             "reports": reports,
-        }
-        write_json(out_path, payload)
-        results[seed] = payload
+        })
     return results
 
 
 def cmd_theory(config: ExperimentConfig, *, csv: bool = False) -> dict:
     """Run the bound validation campaign; writes theory.json (and CSV)."""
-    out_path = config.run_dir / "theory.json"
-    payload = _previous_output(out_path)
-    if payload.get("config_hash") != config.config_hash:
+    payload, stale = _output(config, "theory.json")
+    if stale is not None:
         params = dict(config.theory)
         trials = params.pop("trials")
         result = monte_carlo_validate(MonteCarloConfig(**params), trials)
-        payload = {
-            "config_hash": config.config_hash,
+        payload = _write_output(config, "theory.json", None, {
             "summary": result["summary"],
             "rows": result["rows"],
-        }
-        write_json(out_path, payload)
+        })
     if csv:
         _write_theory_csv(config.run_dir / "theory.csv", payload["rows"])
     return payload
@@ -904,7 +867,10 @@ def cmd_report(run_path, *, csv: bool = False) -> dict:
         raise MissingInputError(
             f"no eval.json under {run_path}; run the 'eval' stage first")
 
-    payloads = [_read_json(p, "eval") for p in eval_paths]
+    payloads = [_parse_json(p) for p in eval_paths]
+    if None in payloads:
+        bad = eval_paths[payloads.index(None)]
+        raise MissingInputError(f"{bad} is not valid JSON; rerun the 'eval' stage")
     hashes = {p.get("config_hash") for p in payloads}
     if len(hashes) != 1:
         raise ConfigError(

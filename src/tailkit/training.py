@@ -1,7 +1,7 @@
 """Conventional training, the two-stage tuneup curriculum, and its ablations.
 
 Every training method is one row of :data:`METHODS`. :func:`run_ablation`
-trains a list of them from one initialization, running each distinct stage 1
+trains a list of them from one initialization, running each distinct stage
 once. The full curriculum, ``tuneup``, trains stage 1 on the
 clean graph. Stage 2 restarts the optimizer and fine-tunes on a freshly
 resampled edge-dropped graph at every update, supervising classification
@@ -303,8 +303,11 @@ def run_ablation(
     method; two are "base" and "finetune".
 
     Methods whose stage 1 is the same (mode and name) share one run of it,
-    and its report, and pseudo-labels are made once per stage-1 snapshot:
-    each method's result is the one it would get trained alone.
+    and its report, and pseudo-labels are made once per stage-1 snapshot.
+    Stage 2 is shared the same way, keyed by its stage 1, its mode and
+    whether pseudo-labels apply (on ranking tasks ``tuneup`` and
+    ``no-pseudo`` are one run). Each method's result is the one it would get
+    trained alone, in a model of its own.
     """
     _check_inputs(model, supervision, config)
     pseudo_task = config.task == "classification"
@@ -313,7 +316,7 @@ def run_ablation(
             raise TrainError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
         if pseudo_task and METHODS[method][2] and label_set is None:
             raise TrainError(f"method {method!r} needs a label_set to produce pseudo-labels")
-    stage1, pseudo_labels, out = {}, {}, {}
+    stage1, stage2, pseudo_labels, out = {}, {}, {}, {}
     for method in methods:
         stage1_mode, stage2_mode, pseudo = METHODS[method]
         pseudo = pseudo and pseudo_task
@@ -329,14 +332,19 @@ def run_ablation(
         trained, first = stage1[key]
         stages = [first]
         if stage2_mode:
-            if pseudo and key not in pseudo_labels:
-                pseudo_labels[key] = pseudo_label(trained, graph, label_set)
-            trained = trained.copy()
-            stages.append(_run_stage(
-                trained, graph, pseudo_labels[key] if pseudo else supervision, config,
-                name="finetune", stage_index=1, epochs=config.stage2_epochs,
-                lr=config.resolved_stage2_lr, mode=stage2_mode,
-                validation_fn=validation_fn,
-            ))
+            key2 = (key, stage2_mode, pseudo)
+            if key2 not in stage2:
+                if pseudo and key not in pseudo_labels:
+                    pseudo_labels[key] = pseudo_label(trained, graph, label_set)
+                tuned = trained.copy()
+                stage2[key2] = tuned, _run_stage(
+                    tuned, graph, pseudo_labels[key] if pseudo else supervision, config,
+                    name="finetune", stage_index=1, epochs=config.stage2_epochs,
+                    lr=config.resolved_stage2_lr, mode=stage2_mode,
+                    validation_fn=validation_fn,
+                )
+            tuned, second = stage2[key2]
+            trained = tuned.copy()
+            stages.append(second)
         out[method] = trained, TrainReport(stages, asdict(config), config.seed)
     return out

@@ -55,6 +55,31 @@ def make_config(tmp_path, **overrides):
     return ExperimentConfig.from_dict(classification_payload(tmp_path, **overrides))
 
 
+# small synthetic datasets that files_config writes out as a file dataset
+FILE_SOURCES = {
+    "classification": {"num_nodes": 40, "m_attach": 2, "feat_dim": 6, "seed": 1},
+    "recsys": {"num_users": 5, "num_items": 3, "min_interactions": 3, "num_clusters": 3},
+}
+
+
+def files_config(tmp_path, task="classification", **overrides):
+    """A config file whose ``kind: files`` dataset is a copy of a small
+    synthetic one; its runs go under ``tmp_path / "files"``."""
+    source = make_config(tmp_path, task=task, dataset=FILE_SOURCES[task])
+    data = tmp_path / "data"
+    data.mkdir()
+    dataset = {"kind": "files"}
+    for key, rel in cmd_generate(source)["paths"].items():
+        if rel is not None:
+            dataset[key] = str(data / Path(rel).name)
+            Path(dataset[key]).write_bytes((source.run_dir / rel).read_bytes())
+    cfg_path = tmp_path / "files.json"
+    cfg_path.write_text(json.dumps(classification_payload(
+        tmp_path, task=task, dataset=dataset, output_dir=str(tmp_path / "files"),
+        **overrides)))
+    return cfg_path
+
+
 class TestConfigSchema:
     def test_minimal_config_fills_defaults(self, tmp_path):
         config = ExperimentConfig.from_dict({"task": "classification"})
@@ -303,7 +328,7 @@ class TestStages:
         assert manifest["num_nodes"] == 120
         assert manifest["num_edges"] == 2 * (120 - 2)
         digest = hashlib.sha256((run / "dataset/edges.txt").read_bytes()).hexdigest()
-        assert manifest["checksums"]["edges"] == digest
+        assert manifest["checksums"]["dataset/edges.txt"] == digest
 
     def test_generated_dataset_digests_are_pinned(self, tmp_path):
         # a generator change that alters the data must show up here
@@ -312,12 +337,15 @@ class TestStages:
             "label_noise": 0.1, "community_bias": 2.5, "seed": 4})
         manifest = cmd_generate(config)
         assert manifest["checksums"] == {
-            "edges": "0ed028d30ccfb1d229debbec81602489d9d1599a06c863852f3d06b8a59ea0f4",
-            "features": "ec32a6b7f0c189d987c8a27c321d982296cf04ca48eca862085b356cf3fdde7c",
-            "labels": "7c247ee56fea49a57ffcd40a30d6f7d706e80ca3740e11e316781f02efc10656",
+            "dataset/edges.txt":
+                "0ed028d30ccfb1d229debbec81602489d9d1599a06c863852f3d06b8a59ea0f4",
+            "dataset/features.txt":
+                "ec32a6b7f0c189d987c8a27c321d982296cf04ca48eca862085b356cf3fdde7c",
+            "dataset/labels.txt":
+                "7c247ee56fea49a57ffcd40a30d6f7d706e80ca3740e11e316781f02efc10656",
         }
-        for key, digest in manifest["checksums"].items():
-            path = config.run_dir / "dataset" / f"{key}.txt"
+        for rel, digest in manifest["checksums"].items():
+            path = config.run_dir / rel
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("task,overrides,digests", [
@@ -333,7 +361,7 @@ class TestStages:
                 "58ac1c81f3d688bba7b47afc4236999d0dc74621fca191c67ae6c1706983572b",
             "models/tuneup.json":
                 "c7e3afbab3800c7bc3b6b0e42afc0fcff3ce4db9cce46a2c96c6829cdf90586b",
-            "train.json": "2090802dc79b246516554ae3fbd47e28ac33a861bab2f947aa81247e629da3d1",
+            "train.json": "899aebc6fa0276fa1b29daf15a189147e9237b721a8869f8e1dea5cb5ea9e441",
         }),
         ("link", {
             "model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8},
@@ -351,7 +379,7 @@ class TestStages:
                 "526a60076f3655ecee6fea0ff68a34db97548191c98cb2a9d90cf2ab4d49c6f3",
             "models/tuneup.json":
                 "1e867ad8a07466689b19c930125615475c1384bac38b66925e98e816dd81813d",
-            "train.json": "cb15f07988d54e5abd552dd16bcba5c7a51f39b02e56b99e853f0ed73c75694e",
+            "train.json": "616745a556a446aa9e61cee407dc6fd3021613f6918f41fee35b18abd5abe92d",
         }),
     ])
     def test_training_digests_are_pinned(self, tmp_path, task, overrides, digests):
@@ -686,6 +714,13 @@ class TestCli:
          "$.dataset"),
         ({"dataset": {"num_nodes": 60, "community_bias": 0.0}}, "$.dataset.community_bias"),
         ({"dataset": {"num_nodes": 60, "community_bias": -1}}, "$.dataset.community_bias"),
+        # each of these ended in a traceback at train or eval
+        ({"task": "recsys", "dataset": {"num_users": 30, "num_items": 20},
+          "split": {"ratios": [0.2, 0.0, 0.8]}}, "$.split.ratios"),
+        ({"task": "link", "split": {"trans_ratios": [0.5, 0.0, 0.5]}}, "$.split.trans_ratios"),
+        ({"task": "link", "split": {"trans_ratios": [0.0, 0.5, 0.5]}}, "$.split.trans_ratios"),
+        ({"split": {"labeled_fraction": 1.0}}, "$.split.labeled_fraction"),
+        ({"split": {"labeled_fraction": 0.01}}, "$.split.labeled_fraction"),
     ])
     def test_refused_before_any_stage_exits_2(self, tmp_path, capsys, override, path):
         self.assert_refused(tmp_path, capsys, classification_payload(tmp_path, **override),
@@ -710,19 +745,13 @@ class TestCli:
     @pytest.mark.parametrize("split,path", [
         ({"labeled_fraction": 0.01}, "$.split.labeled_fraction"),
         ({"new_fraction": 0.01}, "$.split.new_fraction"),
+        # recsys: 15 interactions leave floor(0.05 * 15) = 0 for validation
+        ({"ratios": [0.10, 0.05, 0.85]}, "$.split.ratios"),
     ])
     def test_file_dataset_split_counts_refused_at_split(self, tmp_path, capsys,
                                                         split, path):
-        source = make_config(tmp_path, dataset={"num_nodes": 40, "m_attach": 2,
-                                                "feat_dim": 6, "seed": 1})
-        cmd_generate(source)
-        data = source.run_dir / "dataset"
-        cfg_path = tmp_path / "files.json"
-        cfg_path.write_text(json.dumps(classification_payload(
-            tmp_path, split=split, output_dir=str(tmp_path / "files"),
-            dataset={"kind": "files", "edges": str(data / "edges.txt"),
-                     "features": str(data / "features.txt"),
-                     "labels": str(data / "labels.txt")})))
+        task = "recsys" if "ratios" in split else "classification"
+        cfg_path = files_config(tmp_path, task=task, split=split)
         assert self.run_cli("generate", "--config", str(cfg_path)) == 0
         assert self.run_cli("split", "--config", str(cfg_path)) == 2
         assert path in capsys.readouterr().err
@@ -780,6 +809,71 @@ class TestCli:
         assert {p.name: p.read_bytes() for p in dataset.iterdir()} == intact
         assert self.run_cli("split", "--config", str(cfg_path)) == 0
 
+    @pytest.mark.parametrize("changed", ["edges.txt", "split.json", "train.json",
+                                         "models/base.json"])
+    def test_outputs_that_record_a_changed_file_are_recomputed(self, tmp_path, capsys,
+                                                               changed):
+        cfg_path = files_config(tmp_path, seeds=[0])
+        for command in ("generate", "split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        config = load_config(cfg_path)
+        seed_dir = config.seed_dir(0)
+        before = {str(p.relative_to(seed_dir)): p.read_bytes()
+                  for p in seed_dir.rglob("*.json")}
+        if changed == "edges.txt":
+            # the file dataset is edited and generate is rerun
+            edges = Path(config.dataset["edges"])
+            edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:40]))
+            capsys.readouterr()
+            assert self.run_cli("split", "--config", str(cfg_path)) == 3
+            assert (f"missing input: {edges} is missing or does not match its checksum in "
+                    f"{config.run_dir / 'dataset.json'}; rerun the 'generate' stage"
+                    ) in capsys.readouterr().err
+            recomputed = {"split.json", "train.json", "eval.json", "models/base.json",
+                          "models/tuneup.json"}
+        elif changed == "split.json":
+            # another valid split: the one built for seed 7
+            assert self.run_cli("split", "--config", str(cfg_path), "--seed", "7") == 0
+            (seed_dir / changed).write_bytes((config.seed_dir(7) / changed).read_bytes())
+            recomputed = {"train.json", "eval.json", "models/base.json",
+                          "models/tuneup.json"}
+        elif changed == "train.json":
+            payload = json.loads(before[changed])
+            payload["methods"]["base"]["stages"][0]["losses"][0] += 1.0
+            write_json(seed_dir / changed, payload)
+            recomputed = {"eval.json"}
+        else:
+            # another valid checkpoint, which loads without complaint
+            (seed_dir / changed).write_bytes(before["models/tuneup.json"])
+            recomputed = {changed}
+        edited = {rel: (seed_dir / rel).read_bytes() for rel in before}
+        for command in ("generate", "split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        after = {rel: (seed_dir / rel).read_bytes() for rel in before}
+        assert {rel for rel in before if after[rel] != edited[rel]} == recomputed
+        train = json.loads(after["train.json"])
+        assert train["checksums"] == {
+            rel: hashlib.sha256((config.run_dir / rel).read_bytes()).hexdigest()
+            for rel in ("dataset.json", "0/split.json", "0/models/base.json",
+                        "0/models/tuneup.json")}
+
+    def test_output_of_another_config_exits_3_and_is_rewritten(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        for command in ("generate", "split"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        config = load_config(cfg_path)
+        split_json = config.seed_dir(0) / "split.json"
+        intact = split_json.read_bytes()
+        write_json(split_json, dict(json.loads(intact), config_hash="000000000000"))
+        capsys.readouterr()
+        assert self.run_cli("train", "--config", str(cfg_path)) == 3
+        assert (f"missing input: {split_json} belongs to config '000000000000', not "
+                f"{config.config_hash!r}; rerun the 'split' stage"
+                ) in capsys.readouterr().err
+        assert self.run_cli("split", "--config", str(cfg_path)) == 0
+        assert split_json.read_bytes() == intact
+
     def test_dataset_file_that_does_not_parse_exits_3(self, tmp_path, capsys):
         # a file whose checksum matches but that does not parse: only a
         # manifest edited by hand can get here
@@ -791,7 +885,8 @@ class TestCli:
         edges.write_bytes(b"0 1\n1 \xff2\n")
         manifest_path = config.run_dir / "dataset.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["checksums"]["edges"] = hashlib.sha256(edges.read_bytes()).hexdigest()
+        manifest["checksums"]["dataset/edges.txt"] = hashlib.sha256(
+            edges.read_bytes()).hexdigest()
         manifest_path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert self.run_cli("split", "--config", str(cfg_path)) == 3
@@ -812,8 +907,8 @@ class TestCli:
         capsys.readouterr()
         for command in ("split", "train", "eval"):
             assert self.run_cli(command, "--config", str(cfg_path)) == 3
-            assert (f"missing input: {manifest_path} does not record the dataset's paths "
-                    "and checksums; rerun the 'generate' stage") in capsys.readouterr().err
+            assert (f"missing input: {manifest_path} does not record {key!r}; "
+                    "rerun the 'generate' stage") in capsys.readouterr().err
         assert self.run_cli("generate", "--config", str(cfg_path)) == 0
         assert manifest_path.read_bytes() == intact
         assert self.run_cli("split", "--config", str(cfg_path)) == 0
@@ -831,7 +926,7 @@ class TestCli:
         train_json.write_text(json.dumps(payload))
         capsys.readouterr()
         assert self.run_cli("eval", "--config", str(cfg_path)) == 3
-        assert ("missing input: no checkpoint for method 'base' under seed 0; "
+        assert (f"missing input: {train_json} does not record 'checkpoints'; "
                 "rerun the 'train' stage") in capsys.readouterr().err
         assert self.run_cli("train", "--config", str(cfg_path)) == 0
         assert train_json.read_bytes() == intact
@@ -893,8 +988,9 @@ class TestCli:
         checkpoint.write_bytes(intact[:40])
         capsys.readouterr()
         assert self.run_cli("eval", "--config", str(cfg_path)) == 3
-        assert (f"missing input: {checkpoint} is not a loadable checkpoint; "
-                "rerun the 'train' stage") in capsys.readouterr().err
+        assert (f"missing input: {checkpoint} is missing or does not match its checksum "
+                f"in {checkpoint.parents[1] / 'train.json'}; rerun the 'train' stage"
+                ) in capsys.readouterr().err
         assert self.run_cli("train", "--config", str(cfg_path)) == 0
         assert checkpoint.read_bytes() == intact
         assert self.run_cli("eval", "--config", str(cfg_path)) == 0

@@ -554,3 +554,21 @@ class TestSharedStageOne:
             (1, "clean", "finetune"), (1, "dropped", "finetune"), (1, "dropped", "finetune")]
         # tuneup and no-syntails share the snapshot's pseudo-labels
         assert len(labelled) == 1
+
+    @pytest.mark.parametrize("case,runs", [("gcn", 6), ("link", 5)])
+    def test_six_methods_share_equal_stages(self, monkeypatch, case, runs):
+        # on ranking tasks tuneup and no-pseudo are the same stage 2
+        make, graph, sup, cfg, label_set, _ = oracle_case(case)
+        calls = []
+        run_stage = training._run_stage
+
+        def counted_stage(*args, **kwargs):
+            calls.append(1)
+            return run_stage(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_run_stage", counted_stage)
+        shared = run_ablation(list(METHODS), make(), graph, sup, cfg, label_set=label_set)
+        assert len(calls) == runs
+        tuneup, no_pseudo = shared["tuneup"][0], shared["no-pseudo"][0]
+        assert not any(np.shares_memory(a.value, b.value) for a, b in
+                       zip(tuneup.parameters(), no_pseudo.parameters()))
