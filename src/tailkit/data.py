@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -426,18 +427,80 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def _parse_lines(path):
-    """(line number, text) of each line that is not blank or a comment."""
+def _read_text(path) -> str:
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetFileError(path, data.count(b"\n", 0, exc.start) + 1,
                                f"byte {data[exc.start]:#04x} is not UTF-8") from exc
+
+
+def _data_lines(text: str):
+    """(line number, text) of each line that is not blank or a comment."""
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _int_pairs(text: str, skiprows: int = 0) -> np.ndarray | None:
+    """The file's ``a b`` lines as an ``(E, 2)`` int64 array read in one numpy
+    pass, or None when numpy declines the text: it raises or warns (an empty
+    file warns), the table has another width, or an id is negative. A declined
+    file is read line by line, which either loads it (``int()`` also takes
+    ``1_000``, non-ASCII digits and ids beyond int64) or names the bad line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(io.StringIO(text, newline=None), dtype=np.int64,
+                               comments="#", ndmin=2, skiprows=skiprows)
+        except (ValueError, Warning):
+            return None
+    if table.shape[1] != 2 or (table < 0).any():
+        return None
+    return table
+
+
+def _edge_lines(path, text: str, skiprows: int) -> np.ndarray:
+    """The edge pairs after line ``skiprows``, read one line at a time. The
+    ids stay Python ints (an object array), so one beyond int64 meets
+    ``build_graph``'s checks as it is."""
+    edges = []
+    for lineno, line in _data_lines(text):
+        if lineno <= skiprows:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DatasetFileError(
+                path, lineno, f"expected two node ids, got {len(parts)} tokens")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetFileError(path, lineno, "node ids must be base-10 integers")
+        if u < 0 or v < 0:
+            raise DatasetFileError(path, lineno, "node ids must be nonnegative")
+        edges.append((u, v))
+    return np.array(edges, dtype=object).reshape(-1, 2)
+
+
+def _label_lines(path, text: str, labels: np.ndarray) -> None:
+    """Fill ``labels`` from the label file one line at a time (a later line
+    for the same node wins)."""
+    num_nodes = labels.shape[0]
+    for lineno, line in _data_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise DatasetFileError(path, lineno, "expected 'node_id class_id'")
+        try:
+            node, cls_id = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetFileError(path, lineno, "ids must be base-10 integers")
+        if not 0 <= node < num_nodes:
+            raise DatasetFileError(path, lineno, f"node {node} out of range")
+        if cls_id < 0:
+            raise DatasetFileError(path, lineno, "class must be nonnegative")
+        labels[node] = cls_id
 
 
 def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, LabelSet | None]:
@@ -450,33 +513,25 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
     label file has ``node_id class_id`` lines. Node count comes from the
     bipartite marker, else the feature row count, else max endpoint + 1. A
     file that cannot be read raises :class:`DatasetFileError` naming it.
+    Edge and label files are parsed in one numpy pass (``_int_pairs``); a file
+    that pass declines is read line by line, with the same result or error.
     """
-    edges = []
+    text = _read_text(edge_path)
     bipartite = None
-    first = True
-    for lineno, line in _parse_lines(edge_path):
-        if first and line.startswith("%bipartite"):
-            parts = line.split()
-            if len(parts) != 3:
-                raise DatasetFileError(edge_path, lineno, "malformed %bipartite line")
-            try:
-                bipartite = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise DatasetFileError(edge_path, lineno, "%bipartite sizes must be integers")
-            first = False
-            continue
-        first = False
+    skiprows = 0
+    lineno, line = next(_data_lines(text), (0, ""))
+    if line.startswith("%bipartite"):
         parts = line.split()
-        if len(parts) != 2:
-            raise DatasetFileError(
-                edge_path, lineno, f"expected two node ids, got {len(parts)} tokens")
+        if len(parts) != 3:
+            raise DatasetFileError(edge_path, lineno, "malformed %bipartite line")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            bipartite = (int(parts[1]), int(parts[2]))
         except ValueError:
-            raise DatasetFileError(edge_path, lineno, "node ids must be base-10 integers")
-        if u < 0 or v < 0:
-            raise DatasetFileError(edge_path, lineno, "node ids must be nonnegative")
-        edges.append((u, v))
+            raise DatasetFileError(edge_path, lineno, "%bipartite sizes must be integers")
+        skiprows = lineno
+    edges = _int_pairs(text, skiprows)
+    if edges is None:
+        edges = _edge_lines(edge_path, text, skiprows)
 
     features = None
     if feature_path is not None:
@@ -493,11 +548,11 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
                                    f"%bipartite line declares {num_nodes} nodes")
     elif features is not None:
         num_nodes = features.shape[0]
-        if edges and max(max(e) for e in edges) >= num_nodes:
+        if edges.size and edges.max() >= num_nodes:
             raise DatasetFileError(feature_path, None, f"{num_nodes} rows, but the edge "
-                                   f"list implies {max(max(e) for e in edges) + 1} nodes")
+                                   f"list implies {int(edges.max()) + 1} nodes")
     else:
-        num_nodes = (max(max(e) for e in edges) + 1) if edges else 0
+        num_nodes = int(edges.max()) + 1 if edges.size else 0
 
     try:
         graph = build_graph(edges, num_nodes, features=features, bipartite=bipartite)
@@ -507,19 +562,13 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
     label_set = None
     if label_path is not None:
         labels = np.full(num_nodes, -1, dtype=np.int64)
-        for lineno, line in _parse_lines(label_path):
-            parts = line.split()
-            if len(parts) != 2:
-                raise DatasetFileError(label_path, lineno, "expected 'node_id class_id'")
-            try:
-                node, cls_id = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetFileError(label_path, lineno, "ids must be base-10 integers")
-            if not 0 <= node < num_nodes:
-                raise DatasetFileError(label_path, lineno, f"node {node} out of range")
-            if cls_id < 0:
-                raise DatasetFileError(label_path, lineno, "class must be nonnegative")
-            labels[node] = cls_id
+        text = _read_text(label_path)
+        table = _int_pairs(text)
+        nodes = None if table is None else np.sort(table[:, 0])
+        if table is None or nodes[-1] >= num_nodes or (nodes[1:] == nodes[:-1]).any():
+            _label_lines(label_path, text, labels)
+        else:
+            labels[table[:, 0]] = table[:, 1]
         num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 1
         label_set = LabelSet(labels, max(num_classes, 2))
     return graph, label_set
@@ -530,7 +579,7 @@ def _feature_line_error(path) -> DatasetFileError | None:
     different number of values than the first line (numpy reports rows
     0-based and counts only data rows, so its message cannot name a line)."""
     width = None
-    for lineno, line in _parse_lines(path):
+    for lineno, line in _data_lines(_read_text(path)):
         try:
             row = np.loadtxt([line], delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError:
@@ -544,16 +593,16 @@ def _feature_line_error(path) -> DatasetFileError | None:
 
 
 def save_edge_list(graph: Graph, path) -> None:
-    lines = [f"{u} {v}\n" for u, v in graph.edges]
+    lines = [f"{u} {v}\n" for u, v in graph.edges.tolist()]
     if graph.bipartite is not None:
         lines.insert(0, f"%bipartite {graph.bipartite[0]} {graph.bipartite[1]}\n")
     write_atomic(path, "".join(lines))
 
 
 def save_features(features: np.ndarray, path) -> None:
-    buffer = io.StringIO()
-    np.savetxt(buffer, features, delimiter=",", fmt="%.17g")
-    write_atomic(path, buffer.getvalue())
+    """One CSV row per node, each value as ``%.17g`` (exact round trip)."""
+    row = ",".join(["%.17g"] * features.shape[1]) + "\n"
+    write_atomic(path, "".join(row % tuple(values) for values in features.tolist()))
 
 
 def save_labels(label_set: LabelSet, path) -> None:

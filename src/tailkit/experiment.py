@@ -665,8 +665,11 @@ def _build_bundle(config: ExperimentConfig, graph, labels, seed: int) -> SplitBu
             seed=seed)
     else:
         key, bundle = "ratios", make_recsys_bundle(graph, ratios=split["ratios"], seed=seed)
-    for part, count in (("training", bundle.train_graph.num_edges),
-                        ("validation", len(bundle.trans_val_edges))):
+    parts = [("training", bundle.train_graph.num_edges),
+             ("validation", len(bundle.trans_val_edges))]
+    if "transductive" in config.settings:
+        parts.append(("test", len(bundle.trans_test_edges)))
+    for part, count in parts:
         if count == 0:
             raise ConfigError(f"$.split.{key}", f"holds out no {part} edge for seed {seed}")
     return bundle
@@ -676,7 +679,8 @@ def cmd_split(config: ExperimentConfig) -> dict:
     """Build one split bundle per seed; returns {seed: path}.
 
     Every bundle is built before any is written, so a split that leaves
-    training or validation empty (``_build_bundle``) writes nothing.
+    training, validation or an evaluated test part empty (``_build_bundle``)
+    writes nothing.
     """
     graph, labels = _load_run_dataset(config)
     _check_split_counts(graph.num_nodes, config.split, config.settings)

@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 NORMALIZATIONS = ("renormalized", "row-mean", "none")
+MAX_NODES = 3_037_000_499  # isqrt(2**63 - 1): node-pair keys below num_nodes**2 fit in int64
 
 
 class GraphError(ValueError):
@@ -88,11 +89,12 @@ def _csr_from_edges(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.n
         return np.zeros(num_nodes + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
     counts = np.bincount(src, minlength=num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return offsets, dst[order]
+    # the (src, dst) pairs are distinct, so sorting their scalar keys orders
+    # them by source, then target
+    return offsets, np.sort(src * num_nodes + dst) % num_nodes
 
 
 def build_graph(
@@ -109,6 +111,9 @@ def build_graph(
     """
     if num_nodes < 0:
         raise GraphError(f"num_nodes must be nonnegative, got {num_nodes}")
+    if num_nodes > MAX_NODES:
+        raise GraphError(f"num_nodes {num_nodes} exceeds {MAX_NODES}, the most for "
+                         "which a node pair's key u * num_nodes + v fits in int64")
     edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         if edges.min() < 0 or edges.max() >= num_nodes:
@@ -121,7 +126,8 @@ def build_graph(
             raise GraphError(f"self-loop at node {int(edges[loops][0, 0])}")
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        keys = np.unique(lo * num_nodes + hi)
+        edges = np.stack([keys // num_nodes, keys % num_nodes], axis=1)
     else:
         edges = np.empty((0, 2), dtype=np.int64)
 

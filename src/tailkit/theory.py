@@ -160,13 +160,16 @@ def _logistic_fit(inputs, targets, steps, lr, w0=None, b0=0.0):
     center, final surrogate loss)."""
     center = inputs.mean(axis=0)
     x = inputs - center
+    n = x.shape[0]
     w = np.zeros(x.shape[1]) if w0 is None else w0.copy()
     b = float(b0)
+    scaled = np.empty_like(x)
     for _ in range(steps):
         margins = targets * (x @ w + b)
         slope = -targets / (1.0 + np.exp(margins))  # d softplus(-m)/d f
-        w -= lr * (x * slope[:, None]).mean(axis=0)
-        b -= lr * slope.mean()
+        # the means as ndarray.mean computes them, without its Python wrapper
+        w -= lr * (np.add.reduce(np.multiply(x, slope[:, None], out=scaled), axis=0) / n)
+        b -= lr * (np.add.reduce(slope) / n)
     final = float(np.mean(np.logaddexp(0.0, -(targets * (x @ w + b)))))
     return w, b, center, final
 

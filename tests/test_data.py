@@ -1,10 +1,14 @@
 """Split protocols: exact counts, zero leakage, determinism, file round-trips."""
+import io
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tailkit.data import (
+    DatasetFileError,
     SplitBundle,
     SplitError,
     cold_start_remove,
@@ -21,6 +25,7 @@ from tailkit.data import (
     save_features,
     save_labels,
 )
+from tailkit.data import _feature_line_error
 from tailkit.generators import generate_bipartite, generate_scale_free
 from tailkit.graph import GraphError, LabelSet, build_graph
 
@@ -511,3 +516,207 @@ class TestDatasetFiles:
         path.write_text("0 8\n%bipartite 8 11\n")
         with pytest.raises(GraphError):
             load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# the line-by-line loader, kept as the oracle of the numpy parse
+# ---------------------------------------------------------------------------
+
+def _parse_lines(path):
+    """(line number, text) of each line that is not blank or a comment."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFileError(path, data.count(b"\n", 0, exc.start) + 1,
+                               f"byte {data[exc.start]:#04x} is not UTF-8") from exc
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def load_dataset_line_by_line(edge_path, feature_path=None, label_path=None):
+    edges = []
+    bipartite = None
+    first = True
+    for lineno, line in _parse_lines(edge_path):
+        if first and line.startswith("%bipartite"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise DatasetFileError(edge_path, lineno, "malformed %bipartite line")
+            try:
+                bipartite = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise DatasetFileError(edge_path, lineno, "%bipartite sizes must be integers")
+            first = False
+            continue
+        first = False
+        parts = line.split()
+        if len(parts) != 2:
+            raise DatasetFileError(
+                edge_path, lineno, f"expected two node ids, got {len(parts)} tokens")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetFileError(edge_path, lineno, "node ids must be base-10 integers")
+        if u < 0 or v < 0:
+            raise DatasetFileError(edge_path, lineno, "node ids must be nonnegative")
+        edges.append((u, v))
+
+    features = None
+    if feature_path is not None:
+        try:
+            features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise _feature_line_error(feature_path) or DatasetFileError(
+                feature_path, None, str(exc)) from exc
+
+    if bipartite is not None:
+        num_nodes = bipartite[0] + bipartite[1]
+        if features is not None and features.shape[0] != num_nodes:
+            raise DatasetFileError(feature_path, None, f"{features.shape[0]} rows, but the "
+                                   f"%bipartite line declares {num_nodes} nodes")
+    elif features is not None:
+        num_nodes = features.shape[0]
+        if edges and max(max(e) for e in edges) >= num_nodes:
+            raise DatasetFileError(feature_path, None, f"{num_nodes} rows, but the edge "
+                                   f"list implies {max(max(e) for e in edges) + 1} nodes")
+    else:
+        num_nodes = (max(max(e) for e in edges) + 1) if edges else 0
+
+    try:
+        graph = build_graph(edges, num_nodes, features=features, bipartite=bipartite)
+    except GraphError as exc:
+        raise DatasetFileError(edge_path, None, str(exc)) from exc
+
+    label_set = None
+    if label_path is not None:
+        labels = np.full(num_nodes, -1, dtype=np.int64)
+        for lineno, line in _parse_lines(label_path):
+            parts = line.split()
+            if len(parts) != 2:
+                raise DatasetFileError(label_path, lineno, "expected 'node_id class_id'")
+            try:
+                node, cls_id = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DatasetFileError(label_path, lineno, "ids must be base-10 integers")
+            if not 0 <= node < num_nodes:
+                raise DatasetFileError(label_path, lineno, f"node {node} out of range")
+            if cls_id < 0:
+                raise DatasetFileError(label_path, lineno, "class must be nonnegative")
+            labels[node] = cls_id
+        num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 1
+        label_set = LabelSet(labels, max(num_classes, 2))
+    return graph, label_set
+
+
+def _written(tmp_path, write):
+    path = tmp_path / "written.txt"
+    write(path)
+    return path.read_bytes()
+
+
+def _round_trips(tmp_path):
+    graph, labels = generate_scale_free(60, 2, seed=44)
+    bip = generate_bipartite(8, 11, seed=45)
+    return {
+        "scale-free": {
+            "edges": _written(tmp_path, lambda p: save_edge_list(graph, p)),
+            "features": _written(tmp_path, lambda p: save_features(graph.features, p)),
+            "labels": _written(tmp_path, lambda p: save_labels(labels, p)),
+        },
+        "bipartite": {"edges": _written(tmp_path, lambda p: save_edge_list(bip, p))},
+    }
+
+
+BIG = b"99999999999999999999"  # beyond int64
+LOADER_CORPUS = {
+    "comments-and-blanks": {"edges": b"# top\n0 1  # trailing\n\n  1   2\n# done\n"},
+    "crlf": {"edges": b"0 1\r\n1 2\r\n2 3\r\n"},
+    "lone-cr": {"edges": b"0 1\r1 2\r\r2 3"},
+    "mixed-newlines": {"edges": b"# c\r\n0 1\r1 2\n2 3\r\n"},
+    "tab": {"edges": b"0\t1\n1\t\t2\n"},
+    "nbsp": {"edges": "0\u00a01\n1 \u00a02\n".encode()},
+    "other-unicode-space": {"edges": "0\u20031\n1\u30002\n2\x0c3\n".encode()},
+    "unicode-line-breaks": {"edges": "0 1\x852 3\n".encode()},
+    "unicode-line-breaks-2": {"edges": "0 1\u20282 3\n".encode()},
+    "plus-sign": {"edges": b"+5 6\n0 +1\n"},
+    "leading-zeros": {"edges": b"007 1\n0 010\n"},
+    "minus-zero": {"edges": b"-0 1\n"},
+    "underscore": {"edges": b"0 1\n1_000 1\n"},
+    "arabic-indic": {"edges": "0 1\n\u0661 \u0662\n".encode()},
+    "fullwidth": {"edges": "\uff11 \uff12\n".encode()},
+    "beyond-int64": {"edges": b"0 1\n1 " + BIG + b"\n"},
+    "beyond-int64-with-features": {"edges": b"0 " + BIG + b"\n", "features": b"1\n2\n3\n"},
+    "beyond-int64-bipartite": {"edges": b"%bipartite 2 2\n0 " + BIG + b"\n"},
+    "int64-max": {"edges": b"9223372036854775807 1\n"},
+    "negative": {"edges": b"0 1\n-1 2\n"},
+    "negative-beyond-int64": {"edges": b"-" + BIG + b" 1\n"},
+    "three-tokens": {"edges": b"0 1\n1 2 3\n"},
+    "all-three-tokens": {"edges": b"0 1 2\n1 2 3\n"},
+    "one-token": {"edges": b"5\n"},
+    "comment-splits-pair": {"edges": b"0 # 1\n"},
+    "float": {"edges": b"0 1\n1.0 2\n"},
+    "hex": {"edges": b"0x1 2\n"},
+    "bom": {"edges": "\ufeff0 1\n".encode()},
+    "nul": {"edges": b"0 1\x00\n"},
+    "self-loop": {"edges": b"0 1\n2 2\n"},
+    "duplicates-both-orientations": {"edges": b"1 0\n0 1\n0 1\n3 2\n"},
+    "bipartite-first": {"edges": b"%bipartite 2 3\n0 2\n1 4\n"},
+    "bipartite-after-comments": {"edges": b"# c\n\n  %bipartite 2 2  # x\n0 2\n"},
+    "bipartite-only": {"edges": b"%bipartite 2 2\n"},
+    "bipartite-later": {"edges": b"0 2\n%bipartite 2 2\n"},
+    "bipartite-twice": {"edges": b"%bipartite 2 2\n%bipartite 2 2\n"},
+    "bipartite-malformed": {"edges": b"%bipartite 2\n0 2\n"},
+    "bipartite-not-integer": {"edges": b"%bipartite x 2\n0 2\n"},
+    "bipartite-inside-partition": {"edges": b"%bipartite 2 2\n0 1\n"},
+    "bipartite-features-mismatch": {"edges": b"%bipartite 2 2\n0 2\n",
+                                    "features": b"1\n2\n3\n"},
+    "empty": {"edges": b""},
+    "comment-only": {"edges": b"# nothing\n\n   \n"},
+    "empty-with-features": {"edges": b"", "features": b"1\n2\n"},
+    "features-pin-count": {"edges": b"0 1\n", "features": b"1,2\n3,4\n5,6\n"},
+    "features-too-few": {"edges": b"0 3\n", "features": b"1\n2\n"},
+    "labels": {"edges": b"0 1\n1 2\n", "labels": b"0 1\n2 0\n# c\n"},
+    "labels-duplicate": {"edges": b"0 1\n1 2\n", "labels": b"0 1\n0 3\n1 0\n"},
+    "labels-out-of-range": {"edges": b"0 1\n", "labels": b"0 0\n5 1\n"},
+    "labels-negative-node": {"edges": b"0 1\n", "labels": b"-1 0\n"},
+    "labels-negative-class": {"edges": b"0 1\n", "labels": b"0 1\n1 -2\n"},
+    "labels-three-tokens": {"edges": b"0 1\n", "labels": b"0 1 2\n"},
+    "labels-underscore": {"edges": b"0 1\n", "labels": b"0 1_0\n"},
+    "labels-class-beyond-int64": {"edges": b"0 1\n", "labels": b"0 " + BIG + b"\n"},
+    "labels-empty": {"edges": b"0 1\n", "labels": b""},
+    "labels-crlf": {"edges": b"0 1\n", "labels": b"0 0\r\n1 1\r\n"},
+    "edges-not-utf8": {"edges": b"0 1\n1 \xff2\n"},
+    "labels-not-utf8": {"edges": b"0 1\n", "labels": b"0 0\n\xfe\n"},
+    "latin-1-nbsp": {"edges": b"0\xa01\n"},
+}
+
+
+def _load_outcome(loader, paths):
+    try:
+        graph, labels = loader(paths["edges"], paths.get("features"), paths.get("labels"))
+    except Exception as exc:  # the oracle's exception is the expected outcome
+        return type(exc), str(exc)
+    arrays = [graph.edges, graph.csr_offsets, graph.csr_targets]
+    if graph.features is not None:
+        arrays.append(graph.features)
+    if labels is not None:
+        arrays.append(labels.labels)
+    return (graph.num_nodes, graph.bipartite, labels and labels.num_classes,
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+class TestLoaderAgainstLineByLineOracle:
+    @pytest.mark.parametrize("name", ["scale-free", "bipartite", *LOADER_CORPUS])
+    def test_same_arrays_or_same_error(self, tmp_path, name):
+        files = LOADER_CORPUS.get(name) or _round_trips(tmp_path)[name]
+        paths = {}
+        for key, data in files.items():
+            paths[key] = tmp_path / f"{key}.txt"
+            paths[key].write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = _load_outcome(load_dataset_line_by_line, paths)
+            assert _load_outcome(load_dataset, paths) == expected

@@ -757,6 +757,24 @@ class TestCli:
         assert path in capsys.readouterr().err
         assert not list((tmp_path / "files").rglob("split.json"))
 
+    @pytest.mark.parametrize("dataset_seed,codes", [
+        # 86 interactions: floor(0.5 * 86) twice leaves no test edge
+        (1, {"generate": 0, "split": 2}),
+        # 91 interactions: the remainder leaves one test edge
+        (0, {"generate": 0, "split": 0, "train": 0, "eval": 0}),
+    ])
+    def test_split_without_a_test_edge_exits_2(self, tmp_path, capsys, dataset_seed, codes):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, task="recsys", seeds=[0],
+            dataset={"num_users": 30, "num_items": 20, "seed": dataset_seed},
+            split={"ratios": [0.5, 0.5, 0.0]})))
+        for command, code in codes.items():
+            assert self.run_cli(command, "--config", str(cfg_path)) == code
+        if codes["split"] == 2:
+            assert "$.split.ratios: holds out no test edge" in capsys.readouterr().err
+            assert not list((tmp_path / "runs").rglob("split.json"))
+
     @pytest.mark.parametrize("bad", ["edges", "features", "labels", "features-width",
                                      "edges-utf8", "labels-utf8"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, bad):

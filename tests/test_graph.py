@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit.graph import (
+    MAX_NODES,
     GraphError,
     LabelSet,
     build_graph,
@@ -167,6 +168,96 @@ class TestDropEdges:
         )
         before = {tuple(e) for e in self.graph.edges}
         assert {tuple(e) for e in got.edges} <= before
+
+
+# ---------------------------------------------------------------------------
+# the row-sort kernels that the scalar-key sorts replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def csr_by_lexsort(num_nodes, edges):
+    if edges.size == 0:
+        return np.zeros(num_nodes + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    counts = np.bincount(src, minlength=num_nodes)
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, dst[order]
+
+
+def edges_by_unique_rows(edge_list):
+    edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+    if not edges.size:
+        return np.empty((0, 2), dtype=np.int64)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
+def drop_edges_by_lexsort(graph, alpha, seed):
+    num_drop = int(np.floor(alpha * graph.num_edges))
+    if num_drop == 0:
+        return graph.edges, graph.csr_offsets, graph.csr_targets
+    rng = np.random.default_rng(seed)
+    dropped = rng.choice(graph.num_edges, size=num_drop, replace=False)
+    keep = np.ones(graph.num_edges, dtype=bool)
+    keep[dropped] = False
+    kept = graph.edges[keep]
+    return (kept, *csr_by_lexsort(graph.num_nodes, kept))
+
+
+def same_bytes(arrays, expected):
+    assert len(arrays) == len(expected)
+    for got, want in zip(arrays, expected):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def random_edge_list(rng):
+    """Up to 3n random pairs over n nodes: repeats, both orientations, and
+    nodes above every endpoint (isolated); sometimes no edge at all."""
+    n = int(rng.integers(1, 60))
+    m = int(rng.integers(0, 3 * n + 1)) if n > 1 and rng.random() > 0.1 else 0
+    u = rng.integers(n, size=m)
+    v = (u + rng.integers(1, max(n, 2), size=m)) % n
+    pairs = np.stack([u, v], axis=1)
+    repeats = pairs[rng.integers(m, size=m // 3)] if m else pairs
+    pairs = np.concatenate([pairs, repeats[:, ::-1], repeats])
+    return pairs[rng.permutation(len(pairs))], n + int(rng.integers(0, 4))
+
+
+class TestScalarKeySortsAgainstRowSortOracles:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_build_graph(self, seed):
+        pairs, n = random_edge_list(np.random.default_rng(seed))
+        g = build_graph(pairs, n)
+        expected = edges_by_unique_rows(pairs)
+        same_bytes([g.edges, g.csr_offsets, g.csr_targets],
+                   [expected, *csr_by_lexsort(n, expected)])
+        same_bytes([g.edges], [build_graph(pairs[:, ::-1].tolist(), n).edges])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_drop_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        g = build_graph(*random_edge_list(rng))
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            got = drop_edges(g, alpha, seed)
+            same_bytes([got.edges, got.csr_offsets, got.csr_targets],
+                       drop_edges_by_lexsort(g, alpha, seed))
+
+    def test_no_edges(self):
+        for edge_list in ([], np.empty((0, 2), dtype=np.int64)):
+            g = build_graph(edge_list, 4)
+            same_bytes([g.edges, g.csr_offsets, g.csr_targets],
+                       [edges_by_unique_rows(edge_list), *csr_by_lexsort(4, g.edges)])
+
+    def test_node_count_whose_keys_overflow_is_refused(self):
+        int64_max = np.iinfo(np.int64).max
+        # the largest key, (n - 1) * n + (n - 1), fits at MAX_NODES and not above
+        assert MAX_NODES * MAX_NODES - 1 <= int64_max < (MAX_NODES + 1) ** 2 - 1
+        # refused before anything of size num_nodes is allocated
+        with pytest.raises(GraphError, match=f"num_nodes {MAX_NODES + 1} exceeds"):
+            build_graph([(0, 1), (1, 2)], MAX_NODES + 1)
 
 
 class TestNormalizeAdjacency:

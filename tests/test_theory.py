@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tailkit.theory import (
     METHODS,
+    _logistic_fit,
     LossProfile,
     MonteCarloConfig,
     TheoryError,
@@ -114,6 +115,49 @@ class TestSampleWorld:
             sample_world(100, 0, 20, 5, 3, 0.1, 1.0)
         with pytest.raises(TheoryError):
             sample_world(100, 10, 20, 5, 0, 0.1, 1.0)
+
+
+def logistic_fit_by_mean(inputs, targets, steps, lr, w0=None, b0=0.0):
+    """The fit with ``ndarray.mean`` gradients, kept as the oracle of the
+    ``np.add.reduce`` form."""
+    center = inputs.mean(axis=0)
+    x = inputs - center
+    w = np.zeros(x.shape[1]) if w0 is None else w0.copy()
+    b = float(b0)
+    for _ in range(steps):
+        margins = targets * (x @ w + b)
+        slope = -targets / (1.0 + np.exp(margins))  # d softplus(-m)/d f
+        w -= lr * (x * slope[:, None]).mean(axis=0)
+        b -= lr * slope.mean()
+    final = float(np.mean(np.logaddexp(0.0, -(targets * (x @ w + b)))))
+    return w, b, center, final
+
+
+class TestLogisticFitAgainstMeanOracle:
+    @pytest.mark.parametrize("steps", [0, 1, 200])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bytes(self, seed, warm, steps):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(5, 300)), int(rng.integers(1, 9))
+        inputs = rng.standard_normal((n, d)) * 3.0 + rng.standard_normal(d)
+        targets = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        start = dict(w0=rng.standard_normal(d), b0=float(rng.standard_normal())) if warm else {}
+        w0 = start["w0"].copy() if warm else None
+        got = _logistic_fit(inputs, targets, steps, 0.5, **start)
+        want = logistic_fit_by_mean(inputs, targets, steps, 0.5, **start)
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+        assert [type(v) for v in got] == [type(v) for v in want]
+        if warm:
+            assert np.array_equal(start["w0"], w0)  # the warm start is copied, not updated
+
+    def test_same_bytes_on_a_theory_world(self):
+        world = small_world()
+        inputs, targets = world.aggregated(world.s_idx), world.labels[world.s_idx]
+        for start in ({}, {"w0": np.full(inputs.shape[1], 0.1), "b0": -0.2}):
+            got = _logistic_fit(inputs, targets, 300, 0.1, **start)
+            want = logistic_fit_by_mean(inputs, targets, 300, 0.1, **start)
+            assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
 
 
 class TestTraining:
