@@ -449,7 +449,7 @@ def _int_pairs(text: str, skiprows: int = 0) -> np.ndarray | None:
     pass, or None when numpy declines the text: it raises or warns (an empty
     file warns), the table has another width, or an id is negative. A declined
     file is read line by line, which either loads it (``int()`` also takes
-    ``1_000``, non-ASCII digits and ids beyond int64) or names the bad line."""
+    ``1_000`` and non-ASCII digits) or names the bad line."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -463,9 +463,7 @@ def _int_pairs(text: str, skiprows: int = 0) -> np.ndarray | None:
 
 
 def _edge_lines(path, text: str, skiprows: int) -> np.ndarray:
-    """The edge pairs after line ``skiprows``, read one line at a time. The
-    ids stay Python ints (an object array), so one beyond int64 meets
-    ``build_graph``'s checks as it is."""
+    """The edge pairs after line ``skiprows``, read one line at a time."""
     edges = []
     for lineno, line in _data_lines(text):
         if lineno <= skiprows:
@@ -480,8 +478,10 @@ def _edge_lines(path, text: str, skiprows: int) -> np.ndarray:
             raise DatasetFileError(path, lineno, "node ids must be base-10 integers")
         if u < 0 or v < 0:
             raise DatasetFileError(path, lineno, "node ids must be nonnegative")
+        if max(u, v) >= 2**63:
+            raise DatasetFileError(path, lineno, "node ids must be below 2**63")
         edges.append((u, v))
-    return np.array(edges, dtype=object).reshape(-1, 2)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def _label_lines(path, text: str, labels: np.ndarray) -> None:
@@ -500,6 +500,8 @@ def _label_lines(path, text: str, labels: np.ndarray) -> None:
             raise DatasetFileError(path, lineno, f"node {node} out of range")
         if cls_id < 0:
             raise DatasetFileError(path, lineno, "class must be nonnegative")
+        if cls_id >= 2**63:
+            raise DatasetFileError(path, lineno, "class must be below 2**63")
         labels[node] = cls_id
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "parse_setting",
     "predict_classes",
     "ranking_score_fn",
+    "ranking_sources",
     "recall_at_k",
     "recall_per_source",
     "validation_metric",
@@ -293,8 +294,57 @@ def _positives_from_edges(edges: np.ndarray, both_directions: bool = True) -> di
     return dict(zip(sources[np.r_[0, starts]].tolist(), np.split(targets, starts)))
 
 
-def _neighbor_exclusions(graph: Graph, sources) -> dict:
-    return {int(s): graph.neighbors(int(s)) for s in sources}
+def ranking_sources(bundle, kind: str) -> tuple[np.ndarray, dict, np.ndarray]:
+    """``(sources, positives, pool)`` that a ranking setting scores.
+
+    ``kind`` is ``validation``, ``transductive`` or ``inductive`` (every
+    ``inductive-cold(r)`` setting scores as ``inductive``). Link ranks the
+    training nodes for the sources of the validation edges, and of the test
+    edges that are also validation sources, or every node for the new nodes of
+    the inductive test edges. Recsys (never inductive) ranks the items for each
+    user of the validation or test edges. ``positives`` maps each source to
+    its targets.
+    """
+    edges = {"validation": bundle.trans_val_edges, "transductive": bundle.trans_test_edges,
+             "inductive": bundle.new_test_edges}[kind]
+    if bundle.task == "recsys":
+        positives = _positives_from_edges(edges, both_directions=False)
+        num_users = bundle.train_graph.bipartite[0]
+        eligible = range(num_users)
+        pool = np.arange(num_users, bundle.num_nodes, dtype=np.int64)
+    else:
+        positives = _positives_from_edges(edges)
+        if kind == "inductive":
+            eligible = set(bundle.v_new.tolist())
+            pool = np.arange(bundle.num_nodes, dtype=np.int64)
+        else:
+            eligible = (positives if kind == "validation"
+                        else _positives_from_edges(bundle.trans_val_edges))
+            pool = np.asarray(bundle.v_train, dtype=np.int64)
+    sources = np.array(sorted(s for s in positives if s in eligible), dtype=np.int64)
+    return sources, positives, pool
+
+
+def _scored(model: Model, bundle, graph: Graph, kind: str, k: int):
+    """``(nodes, metric per node)`` of ``kind`` (as in :func:`ranking_sources`)
+    on ``graph``: the validation, unlabeled training (transductive) or new
+    nodes with their accuracy for classification; the ranking sources with
+    their recall@k, each source's neighbors in ``graph`` excluded, otherwise."""
+    if bundle.task == "classification":
+        label_set = bundle.label_set
+        nodes = np.asarray({"validation": label_set.validation,
+                            "transductive": label_set.unlabeled}.get(kind, bundle.v_new),
+                           dtype=np.int64)
+        if nodes.size == 0:
+            raise EvalError(f"no {kind} nodes to score")
+        preds = predict_classes(model, graph)
+        return nodes, (preds[nodes] == label_set.labels[nodes]).astype(np.float64)
+    sources, positives, pool = ranking_sources(bundle, kind)
+    if sources.size == 0:
+        raise EvalError(f"no {kind} sources to rank")
+    score_fn = ranking_score_fn(model, encode(model, graph).value)
+    exclude = {int(s): graph.neighbors(int(s)) for s in sources}
+    return sources, recall_per_source(score_fn, sources, positives, pool, k, exclude)
 
 
 def evaluate_setting(model: Model, bundle, setting: str, k: int = 50) -> MetricReport:
@@ -309,78 +359,19 @@ def evaluate_setting(model: Model, bundle, setting: str, k: int = 50) -> MetricR
     if bundle.task == "recsys" and kind != "transductive":
         raise EvalError("recsys supports only the transductive setting")
     graph = bundle.inference_graph(kind, ratio)
-
-    if bundle.task == "classification":
-        label_set = bundle.label_set
-        preds = predict_classes(model, graph)
-        population = label_set.unlabeled if kind == "transductive" else bundle.v_new
-        population = np.asarray(population, dtype=np.int64)
-        if population.size == 0:
-            raise EvalError(f"no evaluation nodes for setting {setting!r}")
-        correct = (preds[population] == label_set.labels[population]).astype(np.float64)
-        return MetricReport(
-            setting=setting,
-            metric_name="accuracy",
-            value=float(correct.mean()),
-            buckets=degree_buckets(graph, population, correct),
-            graph_hash=graph.edge_hash(),
-            population=int(population.size),
-        )
-
-    emb = encode(model, graph).value
-    score_fn = ranking_score_fn(model, emb)
-    if bundle.task == "link":
-        if kind == "transductive":
-            positives = _positives_from_edges(bundle.trans_test_edges)
-            val_sources = set(_positives_from_edges(bundle.trans_val_edges))
-            sources = np.array(
-                sorted(s for s in positives if s in val_sources), dtype=np.int64
-            )
-            pool = np.asarray(bundle.v_train, dtype=np.int64)
-        else:
-            positives = _positives_from_edges(bundle.new_test_edges)
-            new = set(bundle.v_new.tolist())
-            sources = np.array(sorted(s for s in positives if s in new), dtype=np.int64)
-            pool = np.arange(bundle.num_nodes, dtype=np.int64)
-    else:  # recsys
-        positives = _positives_from_edges(bundle.trans_test_edges, both_directions=False)
-        num_users = graph.bipartite[0]
-        sources = np.array(sorted(s for s in positives if s < num_users), dtype=np.int64)
-        pool = np.arange(num_users, bundle.num_nodes, dtype=np.int64)
-
-    if sources.size == 0:
-        raise EvalError(f"no ranking sources for setting {setting!r}")
-    exclude = _neighbor_exclusions(graph, sources)
-    per_source = recall_per_source(score_fn, sources, positives, pool, k, exclude)
+    nodes, per_node = _scored(model, bundle, graph,
+                              "transductive" if kind == "transductive" else "inductive", k)
     return MetricReport(
         setting=setting,
-        metric_name=f"recall@{k}",
-        value=float(per_source.mean()),
-        buckets=degree_buckets(graph, sources, per_source),
+        metric_name="accuracy" if bundle.task == "classification" else f"recall@{k}",
+        value=float(per_node.mean()),
+        buckets=degree_buckets(graph, nodes, per_node),
         graph_hash=graph.edge_hash(),
-        population=int(sources.size),
+        population=int(nodes.size),
     )
 
 
 def validation_metric(model: Model, bundle, k: int = 50) -> float:
     """Early-stopping signal on the training graph: validation accuracy for
     classification, validation-edge recall for the ranking tasks."""
-    graph = bundle.train_graph
-    if bundle.task == "classification":
-        preds = predict_classes(model, graph)
-        return accuracy(preds, bundle.label_set.labels, bundle.label_set.validation)
-    emb = encode(model, graph).value
-    score_fn = ranking_score_fn(model, emb)
-    if bundle.task == "link":
-        positives = _positives_from_edges(bundle.trans_val_edges)
-        sources = np.array(sorted(positives), dtype=np.int64)
-        pool = np.asarray(bundle.v_train, dtype=np.int64)
-    else:
-        positives = _positives_from_edges(bundle.trans_val_edges, both_directions=False)
-        num_users = graph.bipartite[0]
-        sources = np.array(sorted(s for s in positives if s < num_users), dtype=np.int64)
-        pool = np.arange(num_users, bundle.num_nodes, dtype=np.int64)
-    if sources.size == 0:
-        raise EvalError("no validation sources")
-    exclude = _neighbor_exclusions(graph, sources)
-    return recall_at_k(score_fn, sources, positives, pool, k, exclude)
+    return float(_scored(model, bundle, bundle.train_graph, "validation", k)[1].mean())

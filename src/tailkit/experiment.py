@@ -38,7 +38,8 @@ from .data import (
     save_labels,
     write_atomic,
 )
-from .evaluation import BUCKET_LABELS, EvalError, evaluate_setting, parse_setting, validation_metric
+from .evaluation import (BUCKET_LABELS, EvalError, evaluate_setting, parse_setting,
+                         ranking_sources, validation_metric)
 from .generators import generate_bipartite, generate_scale_free
 from .losses import SupervisionSet
 from .models import TASKS, VARIANTS, EncoderConfig, init_model, load_model, save_model
@@ -598,25 +599,11 @@ def cmd_generate(config: ExperimentConfig) -> dict:
     dataset, paths = config.dataset, _data_paths(config)
     if dataset["kind"] == "synthetic":
         (config.run_dir / "dataset").mkdir(parents=True, exist_ok=True)
+        params = {key: value for key, value in dataset.items() if key != "kind"}
         if config.task == "recsys":
-            graph = generate_bipartite(
-                dataset["num_users"], dataset["num_items"],
-                exponent=dataset["exponent"],
-                min_interactions=dataset["min_interactions"],
-                max_interactions=dataset["max_interactions"],
-                num_clusters=dataset["num_clusters"],
-                affinity=dataset["affinity"],
-                seed=dataset["seed"])
+            graph = generate_bipartite(**params)
         else:
-            graph, labels = generate_scale_free(
-                dataset["num_nodes"], dataset["m_attach"],
-                feat_dim=dataset["feat_dim"],
-                num_classes=dataset["num_classes"],
-                label_noise=dataset["label_noise"],
-                seed=dataset["seed"],
-                separation=dataset["separation"],
-                feature_noise=dataset["feature_noise"],
-                community_bias=dataset["community_bias"])
+            graph, labels = generate_scale_free(params.pop("num_nodes"), **params)
             save_features(graph.features, config.run_dir / paths["features"])
             if paths["labels"] is not None:
                 save_labels(labels, config.run_dir / paths["labels"])
@@ -647,31 +634,24 @@ def _load_run_dataset(config: ExperimentConfig):
 
 
 def _build_bundle(config: ExperimentConfig, graph, labels, seed: int) -> SplitBundle:
-    split = config.split
+    """The seed's split; a ranking split is refused when it leaves training
+    without an edge, or validation or an evaluated setting without a source."""
     if config.task == "classification":
-        return make_classification_bundle(
-            graph, labels,
-            new_fraction=split["new_fraction"],
-            labeled_fraction=split["labeled_fraction"],
-            cold_ratios=split["cold_ratios"],
-            seed=seed)
+        return make_classification_bundle(graph, labels, **config.split, seed=seed)
     if config.task == "link":
-        key, bundle = "trans_ratios", make_link_bundle(
-            graph,
-            new_fraction=split["new_fraction"],
-            trans_ratios=split["trans_ratios"],
-            inductive_ratio=split["inductive_ratio"],
-            cold_ratios=split["cold_ratios"],
-            seed=seed)
+        bundle = make_link_bundle(graph, **config.split, seed=seed)
     else:
-        key, bundle = "ratios", make_recsys_bundle(graph, ratios=split["ratios"], seed=seed)
-    parts = [("training", bundle.train_graph.num_edges),
-             ("validation", len(bundle.trans_val_edges))]
-    if "transductive" in config.settings:
-        parts.append(("test", len(bundle.trans_test_edges)))
-    for part, count in parts:
-        if count == 0:
-            raise ConfigError(f"$.split.{key}", f"holds out no {part} edge for seed {seed}")
+        bundle = make_recsys_bundle(graph, **config.split, seed=seed)
+    key = "$.split.trans_ratios" if config.task == "link" else "$.split.ratios"
+    if bundle.train_graph.num_edges == 0:
+        raise ConfigError(key, f"holds out no training edge for seed {seed}")
+    kinds = {"validation", *("transductive" if tag == "transductive" else "inductive"
+                             for tag in config.settings)}
+    for kind, part in (("validation", "validation"), ("transductive", "test"),
+                       ("inductive", "inductive test")):
+        if kind in kinds and ranking_sources(bundle, kind)[0].size == 0:
+            raise ConfigError("$.split.inductive_ratio" if kind == "inductive" else key,
+                              f"holds out no {part} edge with a source to rank for seed {seed}")
     return bundle
 
 
@@ -679,8 +659,8 @@ def cmd_split(config: ExperimentConfig) -> dict:
     """Build one split bundle per seed; returns {seed: path}.
 
     Every bundle is built before any is written, so a split that leaves
-    training, validation or an evaluated test part empty (``_build_bundle``)
-    writes nothing.
+    training without an edge, or validation or an evaluated setting without
+    a source (``_build_bundle``), writes nothing.
     """
     graph, labels = _load_run_dataset(config)
     _check_split_counts(graph.num_nodes, config.split, config.settings)
@@ -705,12 +685,8 @@ def _encoder_config(config: ExperimentConfig, graph) -> EncoderConfig:
                 "$.model.featureless",
                 "dataset has no node features; set featureless to true")
         input_dim = graph.features.shape[1]
-    return EncoderConfig(
-        variant=model["variant"],
-        input_dim=input_dim,
-        hidden_dim=model["hidden_dim"],
-        output_dim=model["output_dim"],
-        num_layers=model["num_layers"])
+    return EncoderConfig(input_dim=input_dim,
+                         **{key: v for key, v in model.items() if key != "featureless"})
 
 
 def _make_supervision(config: ExperimentConfig, bundle: SplitBundle):

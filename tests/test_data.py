@@ -562,6 +562,8 @@ def load_dataset_line_by_line(edge_path, feature_path=None, label_path=None):
             raise DatasetFileError(edge_path, lineno, "node ids must be base-10 integers")
         if u < 0 or v < 0:
             raise DatasetFileError(edge_path, lineno, "node ids must be nonnegative")
+        if max(u, v) >= 2**63:
+            raise DatasetFileError(edge_path, lineno, "node ids must be below 2**63")
         edges.append((u, v))
 
     features = None
@@ -605,6 +607,8 @@ def load_dataset_line_by_line(edge_path, feature_path=None, label_path=None):
                 raise DatasetFileError(label_path, lineno, f"node {node} out of range")
             if cls_id < 0:
                 raise DatasetFileError(label_path, lineno, "class must be nonnegative")
+            if cls_id >= 2**63:
+                raise DatasetFileError(label_path, lineno, "class must be below 2**63")
             labels[node] = cls_id
         num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 1
         label_set = LabelSet(labels, max(num_classes, 2))
@@ -720,3 +724,18 @@ class TestLoaderAgainstLineByLineOracle:
             warnings.simplefilter("error")
             expected = _load_outcome(load_dataset_line_by_line, paths)
             assert _load_outcome(load_dataset, paths) == expected
+
+    @pytest.mark.parametrize("name,key,lineno", [
+        ("beyond-int64", "edges", 2),
+        ("beyond-int64-with-features", "edges", 1),
+        ("beyond-int64-bipartite", "edges", 2),
+        ("labels-class-beyond-int64", "labels", 1),
+    ])
+    def test_id_beyond_int64_is_refused_at_its_line(self, tmp_path, name, key, lineno):
+        paths = {}
+        for part, data in LOADER_CORPUS[name].items():
+            paths[part] = tmp_path / f"{part}.txt"
+            paths[part].write_bytes(data)
+        with pytest.raises(DatasetFileError, match="below 2\\*\\*63") as info:
+            load_dataset(paths["edges"], paths.get("features"), paths.get("labels"))
+        assert str(info.value).startswith(f"{paths[key]}:{lineno}: ")

@@ -395,6 +395,33 @@ class TestStages:
         assert {rel: hashlib.sha256(p.read_bytes()).hexdigest()
                 for rel, p in written.items()} == digests
 
+    @pytest.mark.parametrize("task,overrides,digests", [
+        ("classification", {}, {
+            "0/eval.json": "b267aca2a705fe7e6cb7da6fa2c0af1e6a2843a0700d8bf68d2251916b391620",
+            "1/eval.json": "5a0caecbbed3d8406f8acd92fd0fa97e9be7cd371f8a1a269cd7eacea44c2379",
+            "report.csv": "6171f3a7cac37d225abb0aa29f3d25a164b2c803aa21046ff50397fd99bd5888",
+        }),
+        ("link", {"model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8}}, {
+            "0/eval.json": "c77a22cd0ee7c525940bebec71ddd858341100f02feb6d38db3948a702d31c7e",
+            "1/eval.json": "89d2b8e74bd8ca1dd9955f85b932b1e078f9f873aa89cfc58bdbffcbe55f10bd",
+            "report.csv": "8d5f599934842ece8792939da6fc2355659b8b8c1aef9d883b2ef5d1f40862c4",
+        }),
+        ("recsys", {"dataset": {"num_users": 30, "num_items": 20}}, {
+            "0/eval.json": "3487ff23a93520af762de3a92a9d3bb0ca2c397796222745890af72f220c2bca",
+            "1/eval.json": "3c5ed93b6447fdb9b43c8178c66035a48bffe31b1eeffd56c68e144be686bcef",
+            "report.csv": "98a32b6e6dcae105e074a8909d7757f6ec8b3425c5315e13c642bbd4c3ee1883",
+        }),
+    ])
+    def test_evaluation_digests_are_pinned(self, tmp_path, task, overrides, digests):
+        # every default setting is scored: a change to any setting's nodes,
+        # candidate pool or arithmetic must show up here
+        config = make_config(tmp_path, task=task, **overrides)
+        for stage in (cmd_generate, cmd_split, cmd_train, cmd_eval):
+            stage(config)
+        cmd_report(config.run_dir, csv=True)
+        assert {rel: hashlib.sha256((config.run_dir / rel).read_bytes()).hexdigest()
+                for rel in ("0/eval.json", "1/eval.json", "report.csv")} == digests
+
     def test_generate_skips_existing_output(self, tmp_path):
         config = make_config(tmp_path)
         cmd_generate(config)
@@ -774,6 +801,37 @@ class TestCli:
         if codes["split"] == 2:
             assert "$.split.ratios: holds out no test edge" in capsys.readouterr().err
             assert not list((tmp_path / "runs").rglob("split.json"))
+
+    def test_split_without_an_inductive_test_edge_exits_2(self, tmp_path, capsys):
+        # every new node's edges are input edges, so the inductive settings
+        # would have no source to rank
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, task="link", seeds=[0], dataset={"num_nodes": 150, "seed": 2},
+            split={"inductive_ratio": 1.0})))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        assert self.run_cli("split", "--config", str(cfg_path)) == 2
+        assert ("$.split.inductive_ratio: holds out no inductive test edge"
+                in capsys.readouterr().err)
+        assert not list((tmp_path / "runs").rglob("split.json"))
+
+    @pytest.mark.parametrize("task,texts", [
+        ("recsys", {"edges": b"%bipartite 2 2\n1 99999999999999999999\n0 2\n"}),
+        ("classification", {"edges": b"0 1\n1 2\n",
+                            "labels": b"0 0\n1 99999999999999999999\n"}),
+    ])
+    def test_id_beyond_int64_exits_2(self, tmp_path, capsys, task, texts):
+        dataset = {"kind": "files"}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.txt").write_bytes(text)
+            dataset[name] = str(tmp_path / f"{name}.txt")
+        key = list(texts)[-1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, task=task, dataset=dataset, model={"featureless": True})))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        assert f"$.dataset.{key}: {tmp_path / key}.txt:2: " in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("bad", ["edges", "features", "labels", "features-width",
                                      "edges-utf8", "labels-utf8"])
