@@ -5,7 +5,8 @@ theory, and report. Every stage reads one JSON config (``--config``), with
 ``--seed`` and ``--out`` overriding the seed list and output directory.
 Exit codes: 0 on success, 2 for config schema violations (reported with the
 JSON path of the offending field), 3 when a required earlier stage output
-is missing or unusable.
+is missing or unusable; ``report`` checks each ``eval.json`` it averages by
+the same rule as every other stage.
 """
 from __future__ import annotations
 

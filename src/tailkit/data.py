@@ -502,6 +502,9 @@ def _label_lines(path, text: str, labels: np.ndarray) -> None:
             raise DatasetFileError(path, lineno, "class must be nonnegative")
         if cls_id >= 2**63:
             raise DatasetFileError(path, lineno, "class must be below 2**63")
+        if cls_id >= num_nodes:
+            raise DatasetFileError(path, lineno, f"class {cls_id} is not below the "
+                                   f"node count {num_nodes}")
         labels[node] = cls_id
 
 
@@ -512,8 +515,9 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
     separated; ``#`` starts a comment; an optional first non-comment line
     ``%bipartite <num_users> <num_items>`` declares a user-item graph. The
     feature file is a headerless CSV whose row i holds node i's features; a
-    label file has ``node_id class_id`` lines. Node count comes from the
-    bipartite marker, else the feature row count, else max endpoint + 1. A
+    label file has ``node_id class_id`` lines, each id below the node count,
+    which comes from the bipartite marker, else the feature row count, else
+    max endpoint + 1 (so a class head never outgrows the graph). A
     file that cannot be read raises :class:`DatasetFileError` naming it.
     Edge and label files are parsed in one numpy pass (``_int_pairs``); a file
     that pass declines is read line by line, with the same result or error.
@@ -567,7 +571,7 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
         text = _read_text(label_path)
         table = _int_pairs(text)
         nodes = None if table is None else np.sort(table[:, 0])
-        if table is None or nodes[-1] >= num_nodes or (nodes[1:] == nodes[:-1]).any():
+        if table is None or table.max() >= num_nodes or (nodes[1:] == nodes[:-1]).any():
             _label_lines(label_path, text, labels)
         else:
             labels[table[:, 0]] = table[:, 1]

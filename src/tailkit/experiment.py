@@ -484,15 +484,6 @@ def write_json(path, payload) -> None:
     write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_json(path) -> dict | None:
-    """The JSON object in ``path``; None when it is unreadable or is not one."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -501,66 +492,89 @@ def _checkpoint(seed: int, method: str) -> str:
     return f"{seed}/models/{method}.json"
 
 
-def _stage_output(config: ExperimentConfig, name: str, seed):
+def _entry(name: str, seed=None, extra=()) -> tuple:
     """``(path, stage, keys, files)`` of the stage output ``name`` (of
-    ``seed``, for a per-seed one): the stage that writes it, the keys it must
-    carry, and the files its checksums record (those it was computed from,
-    and the checkpoints beside ``train.json``), run-relative unless absolute."""
-    split = f"{seed}/split.json"
+    ``seed``, for a per-seed one): its run-relative path, the stage that
+    writes it, the keys it must carry, and the files its checksums record
+    (those it was computed from, run-relative unless absolute). ``extra``
+    adds the files only a config names (``_stage_output``)."""
+    split, train = f"{seed}/split.json", f"{seed}/train.json"
     stage, keys, files = {
-        "dataset.json": ("generate", ("paths", "num_nodes", "num_edges"),
-                         [p for p in _data_paths(config).values() if p is not None]),
+        "dataset.json": ("generate", ("paths", "num_nodes", "num_edges"), []),
         "split.json": ("split", ("bundle",), ["dataset.json"]),
-        "train.json": ("train", ("methods", "checkpoints"), [
-            "dataset.json", split, *(_checkpoint(seed, m) for m in config.methods)]),
+        "train.json": ("train", ("methods", "checkpoints"), ["dataset.json", split]),
         "eval.json": ("eval", ("methods", "settings", "reports"),
-                      ["dataset.json", split, f"{seed}/train.json"]),
+                      ["dataset.json", split, train]),
         "theory.json": ("theory", ("summary", "rows"), []),
+        "report.json": ("report", ("table",), []),
     }[name]
-    path = config.run_dir / name if seed is None else config.seed_dir(seed) / name
-    return path, stage, keys, files
+    return name if seed is None else f"{seed}/{name}", stage, keys, [*files, *extra]
 
 
-def _output(config: ExperimentConfig, name: str, seed=None):
-    """``(payload, None)`` when the stage output ``name`` (of ``seed``) is
-    usable: it parses, carries the config hash, its stage's keys and a
-    ``checksums`` map, and each file in that map or among the files its stage
-    records still has the recorded sha256. Else ``(None, why not)``."""
-    path, _, keys, files = _stage_output(config, name, seed)
-    payload = _parse_json(path)
-    if payload is None:
+def _stage_output(config: ExperimentConfig, name: str, seed=None) -> tuple:
+    """The entry of ``name`` with the files the config names: the dataset's
+    files for ``dataset.json``, the checkpoints beside ``train.json``."""
+    extra = {"dataset.json": [p for p in _data_paths(config).values() if p is not None],
+             "train.json": [_checkpoint(seed, m) for m in config.methods]}
+    return _entry(name, seed, extra.get(name, ()))
+
+
+def _usable(run_dir: Path, config_hash: str, entry: tuple):
+    """``(payload, None)`` when the stage output ``entry`` names under
+    ``run_dir`` is usable: it parses, carries ``config_hash``, its stage's
+    keys and a ``checksums`` map, and each file in that map or among the
+    files its entry records still has the recorded sha256. Else ``(None, why
+    not)``. This one rule decides for every stage, ``report`` included."""
+    rel, _, keys, files = entry
+    path = run_dir / rel
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        payload = None
+    if not isinstance(payload, dict):
         return None, f"{path} {'is not valid JSON' if path.is_file() else 'not found'}"
-    if payload.get("config_hash") != config.config_hash:
+    if payload.get("config_hash") != config_hash:
         return None, (f"{path} belongs to config {payload.get('config_hash')!r}, "
-                      f"not {config.config_hash!r}")
+                      f"not {config_hash!r}")
     checksums = payload.get("checksums")
     for key in ("checksums", *keys):
         if key not in payload or not isinstance(checksums, dict):
             return None, f"{path} does not record {key!r}"
     for rel in dict.fromkeys([*files, *checksums]):
-        file = config.run_dir / rel
+        file = run_dir / rel
         if not file.is_file() or _sha256(file) != checksums.get(rel):
             return None, f"{file} is missing or does not match its checksum in {path}"
     return payload, None
 
 
-def _input(config: ExperimentConfig, name: str, seed=None) -> dict:
+def _required(run_dir: Path, config_hash: str, entry: tuple) -> dict:
     """An earlier stage's output; an unusable one exits 3 naming why."""
-    payload, reason = _output(config, name, seed)
+    payload, reason = _usable(run_dir, config_hash, entry)
     if reason is not None:
-        stage = _stage_output(config, name, seed)[1]
-        raise MissingInputError(f"{reason}; rerun the {stage!r} stage")
+        raise MissingInputError(f"{reason}; rerun the {entry[1]!r} stage")
     return payload
+
+
+def _record(run_dir: Path, config_hash: str, entry: tuple, payload: dict) -> dict:
+    """Write a stage output with the config hash and the checksums of the
+    files its entry records."""
+    payload = {"config_hash": config_hash, **payload,
+               "checksums": {rel: _sha256(run_dir / rel) for rel in entry[3]}}
+    write_json(run_dir / entry[0], payload)
+    return payload
+
+
+def _output(config: ExperimentConfig, name: str, seed=None):
+    return _usable(config.run_dir, config.config_hash, _stage_output(config, name, seed))
+
+
+def _input(config: ExperimentConfig, name: str, seed=None) -> dict:
+    return _required(config.run_dir, config.config_hash, _stage_output(config, name, seed))
 
 
 def _write_output(config: ExperimentConfig, name: str, seed, payload: dict) -> dict:
-    """Write a stage output with the config hash and the checksums of the
-    files it records."""
-    path, _, _, files = _stage_output(config, name, seed)
-    payload = {"config_hash": config.config_hash, **payload,
-               "checksums": {rel: _sha256(config.run_dir / rel) for rel in files}}
-    write_json(path, payload)
-    return payload
+    return _record(config.run_dir, config.config_hash, _stage_output(config, name, seed),
+                   payload)
 
 
 # ---------------------------------------------------------------------------
@@ -782,15 +796,18 @@ def cmd_theory(config: ExperimentConfig, *, csv: bool = False) -> dict:
             "rows": result["rows"],
         })
     if csv:
-        _write_theory_csv(config.run_dir / "theory.csv", payload["rows"])
+        _write_csv(config.run_dir / "theory.csv", _THEORY_CSV_COLUMNS, payload["rows"])
     return payload
 
 
 _THEORY_CSV_COLUMNS = ("trial", "method", "gap", "bound", "q", "tau", "g_term",
                        "stage1_surrogate", "stage2_surrogate", "violated")
+_REPORT_CSV_COLUMNS = ("setting", "method", "scope", "bucket", "mean", "std", "count")
 
 
 def _csv_value(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
@@ -798,10 +815,11 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def _write_theory_csv(path, rows) -> None:
-    lines = [",".join(_THEORY_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_value(row[col]) for col in _THEORY_CSV_COLUMNS))
+def _write_csv(path, columns, rows) -> None:
+    """One line per row (a dict) under a header of ``columns``; a column the
+    row lacks, or holds None in, is left empty."""
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_value(row.get(col)) for col in columns) for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -832,58 +850,41 @@ def _aggregate_cell(per_seed: list[dict]) -> dict:
 def cmd_report(run_path, *, csv: bool = False) -> dict:
     """Aggregate per-seed evaluations into a comparison table.
 
-    Reads every ``<seed>/eval.json`` under the run directory, refuses to mix
-    config hashes, and emits mean and standard deviation per method, setting,
+    Reads every ``<seed>/eval.json`` under the run directory through the rule
+    every stage output passes (``_usable``), with the directory's name as the
+    config hash, and emits mean and standard deviation per method, setting,
     and degree bucket, plus the relative gain of tuneup over base on the
-    headline metric. Writes report.json (and report.csv when asked).
+    headline metric. Writes report.json, whose checksums record the
+    evaluations it averaged (and report.csv when asked).
     """
     run_path = Path(run_path)
     if not run_path.is_dir():
         raise MissingInputError(f"run directory not found: {run_path}")
-    eval_paths = sorted(
-        (p for p in run_path.glob("*/eval.json") if p.parent.name.isdigit()),
-        key=lambda p: int(p.parent.name))
-    if not eval_paths:
+    names = sorted((p.parent.name for p in run_path.glob("*/eval.json")
+                    if p.parent.name.isdecimal()), key=int)
+    if not names:
         raise MissingInputError(
             f"no eval.json under {run_path}; run the 'eval' stage first")
-
-    payloads = [_parse_json(p) for p in eval_paths]
-    if None in payloads:
-        bad = eval_paths[payloads.index(None)]
-        raise MissingInputError(f"{bad} is not valid JSON; rerun the 'eval' stage")
-    hashes = {p.get("config_hash") for p in payloads}
-    if len(hashes) != 1:
-        raise ConfigError(
-            "$.config_hash",
-            f"refusing to aggregate mixed config hashes: {sorted(map(str, hashes))}")
-    config_hash = payloads[0]["config_hash"]
-    if run_path.name != config_hash:
-        raise ConfigError(
-            "$.config_hash",
-            f"run directory {run_path.name!r} does not match embedded hash "
-            f"{config_hash!r}")
-
-    seeds = [p["seed"] for p in payloads]
-    first = payloads[0]
-    methods = first.get("methods") or [
-        m for m in METHODS if m in first["reports"]]
-    settings = first.get("settings") or list(first["reports"][methods[0]])
-    metric = (first["reports"][methods[0]][settings[0]]["metric"]
-              if methods and settings else "")
+    config_hash = run_path.resolve().name  # "." names the run directory too
+    entries = [_entry("eval.json", name) for name in names]
+    payloads = [_required(run_path, config_hash, entry) for entry in entries]
+    methods, settings = payloads[0]["methods"], payloads[0]["settings"]
 
     table = {}
     for setting in settings:
         table[setting] = {}
         for method in methods:
             per_seed = []
-            for payload in payloads:
+            for name, payload in zip(names, payloads):
                 try:
                     per_seed.append(payload["reports"][method][setting])
                 except KeyError as exc:
                     raise MissingInputError(
-                        f"seed {payload['seed']} lacks {method}/{setting}; "
+                        f"seed {name} lacks {method}/{setting}; "
                         "rerun the 'eval' stage") from exc
             table[setting][method] = _aggregate_cell(per_seed)
+    metric = (payloads[0]["reports"][methods[0]][settings[0]]["metric"]
+              if methods and settings else "")
 
     relative_gain = {}
     if "base" in methods and "tuneup" in methods:
@@ -897,36 +898,20 @@ def cmd_report(run_path, *, csv: bool = False) -> dict:
             else:
                 relative_gain[setting] = {"value": None, "formatted": "n/a"}
 
-    report = {
-        "config_hash": config_hash,
-        "metric": metric,
-        "seeds": seeds,
-        "num_seeds": len(seeds),
-        "methods": methods,
-        "settings": settings,
-        "table": table,
-        "relative_gain": relative_gain,
-    }
-    write_json(run_path / "report.json", report)
+    seeds = [int(name) for name in names]
+    report = {"metric": metric, "seeds": seeds, "num_seeds": len(seeds), "methods": methods,
+              "settings": settings, "table": table, "relative_gain": relative_gain}
+    report = _record(run_path, config_hash,
+                     _entry("report.json", extra=[entry[0] for entry in entries]), report)
     if csv:
-        _write_report_csv(run_path / "report.csv", report)
+        rows = []
+        for setting in settings:
+            for method in methods:
+                cell, where = table[setting][method], {"setting": setting, "method": method}
+                rows.append({**where, "scope": "overall", **cell})
+                rows += [{**where, "scope": "bucket", **bucket} for bucket in cell["buckets"]]
+        _write_csv(run_path / "report.csv", _REPORT_CSV_COLUMNS, rows)
     return report
-
-
-def _write_report_csv(path, report) -> None:
-    lines = ["setting,method,scope,bucket,mean,std,count"]
-    for setting in report["settings"]:
-        for method in report["methods"]:
-            cell = report["table"][setting][method]
-            lines.append(
-                f"{setting},{method},overall,,{cell['mean']!r},{cell['std']!r},")
-            for bucket in cell["buckets"]:
-                mean = "" if bucket["mean"] is None else repr(bucket["mean"])
-                std = "" if bucket["std"] is None else repr(bucket["std"])
-                lines.append(
-                    f"{setting},{method},bucket,{bucket['bucket']},"
-                    f"{mean},{std},{bucket['count']}")
-    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def render_report_table(report: dict) -> str:

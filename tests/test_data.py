@@ -609,6 +609,9 @@ def load_dataset_line_by_line(edge_path, feature_path=None, label_path=None):
                 raise DatasetFileError(label_path, lineno, "class must be nonnegative")
             if cls_id >= 2**63:
                 raise DatasetFileError(label_path, lineno, "class must be below 2**63")
+            if cls_id >= num_nodes:
+                raise DatasetFileError(label_path, lineno, f"class {cls_id} is not below the "
+                                       f"node count {num_nodes}")
             labels[node] = cls_id
         num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 1
         label_set = LabelSet(labels, max(num_classes, 2))
@@ -690,6 +693,9 @@ LOADER_CORPUS = {
     "labels-three-tokens": {"edges": b"0 1\n", "labels": b"0 1 2\n"},
     "labels-underscore": {"edges": b"0 1\n", "labels": b"0 1_0\n"},
     "labels-class-beyond-int64": {"edges": b"0 1\n", "labels": b"0 " + BIG + b"\n"},
+    "labels-class-at-node-count": {"edges": b"0 1\n1 2\n", "labels": b"0 1\n2 3\n"},
+    "labels-class-huge": {"edges": b"0 1\n", "labels": b"0 1\n1 4611686018427387904\n"},
+    "labels-duplicate-in-range": {"edges": b"0 1\n1 2\n", "labels": b"0 1\n0 2\n1 0\n"},
     "labels-empty": {"edges": b"0 1\n", "labels": b""},
     "labels-crlf": {"edges": b"0 1\n", "labels": b"0 0\r\n1 1\r\n"},
     "edges-not-utf8": {"edges": b"0 1\n1 \xff2\n"},
@@ -739,3 +745,16 @@ class TestLoaderAgainstLineByLineOracle:
         with pytest.raises(DatasetFileError, match="below 2\\*\\*63") as info:
             load_dataset(paths["edges"], paths.get("features"), paths.get("labels"))
         assert str(info.value).startswith(f"{paths[key]}:{lineno}: ")
+
+    @pytest.mark.parametrize("name,count", [("labels-class-at-node-count", 3),
+                                            ("labels-class-huge", 2)])
+    def test_class_at_or_above_node_count_is_refused_at_its_line(self, tmp_path, name,
+                                                                 count):
+        paths = {}
+        for part, data in LOADER_CORPUS[name].items():
+            paths[part] = tmp_path / f"{part}.txt"
+            paths[part].write_bytes(data)
+        with pytest.raises(DatasetFileError) as info:
+            load_dataset(paths["edges"], label_path=paths["labels"])
+        assert str(info.value).startswith(f"{paths['labels']}:2: class ")
+        assert str(info.value).endswith(f"is not below the node count {count}")

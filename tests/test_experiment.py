@@ -511,12 +511,13 @@ WRITERS = {
         build_graph([(0, i) for i in range(1, size)], size), path),
     "save_features": lambda path, size: save_features(np.ones((size, 2)), path),
     "save_labels": lambda path, size: save_labels(LabelSet(np.zeros(size), 2), path),
-    "theory_csv": lambda path, size: experiment._write_theory_csv(
-        path, [dict.fromkeys(experiment._THEORY_CSV_COLUMNS, i) for i in range(size)]),
-    "report_csv": lambda path, size: experiment._write_report_csv(path, {
-        "settings": ["transductive"], "methods": [f"m{i}" for i in range(size)],
-        "table": {"transductive": {f"m{i}": {"mean": 0.5, "std": 0.0, "buckets": []}
-                                   for i in range(size)}}}),
+    "theory_csv": lambda path, size: experiment._write_csv(
+        path, experiment._THEORY_CSV_COLUMNS,
+        [dict.fromkeys(experiment._THEORY_CSV_COLUMNS, i) for i in range(size)]),
+    "report_csv": lambda path, size: experiment._write_csv(
+        path, experiment._REPORT_CSV_COLUMNS,
+        [{"setting": "transductive", "method": f"m{i}", "scope": "overall", "mean": 0.5,
+          "std": 0.0} for i in range(size)]),
 }
 
 
@@ -567,25 +568,15 @@ class TestReport:
         assert (two["mean"], two["std"], two["count"]) == (None, None, 0)
 
     def test_relative_gain_formula_and_format(self, tmp_path):
-        run = tmp_path / "feedbeefcafe"
-        buckets = [{"bucket": label, "mean": None, "count": 0}
-                   for label in BUCKET_LABELS]
+        config = make_config(tmp_path, settings=["transductive"])
+        pipeline(config)
         for seed in (0, 1):
-            reports = {
-                "base": {"transductive": {
-                    "setting": "transductive", "metric": "accuracy",
-                    "value": 0.50,
-                    "population": 0, "graph_hash": "x", "buckets": buckets}},
-                "tuneup": {"transductive": {
-                    "setting": "transductive", "metric": "accuracy",
-                    "value": 0.55,
-                    "population": 0, "graph_hash": "x", "buckets": buckets}},
-            }
-            write_json(run / str(seed) / "eval.json", {
-                "config_hash": "feedbeefcafe", "seed": seed,
-                "methods": ["base", "tuneup"], "settings": ["transductive"],
-                "reports": reports})
-        report = cmd_report(run)
+            path = config.seed_dir(seed) / "eval.json"
+            payload = json.loads(path.read_text())
+            for method, value in (("base", 0.50), ("tuneup", 0.55)):
+                payload["reports"][method]["transductive"]["value"] = value
+            write_json(path, payload)
+        report = cmd_report(config.run_dir)
         gain = report["relative_gain"]["transductive"]
         assert gain["formatted"] == "+10.0%"
         assert gain["value"] == pytest.approx(0.1)
@@ -599,17 +590,31 @@ class TestReport:
         payload = json.loads(victim.read_text())
         payload["config_hash"] = "000000000000"
         victim.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError) as excinfo:
+        with pytest.raises(MissingInputError) as excinfo:
             cmd_report(config.run_dir)
-        assert "mixed config hashes" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"{victim} belongs to config '000000000000', not {config.config_hash!r}; "
+            "rerun the 'eval' stage")
 
     def test_refuses_mismatched_directory_name(self, tmp_path):
         config = make_config(tmp_path, settings=["transductive"])
         pipeline(config)
         renamed = config.run_dir.parent / "0123456789ab"
         config.run_dir.rename(renamed)
-        with pytest.raises(ConfigError):
+        with pytest.raises(MissingInputError) as excinfo:
             cmd_report(renamed)
+        assert str(excinfo.value) == (
+            f"{renamed / '0' / 'eval.json'} belongs to config {config.config_hash!r}, "
+            "not '0123456789ab'; rerun the 'eval' stage")
+
+    def test_skips_a_directory_whose_name_is_not_a_seed(self, tmp_path):
+        # "²" is a digit to str.isdigit, but int() refuses it
+        config = make_config(tmp_path, settings=["transductive"])
+        pipeline(config)
+        (config.run_dir / "²").mkdir()
+        (config.run_dir / "²" / "eval.json").write_bytes(
+            (config.seed_dir(0) / "eval.json").read_bytes())
+        assert cmd_report(config.run_dir)["seeds"] == [0, 1]
 
     def test_report_requires_eval_outputs(self, tmp_path):
         config = make_config(tmp_path)
@@ -1073,6 +1078,75 @@ class TestCli:
 
     def test_report_without_inputs_exits_3(self, tmp_path):
         assert self.run_cli("report", str(tmp_path / "missing")) == 3
+
+    @pytest.mark.parametrize("edit", ["train.json", "config_hash", "checksums"])
+    def test_report_refuses_an_unusable_eval_output_exits_3(self, tmp_path, capsys, edit):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, settings=["transductive"])))
+        for command in ("generate", "split", "train", "eval", "report"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        config = load_config(cfg_path)
+        eval_json = config.seed_dir(0) / "eval.json"
+        edited = eval_json.parent / edit if edit == "train.json" else eval_json
+        payload = json.loads(edited.read_text())
+        if edit == "train.json":
+            payload["methods"]["base"]["stages"][0]["losses"][0] += 1.0
+        elif edit == "config_hash":
+            payload["config_hash"] = "000000000000"
+        else:
+            del payload["checksums"]
+        write_json(edited, payload)
+        capsys.readouterr()
+        assert self.run_cli("report", str(config.run_dir)) == 3
+        reason = {
+            "train.json": f"{edited} is missing or does not match its checksum in {eval_json}",
+            "config_hash": (f"{eval_json} belongs to config '000000000000', "
+                            f"not {config.config_hash!r}"),
+            "checksums": f"{eval_json} does not record 'checksums'",
+        }[edit]
+        assert (f"missing input: {reason}; rerun the 'eval' stage"
+                in capsys.readouterr().err)
+
+    def test_report_inside_the_run_directory(self, tmp_path, monkeypatch):
+        config = make_config(tmp_path, settings=["transductive"])
+        pipeline(config)
+        monkeypatch.chdir(config.run_dir)
+        assert self.run_cli("report", ".") == 0
+
+    def test_every_json_stage_output_records_hash_and_checksums(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, settings=["transductive"],
+            theory={"N": 500, "T": 120, "R": 100, "m": 20, "d": 4, "trials": 3})))
+        for command in ("generate", "split", "train", "eval", "theory", "report"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        run_dir = load_config(cfg_path).run_dir
+        outputs = {str(p.relative_to(run_dir)): json.loads(p.read_text())
+                   for p in run_dir.rglob("*.json") if p.parent.name != "models"}
+        assert {"dataset.json", "theory.json", "report.json", "0/split.json",
+                "0/train.json", "0/eval.json", "1/split.json", "1/train.json",
+                "1/eval.json"} <= set(outputs)
+        for rel, payload in outputs.items():
+            assert payload["config_hash"] == run_dir.name, rel
+            assert isinstance(payload["checksums"], dict), rel
+        assert set(outputs["report.json"]["checksums"]) == {"0/eval.json", "1/eval.json"}
+
+    def test_class_id_at_or_above_node_count_exits_2(self, tmp_path, capsys):
+        # ten nodes: a class id of 2**62 asked the model for a head that
+        # numpy could not allocate
+        edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
+        labels.write_text("".join(f"{i} {i % 2}\n" for i in range(9))
+                          + "9 4611686018427387904\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, dataset={"kind": "files", "edges": str(edges), "labels": str(labels)},
+            model={"featureless": True}, seeds=[0])))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        assert (f"$.dataset.labels: {labels}:10: class 4611686018427387904 is not below "
+                "the node count 10") in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_theory_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
