@@ -622,12 +622,13 @@ def cmd_generate(config: ExperimentConfig) -> dict:
             if paths["labels"] is not None:
                 save_labels(labels, config.run_dir / paths["labels"])
         save_edge_list(graph, config.run_dir / paths["edges"])
-    try:
-        graph, _ = _read_dataset(config)
-    except DatasetFileError as exc:
-        key = next(key for key, p in paths.items()
-                   if p is not None and str(config.run_dir / p) == exc.path)
-        raise ConfigError(f"$.dataset.{key}", str(exc)) from exc
+    else:
+        try:
+            graph, _ = _read_dataset(config)
+        except DatasetFileError as exc:
+            key = next(key for key, p in paths.items()
+                       if p is not None and str(config.run_dir / p) == exc.path)
+            raise ConfigError(f"$.dataset.{key}", str(exc)) from exc
     return _write_output(config, "dataset.json", None, {
         "task": config.task,
         "dataset": dict(dataset),
@@ -878,7 +879,7 @@ def cmd_report(run_path, *, csv: bool = False) -> dict:
             for name, payload in zip(names, payloads):
                 try:
                     per_seed.append(payload["reports"][method][setting])
-                except KeyError as exc:
+                except (KeyError, TypeError) as exc:  # a hand-edited eval.json
                     raise MissingInputError(
                         f"seed {name} lacks {method}/{setting}; "
                         "rerun the 'eval' stage") from exc

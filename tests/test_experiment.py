@@ -1108,6 +1108,23 @@ class TestCli:
         assert (f"missing input: {reason}; rerun the 'eval' stage"
                 in capsys.readouterr().err)
 
+    def test_report_refuses_an_eval_output_without_the_cell_exits_3(self, tmp_path, capsys):
+        config = make_config(tmp_path, settings=["transductive"])
+        pipeline(config)
+        eval_json = config.seed_dir(1) / "eval.json"
+        intact = json.loads(eval_json.read_text())
+        edits = {"reports": lambda p: p.update(reports=[]),
+                 "method": lambda p: p["reports"].update(base="x"),
+                 "setting": lambda p: p["reports"]["base"].pop("transductive")}
+        for edit in edits.values():
+            payload = json.loads(json.dumps(intact))
+            edit(payload)
+            write_json(eval_json, payload)
+            capsys.readouterr()
+            assert self.run_cli("report", str(config.run_dir)) == 3
+            assert ("missing input: seed 1 lacks base/transductive; rerun the 'eval' stage"
+                    in capsys.readouterr().err)
+
     def test_report_inside_the_run_directory(self, tmp_path, monkeypatch):
         config = make_config(tmp_path, settings=["transductive"])
         pipeline(config)

@@ -36,8 +36,61 @@ def attach_choice_loop(rng, communities, m_attach, community_bias):
     return edges
 
 
+def attach_cumsum_loop(rng, communities, m_attach, community_bias):
+    """The attachment loop ``generators._attach`` replaced, kept as its oracle:
+    per-community weight tables, and every draw a full sequential ``cumsum``
+    of ``w / total`` over every existing node."""
+    n = communities.shape[0]
+    factors = np.where(communities == np.arange(communities.max() + 1)[:, None],
+                       community_bias, 1.0)
+    tables = factors.copy()
+    deg = np.zeros(n, dtype=np.int64)
+    edges = np.empty((n - m_attach, m_attach, 2), dtype=np.int64)
+    edges[:, :, 1] = np.arange(m_attach, n)[:, None]
+    for i in range(m_attach, n):
+        w = tables[communities[i], :i]
+        chosen = edges[i - m_attach, :, 0]
+        for j in range(m_attach):
+            total = w.sum()
+            if not 0.0 < total < np.inf:
+                raise GraphError(f"node {i}'s attachment weights sum to {total}")
+            cdf = (w / total).cumsum()
+            cdf /= cdf[-1]
+            chosen[j] = cdf.searchsorted(rng.random(), side="right")
+            w[chosen[j]] = 0.0
+        deg[chosen] += 1
+        deg[i] += m_attach
+        touched = np.append(chosen, i)
+        tables[:, touched] = (deg[touched] + 1.0) * factors[:, touched]
+    return edges.reshape(-1, 2)
+
+
 ORACLE_GRID = [(m_attach, num_classes, bias) for m_attach in (1, 2, 3, 4)
                for num_classes in (2, 3, 5) for bias in (0.5, 1.0, 4.0)]
+
+
+def assert_same_attachment(seed, communities, m_attach, bias):
+    """``_attach`` and the cumsum oracle draw the same edges and leave their
+    generators in the same state."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    edges = generators._attach(rng, communities, m_attach, bias)
+    expected = attach_cumsum_loop(oracle_rng, communities, m_attach, bias)
+    assert edges.dtype == expected.dtype
+    assert edges.tobytes() == expected.tobytes()
+    assert rng.random() == oracle_rng.random()
+
+
+def counted(monkeypatch, name):
+    """Count the calls of ``generators.<name>``."""
+    calls = []
+    fn = getattr(generators, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(generators, name, wrapper)
+    return calls
 
 
 class TestAttachmentAgainstChoiceOracle:
@@ -81,6 +134,96 @@ class TestAttachmentAgainstChoiceOracle:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_weights_that_overflow_are_refused(self):
         # (deg + 1) * 1e308 is inf once a target has an edge
+        with pytest.raises(GraphError, match="weights sum to inf"):
+            generate_scale_free(60, 2, community_bias=1e308)
+
+
+class TestBlockDrawsAgainstCumsumOracle:
+    """Draws located from block sums equal the full ``cumsum``'s bit for bit."""
+
+    @pytest.mark.parametrize("m_attach,num_classes,bias", ORACLE_GRID)
+    def test_every_draw_from_blocks(self, monkeypatch, m_attach, num_classes, bias):
+        monkeypatch.setattr(generators, "_CROSSOVER", 0)
+        seed = 10 * m_attach + num_classes
+        communities = np.random.default_rng(seed).integers(num_classes, size=300)
+        assert_same_attachment(seed, communities, m_attach, bias)
+
+    @pytest.mark.parametrize("m_attach", [1, 2, 3])
+    @pytest.mark.parametrize("bias", [0.5, 1.0, 2.5, 4.0])
+    def test_large_graphs(self, m_attach, bias):
+        communities = np.random.default_rng(m_attach).integers(3, size=5000)
+        assert_same_attachment(m_attach, communities, m_attach, bias)
+
+    def test_large_max_dataset(self, monkeypatch):
+        """The benchmark's ``large-max`` graph (n=20,000, seed 0)."""
+        def generate():
+            return generate_scale_free(20000, 2, feat_dim=16, num_classes=2, seed=0,
+                                       separation=1.5, feature_noise=1.0,
+                                       community_bias=4.0)
+
+        graph, labels = generate()
+        monkeypatch.setattr(generators, "_attach", attach_cumsum_loop)
+        oracle_graph, oracle_labels = generate()
+        assert graph.edges.tobytes() == oracle_graph.edges.tobytes()
+        assert graph.features.tobytes() == oracle_graph.features.tobytes()
+        assert labels.labels.tobytes() == oracle_labels.labels.tobytes()
+
+
+def block_sums(w):
+    padded = np.zeros(-(-w.size // generators._BLOCK) * generators._BLOCK)
+    padded[:w.size] = w
+    return padded.reshape(-1, generators._BLOCK).sum(axis=1)
+
+
+class TestBlockDrawFallback:
+    """``_block_draw`` runs the exact draw wherever rounding could matter."""
+
+    @pytest.fixture
+    def weights(self):
+        """Weights of 1,000 targets, their block sums and their exact CDF."""
+        rng = np.random.default_rng(3)
+        w = (rng.integers(0, 40, size=1000) + 1.0) * np.where(rng.random(1000) < 0.5,
+                                                              4.0, 1.0)
+        w[[5, 64, 700]] = 0.0  # targets already drawn
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        return w, block_sums(w), cdf
+
+    def test_uniform_on_a_boundary(self, monkeypatch, weights):
+        w, sums, cdf = weights
+        exact = counted(monkeypatch, "_draw")
+        for k in (0, 4, 5, 63, 64, 127, 500, 998):
+            for u in (np.nextafter(cdf[k], 0.0), cdf[k], np.nextafter(cdf[k], 1.0)):
+                exact.clear()
+                assert generators._block_draw(w, sums, u) == cdf.searchsorted(u, "right")
+                assert len(exact) == 1
+
+    def test_uniform_inside_an_interval(self, monkeypatch, weights):
+        w, sums, cdf = weights
+        exact = counted(monkeypatch, "_draw")
+        for u in np.random.default_rng(0).random(500):
+            assert generators._block_draw(w, sums, u) == cdf.searchsorted(u, "right")
+        assert exact == []
+
+    def test_huge_margin_makes_every_draw_exact(self, monkeypatch):
+        monkeypatch.setattr(generators, "_CROSSOVER", 0)
+        monkeypatch.setattr(generators, "_EPS", 1.0)
+        exact = counted(monkeypatch, "_draw")
+        communities = np.random.default_rng(7).integers(3, size=300)
+        assert_same_attachment(7, communities, 2, 4.0)
+        assert len(exact) == 2 * (300 - 2)
+
+    @pytest.mark.parametrize("bias", [1e-200, 1e200])
+    def test_extreme_bias_keeps_the_exact_path(self, monkeypatch, bias):
+        monkeypatch.setattr(generators, "_CROSSOVER", 0)
+        located = counted(monkeypatch, "_block_draw")
+        communities = np.random.default_rng(5).integers(2, size=300)
+        assert_same_attachment(5, communities, 2, bias)
+        assert located == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_weights_that_overflow_are_refused_at_any_crossover(self, monkeypatch):
+        monkeypatch.setattr(generators, "_CROSSOVER", 0)
         with pytest.raises(GraphError, match="weights sum to inf"):
             generate_scale_free(60, 2, community_bias=1e308)
 
