@@ -1,5 +1,6 @@
 """tailkit: two-stage GNN training that holds up on low-degree and cold-start nodes."""
 
+from .errors import TailkitError
 from .graph import (
     Graph,
     GraphError,
@@ -83,6 +84,7 @@ __all__ = [
     "SplitError",
     "SupervisionSet",
     "TASKS",
+    "TailkitError",
     "TheoryError",
     "TrainConfig",
     "TrainError",

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import TailkitError
+
 __all__ = [
     "AdamState",
     "AutodiffError",
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 
-class AutodiffError(ValueError):
+class AutodiffError(TailkitError):
     """Shape mismatches, rank violations, or tape misuse."""
 
 
@@ -245,27 +247,19 @@ def _aggregate(adj, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def spmm(adj, x: Tensor) -> Tensor:
-    """Sparse-matrix times dense-matrix with constant adjacency weights.
-
-    The vjp Aᵀu aggregates with ``weights[mirror]`` over A's own CSR: the
-    support is symmetric, so it multiplies the same pairs as a transpose CSR
-    would and adds them in the same order.
-    """
-    if x.value.ndim != 2 or x.value.shape[0] != adj.num_nodes:
-        raise AutodiffError(
-            f"spmm expects x of shape ({adj.num_nodes}, d), got {x.value.shape}"
-        )
-    return _apply(
-        _aggregate(adj, x.value, adj.weights),
-        [(x, lambda u: _aggregate(adj, u, adj.weights[adj.mirror]))],
-    )
+    """Sparse-matrix times dense-matrix: :func:`edge_spmm` with the operator's
+    own weights, held constant."""
+    return edge_spmm(Tensor(adj.weights[:, None]), x, adj)
 
 
 def edge_spmm(weights: Tensor, x: Tensor, adj) -> Tensor:
-    """Aggregation with per-edge learned weights (shape ``(nnz, 1)``).
+    """Aggregation with per-edge weights (shape ``(nnz, 1)``), learned or fixed.
 
     ``adj`` supplies only the support structure (offsets/targets/rows/mirror);
-    its stored weights are ignored.
+    its stored weights are ignored. The vjp Aᵀu aggregates with
+    ``weights[mirror]`` over A's own CSR: the support is symmetric, so it
+    multiplies the same pairs as a transpose CSR would and adds them in the
+    same order.
     """
     if weights.value.shape != (adj.nnz, 1):
         raise AutodiffError(
@@ -283,17 +277,13 @@ def edge_spmm(weights: Tensor, x: Tensor, adj) -> Tensor:
     )
 
 
-def segment_softmax(logits: Tensor, offsets: np.ndarray) -> Tensor:
-    """Softmax within each contiguous segment of a ``(nnz, 1)`` logit vector."""
-    if logits.value.ndim != 2 or logits.value.shape[1] != 1:
-        raise AutodiffError(f"segment logits must be (nnz, 1), got {logits.value.shape}")
+def segment_softmax(logits: Tensor, adj) -> Tensor:
+    """Softmax of a ``(nnz, 1)`` logit vector within each row of ``adj``."""
+    if logits.value.shape != (adj.nnz, 1):
+        raise AutodiffError(f"segment logits must be ({adj.nnz}, 1), got {logits.value.shape}")
     v = logits.value[:, 0]
-    num_segments = offsets.shape[0] - 1
-    counts = np.diff(offsets)
-    if counts.sum() != v.shape[0]:
-        raise AutodiffError("segment offsets do not cover the logit vector")
-    rows = np.repeat(np.arange(num_segments), counts)
-    nonempty = counts > 0
+    num_segments, offsets, rows = adj.num_nodes, adj.offsets, adj.rows
+    nonempty = np.diff(offsets) > 0
     seg_max = np.full(num_segments, -np.inf)
     if v.size:
         seg_max[nonempty] = np.maximum.reduceat(v, offsets[:-1][nonempty])

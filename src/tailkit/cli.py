@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: generate, split, train, eval,
 theory, and report. Every stage reads one JSON config (``--config``), with
 ``--seed`` and ``--out`` overriding the seed list and output directory.
 Exit codes: 0 on success, 2 for config schema violations (reported with the
-JSON path of the offending field), 3 when a required earlier stage output
+JSON path of the offending field) and for any other input the library
+refuses (a :class:`TailkitError`), 3 when a required earlier stage output
 is missing or unusable; ``report`` checks each ``eval.json`` it averages by
 the same rule as every other stage.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import TailkitError
 from .experiment import (
     ConfigError,
     ExperimentConfig,
@@ -137,6 +139,9 @@ def main(argv=None) -> int:
     except MissingInputError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return 3
+    except TailkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,11 +13,12 @@ from __future__ import annotations
 import io
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .errors import TailkitError
 from .graph import Graph, GraphError, LabelSet, build_graph
 
 __all__ = [
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 
-class SplitError(ValueError):
+class SplitError(TailkitError):
     """Invalid split parameters or inputs."""
 
 
@@ -271,13 +272,7 @@ class SplitBundle:
             "cold_input_edges": {repr(r): arr(e) for r, e in sorted(self.cold_input_edges.items())},
         }
         if self.label_set is not None:
-            out["labels"] = {
-                "labels": arr(self.label_set.labels),
-                "num_classes": self.label_set.num_classes,
-                "train_labeled": arr(self.label_set.train_labeled),
-                "validation": arr(self.label_set.validation),
-                "unlabeled": arr(self.label_set.unlabeled),
-            }
+            out["labels"] = {k: arr(v) for k, v in asdict(self.label_set).items()}
         return out
 
     @classmethod
@@ -294,9 +289,8 @@ class SplitBundle:
         label_set = None
         if "labels" in payload:
             lab = payload["labels"]
-            label_set = LabelSet(
-                np.asarray(lab["labels"], dtype=np.int64), lab["num_classes"]
-            ).with_splits(lab["train_labeled"], lab["validation"], lab["unlabeled"])
+            label_set = LabelSet(lab["labels"], lab["num_classes"]).with_splits(
+                lab["train_labeled"], lab["validation"], lab["unlabeled"])
         return cls(
             task=payload["task"],
             seed=payload["seed"],
@@ -329,7 +323,7 @@ def make_classification_bundle(
     r_node, r_label, r_cold = np.random.SeedSequence(seed).spawn(3)
     ns = node_split(graph, new_fraction, seed=_entropy(r_node))
     train, val, unlabeled = label_split(ns.v_train, labeled_fraction, seed=_entropy(r_label))
-    new_input = _concat_edges(ns.cross_edges, ns.new_new_edges)
+    new_input = np.concatenate([ns.cross_edges, ns.new_new_edges])
     return SplitBundle(
         task="classification",
         seed=seed,
@@ -358,7 +352,7 @@ def make_link_bundle(
     train_graph, val_edges, test_edges = edge_split_transductive(
         induced, trans_ratios, seed=_entropy(r_trans)
     )
-    new_edges = _concat_edges(ns.cross_edges, ns.new_new_edges)
+    new_edges = np.concatenate([ns.cross_edges, ns.new_new_edges])
     new_input, new_test = edge_split_inductive(
         new_edges, ns.v_new, inductive_ratio, seed=_entropy(r_ind)
     )
@@ -401,12 +395,6 @@ def _cold_variants(new_input, v_new, cold_ratios, seq: np.random.SeedSequence) -
         float(r): cold_start_remove(new_input, v_new, float(r), seed=_entropy(seq) + i)
         for i, r in enumerate(cold_ratios)
     }
-
-
-def _concat_edges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = a.reshape(-1, 2)
-    b = b.reshape(-1, 2)
-    return np.concatenate([a, b], axis=0)
 
 
 # ---------------------------------------------------------------------------

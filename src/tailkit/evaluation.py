@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TailkitError
 from .graph import Graph
 from .models import Model, encode
 
@@ -42,7 +43,7 @@ _BUCKET_EDGES = (0, 1, 2, 3, 4, 5, 6, 11, 21, 51)
 BUCKET_LABELS = ("0", "1", "2", "3", "4", "5", "6-10", "11-20", "21-50", "51+")
 
 
-class EvalError(ValueError):
+class EvalError(TailkitError):
     """Invalid evaluation request."""
 
 

@@ -412,20 +412,11 @@ class ExperimentConfig:
                    doc.output_dir)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "dataset": dict(self.dataset),
-            "model": dict(self.model),
-            "train": dict(self.train),
-            "methods": list(self.methods),
-            "settings": list(self.settings),
-            "seeds": list(self.seeds),
-            "split": {k: list(v) if isinstance(v, tuple) else v
-                      for k, v in self.split.items()},
-            "eval": dict(self.evaluation),
-            "theory": dict(self.theory),
-            "output_dir": self.output_dir,
-        }
+        """The config as a JSON document: tuples as lists, and
+        ``evaluation`` under its key ``eval``."""
+        payload = json.loads(canonical_json(vars(self)))
+        payload["eval"] = payload.pop("evaluation")
+        return payload
 
     @property
     def config_hash(self) -> str:
@@ -629,6 +620,8 @@ def cmd_generate(config: ExperimentConfig) -> dict:
             key = next(key for key, p in paths.items()
                        if p is not None and str(config.run_dir / p) == exc.path)
             raise ConfigError(f"$.dataset.{key}", str(exc)) from exc
+        if config.task == "recsys" and graph.bipartite is None:
+            raise ConfigError("$.dataset.edges", "a recsys edge file needs a '%bipartite' line")
     return _write_output(config, "dataset.json", None, {
         "task": config.task,
         "dataset": dict(dataset),
@@ -848,6 +841,24 @@ def _aggregate_cell(per_seed: list[dict]) -> dict:
     }
 
 
+def _eval_cell(name: str, payload: dict, method: str, setting: str) -> dict:
+    """Seed ``name``'s cell of ``method`` and ``setting``, holding every field
+    the report reads; a hand-edited eval.json exits 3 naming the eval stage."""
+    try:
+        cell = payload["reports"][method][setting]
+    except (KeyError, TypeError) as exc:
+        raise MissingInputError(
+            f"seed {name} lacks {method}/{setting}; rerun the 'eval' stage") from exc
+    buckets = cell.get("buckets") if isinstance(cell, dict) else None
+    if not (isinstance(buckets, list) and len(buckets) == len(BUCKET_LABELS)
+            and type(cell.get("value")) in (int, float) and isinstance(cell.get("metric"), str)
+            and all(isinstance(b, dict) and type(b.get("count")) is int
+                    and type(b.get("mean")) in (type(None), int, float) for b in buckets)):
+        raise MissingInputError(
+            f"seed {name} holds a malformed {method}/{setting} cell; rerun the 'eval' stage")
+    return cell
+
+
 def cmd_report(run_path, *, csv: bool = False) -> dict:
     """Aggregate per-seed evaluations into a comparison table.
 
@@ -870,20 +881,18 @@ def cmd_report(run_path, *, csv: bool = False) -> dict:
     entries = [_entry("eval.json", name) for name in names]
     payloads = [_required(run_path, config_hash, entry) for entry in entries]
     methods, settings = payloads[0]["methods"], payloads[0]["settings"]
+    if not all(isinstance(v, list) and all(isinstance(s, str) for s in v)
+               for v in (methods, settings)):
+        raise MissingInputError(f"seed {names[0]} holds malformed method or setting "
+                                "lists; rerun the 'eval' stage")
 
     table = {}
     for setting in settings:
         table[setting] = {}
         for method in methods:
-            per_seed = []
-            for name, payload in zip(names, payloads):
-                try:
-                    per_seed.append(payload["reports"][method][setting])
-                except (KeyError, TypeError) as exc:  # a hand-edited eval.json
-                    raise MissingInputError(
-                        f"seed {name} lacks {method}/{setting}; "
-                        "rerun the 'eval' stage") from exc
-            table[setting][method] = _aggregate_cell(per_seed)
+            table[setting][method] = _aggregate_cell(
+                [_eval_cell(name, payload, method, setting)
+                 for name, payload in zip(names, payloads)])
     metric = (payloads[0]["reports"][methods[0]][settings[0]]["metric"]
               if methods and settings else "")
 

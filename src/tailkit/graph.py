@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import TailkitError
+
 __all__ = [
     "Graph",
     "GraphError",
@@ -24,7 +26,7 @@ NORMALIZATIONS = ("renormalized", "row-mean", "none")
 MAX_NODES = 3_037_000_499  # isqrt(2**63 - 1): node-pair keys below num_nodes**2 fit in int64
 
 
-class GraphError(ValueError):
+class GraphError(TailkitError):
     """Raised for malformed graph input (bad ids, self-loops, partition errors)."""
 
 
@@ -48,6 +50,9 @@ class Graph:
     bipartite:
         ``(num_users, num_items)`` when the graph is a user-item graph; users
         occupy ids ``[0, num_users)`` and items ``[num_users, num_nodes)``.
+    operators:
+        The aggregation operators built from this graph by normalization mode,
+        filled in by ``models.encode``: each is built once, freed with the graph.
     """
 
     num_nodes: int
@@ -56,13 +61,15 @@ class Graph:
     csr_targets: np.ndarray
     features: np.ndarray | None = None
     bipartite: tuple[int, int] | None = None
+    operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
     def neighbors(self, node: int) -> np.ndarray:
-        _check_node(self, node)
+        if not 0 <= node < self.num_nodes:
+            raise GraphError(f"node {node} out of range [0, {self.num_nodes})")
         return self.csr_targets[self.csr_offsets[node]:self.csr_offsets[node + 1]]
 
     def degrees(self) -> np.ndarray:
@@ -77,11 +84,6 @@ class Graph:
         h.update(np.int64(self.num_nodes).tobytes())
         h.update(np.ascontiguousarray(self.edges, dtype=np.int64).tobytes())
         return h.hexdigest()[:16]
-
-
-def _check_node(graph: Graph, node: int) -> None:
-    if not 0 <= node < graph.num_nodes:
-        raise GraphError(f"node {node} out of range [0, {graph.num_nodes})")
 
 
 def _csr_from_edges(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +185,10 @@ def drop_edges(graph: Graph, alpha: float, seed: int) -> Graph:
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """Sparse aggregation operator in CSR form.
-
-    ``mode`` is one of ``renormalized`` (symmetric degree-scaled adjacency with
-    self-loops), ``row-mean`` (neighbor averaging, isolated nodes fall back to a
-    unit self-entry), or ``none`` (raw 0/1 adjacency, no self-loops). ``rows``
-    repeats each row index per stored entry.
+    """Sparse aggregation operator in CSR form, built by
+    :func:`normalize_adjacency`. ``rows`` repeats each row index per stored
+    entry. Its arrays are read-only views: one operator serves every pass
+    over its graph, so an in-place write would corrupt them all.
 
     The support (the set of stored (i, j) pairs) is symmetric in every mode:
     it is an undirected graph plus diagonal entries. ``mirror[e]`` is the
@@ -201,7 +201,6 @@ class NormalizedAdjacency:
     offsets: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    mode: str
     rows: np.ndarray = field(repr=False)
     mirror: np.ndarray = field(repr=False)
 
@@ -244,7 +243,10 @@ def normalize_adjacency(graph: Graph, mode: str = "renormalized") -> NormalizedA
         weights = (1.0 / np.maximum(deg, 1))[rows]
     else:
         weights = np.ones(targets.shape[0], dtype=np.float64)
-    return NormalizedAdjacency(n, offsets, targets, weights, mode, rows, mirror)
+    arrays = [a.view() for a in (offsets, targets, weights, rows, mirror)]
+    for a in arrays:  # views: offsets and targets may be the graph's own CSR
+        a.flags.writeable = False
+    return NormalizedAdjacency(n, *arrays)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import TailkitError
 from .graph import Graph
 
 __all__ = [
@@ -20,7 +21,7 @@ __all__ = [
 ]
 
 
-class LossError(ValueError):
+class LossError(TailkitError):
     """Invalid supervision or loss input."""
 
 
@@ -63,9 +64,7 @@ class SupervisionSet:
             is_pseudo = np.asarray(is_pseudo, dtype=bool)
             if is_pseudo.shape != nodes.shape:
                 raise LossError("is_pseudo must align with nodes")
-        out = cls("classification", num_nodes, nodes=nodes, classes=classes, is_pseudo=is_pseudo)
-        out.num_classes = num_classes
-        return out
+        return cls("classification", num_nodes, nodes=nodes, classes=classes, is_pseudo=is_pseudo)
 
     @classmethod
     def ranking(cls, task: str, graph: Graph):

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import write_atomic
+from .errors import TailkitError
 from .graph import Graph, normalize_adjacency
 
 __all__ = [
@@ -47,7 +48,7 @@ _NORMALIZATIONS = {"gcn": "renormalized", "gat": "renormalized",
                    "sage-mean": "row-mean", "sage-sum": "none"}
 
 
-class ModelError(ValueError):
+class ModelError(TailkitError):
     """Invalid model configuration or misuse of a task head."""
 
 
@@ -187,19 +188,20 @@ def _encoder_input(model: Model, graph: Graph) -> Tensor:
     return Tensor(graph.features)
 
 
-def encode(model: Model, graph: Graph, *, return_attention: bool = False):
+def encode(model: Model, graph: Graph) -> Tensor:
     """Run the encoder; returns node embeddings of shape (num_nodes, output_dim).
 
-    With ``return_attention=True`` (gat only) also returns the per-layer
-    attention coefficient arrays aligned with the self-looped support.
+    The graph's aggregation operator is built on the first pass over it and
+    kept in ``graph.operators`` for every later one.
     """
     cfg = model.config
     h = _encoder_input(model, graph)
     variant = cfg.variant
     mode = _NORMALIZATIONS.get(variant)
-    adj = None if mode is None else normalize_adjacency(graph, mode)
+    adj = graph.operators.get(mode)
+    if adj is None and mode is not None:
+        adj = graph.operators[mode] = normalize_adjacency(graph, mode)
 
-    attention: list[np.ndarray] = []
     for layer in range(cfg.num_layers):
         w = model.params[f"enc{layer}.weight"]
         b = model.params[f"enc{layer}.bias"]
@@ -213,9 +215,7 @@ def encode(model: Model, graph: Graph, *, return_attention: bool = False):
                 ad.add(ad.gather_rows(e_src, adj.rows), ad.gather_rows(e_dst, adj.targets)),
                 0.2,
             )
-            coeff = ad.segment_softmax(logits, adj.offsets)
-            if return_attention:
-                attention.append(coeff.value.copy())
+            coeff = ad.segment_softmax(logits, adj)
             h = ad.add_bias(ad.edge_spmm(coeff, wh, adj), b)
         else:
             if variant == "sage-max":
@@ -225,8 +225,6 @@ def encode(model: Model, graph: Graph, *, return_attention: bool = False):
             h = ad.add_bias(ad.matmul(ad.concat_cols(h, agg), w), b)
         if layer < cfg.num_layers - 1:
             h = ad.relu(h)
-    if return_attention:
-        return h, attention
     return h
 
 
@@ -267,13 +265,7 @@ def save_model(model: Model, path) -> None:
         "format_version": FORMAT_VERSION,
         "task": model.task,
         "num_classes": model.num_classes,
-        "config": {
-            "variant": model.config.variant,
-            "input_dim": model.config.input_dim,
-            "hidden_dim": model.config.hidden_dim,
-            "output_dim": model.config.output_dim,
-            "num_layers": model.config.num_layers,
-        },
+        "config": asdict(model.config),
         "params": {
             k: {
                 "shape": list(p.value.shape),

@@ -24,6 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import TailkitError
+
 __all__ = [
     "LossProfile",
     "METHODS",
@@ -43,7 +45,7 @@ __all__ = [
 METHODS = ("M1", "M2", "M3")
 
 
-class TheoryError(ValueError):
+class TheoryError(TailkitError):
     """Invalid world parameters or profile contents."""
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
+from .errors import TailkitError
 from .evaluation import predict_classes
 from .graph import Graph, LabelSet, drop_edges
 from .losses import SupervisionSet, bpr_loss, cross_entropy, l2_regularize, sample_negatives
@@ -50,7 +51,7 @@ METHODS = {
 }
 
 
-class TrainError(ValueError):
+class TrainError(TailkitError):
     """Invalid training configuration or inputs."""
 
 

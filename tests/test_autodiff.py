@@ -122,11 +122,13 @@ class TestOpValues:
         np.testing.assert_allclose(ad.spmm(adj, x).value, dense @ x.value, atol=1e-12)
 
     def test_segment_softmax_sums_to_one(self):
-        offsets = np.array([0, 3, 5, 6])
-        logits = ad.Tensor(np.random.default_rng(2).normal(size=(6, 1)))
-        p = ad.segment_softmax(logits, offsets).value[:, 0]
+        # rows of 3, 2, 1 and 2 entries: node 2 holds only its self-entry
+        adj = normalize_adjacency(build_graph([(0, 1), (0, 3)], 4), "renormalized")
+        np.testing.assert_array_equal(adj.offsets, [0, 3, 5, 6, 8])
+        logits = ad.Tensor(np.random.default_rng(2).normal(size=(8, 1)))
+        p = ad.segment_softmax(logits, adj).value[:, 0]
         np.testing.assert_allclose(
-            [p[0:3].sum(), p[3:5].sum(), p[5:6].sum()], 1.0, atol=1e-12
+            [p[0:3].sum(), p[3:5].sum(), p[5:6].sum(), p[6:8].sum()], 1.0, atol=1e-12
         )
 
     def test_row_max_pool_values_and_empty_rows(self):
@@ -180,7 +182,7 @@ class TestGradients:
         x = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
         def build():
-            coeff = ad.segment_softmax(logits, adj.offsets)
+            coeff = ad.segment_softmax(logits, adj)
             return ad.mean_all(ad.edge_spmm(coeff, x, adj))
 
         check_grads(build, [logits, x])
@@ -374,7 +376,7 @@ class TestAggregationAgainstTransposeOracle:
         # GAT coefficients: a softmax per row, so (i, j) and (j, i) differ
         adj = normalize_adjacency(make_graph(), "renormalized")
         logits = ad.Tensor(_normal((adj.nnz, 1), 9), requires_grad=True)
-        coeff = ad.segment_softmax(logits, adj.offsets)
+        coeff = ad.segment_softmax(logits, adj)
         upstream = _normal((adj.num_nodes, 8), 8)
         x = ad.Tensor(_normal((adj.num_nodes, 8), 7), requires_grad=True)
         with ad.Tape() as tape:

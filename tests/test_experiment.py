@@ -820,6 +820,25 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not list((tmp_path / "runs").rglob("split.json"))
 
+    def test_recsys_file_dataset_without_a_bipartite_line_exits_2(self, tmp_path, capsys):
+        cfg_path = files_config(tmp_path, task="recsys")
+        edges = tmp_path / "data" / "edges.txt"
+        lines = edges.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("%bipartite")
+        edges.write_text("".join(lines[1:]))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        assert ("$.dataset.edges: a recsys edge file needs a '%bipartite' line"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "files").exists()
+
+    def test_library_error_exits_2_with_its_message(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, dataset={"num_nodes": 60, "community_bias": 1e308})))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        assert re.fullmatch(r"error: node \d+'s attachment weights sum to inf\n",
+                            capsys.readouterr().err)
+
     @pytest.mark.parametrize("task,texts", [
         ("recsys", {"edges": b"%bipartite 2 2\n1 99999999999999999999\n0 2\n"}),
         ("classification", {"edges": b"0 1\n1 2\n",
@@ -1124,6 +1143,30 @@ class TestCli:
             assert self.run_cli("report", str(config.run_dir)) == 3
             assert ("missing input: seed 1 lacks base/transductive; rerun the 'eval' stage"
                     in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit,reason", [
+        pytest.param(lambda p: p["reports"]["base"].update(transductive=5),
+                     "seed 0 holds a malformed base/transductive cell", id="cell"),
+        pytest.param(lambda p: p["reports"]["tuneup"]["transductive"]["buckets"].pop(),
+                     "seed 0 holds a malformed tuneup/transductive cell", id="buckets"),
+        pytest.param(lambda p: p["reports"]["base"]["transductive"]["buckets"][3]
+                     .update(count="2"),
+                     "seed 0 holds a malformed base/transductive cell", id="count"),
+        pytest.param(lambda p: p.update(methods=5),
+                     "seed 0 holds malformed method or setting lists", id="methods"),
+    ])
+    def test_report_refuses_a_malformed_eval_cell_exits_3(self, tmp_path, capsys,
+                                                           edit, reason):
+        config = make_config(tmp_path, settings=["transductive"])
+        pipeline(config)
+        eval_json = config.seed_dir(0) / "eval.json"
+        payload = json.loads(eval_json.read_text())
+        edit(payload)
+        write_json(eval_json, payload)
+        capsys.readouterr()
+        assert self.run_cli("report", str(config.run_dir)) == 3
+        assert (f"missing input: {reason}; rerun the 'eval' stage"
+                in capsys.readouterr().err)
 
     def test_report_inside_the_run_directory(self, tmp_path, monkeypatch):
         config = make_config(tmp_path, settings=["transductive"])

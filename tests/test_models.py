@@ -1,6 +1,8 @@
 """Encoders and heads: shapes, hand values, equivariance, checkpoint round-trips."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,16 +82,44 @@ class TestEncode:
         emb_perm = encode(model, g_perm).value
         np.testing.assert_allclose(emb_perm, emb[inv], atol=1e-9)
 
-    def test_gat_attention_sums_to_one(self):
+    def test_gat_attention_sums_to_one(self, monkeypatch):
         g = small_graph(seed=6)
         cfg = EncoderConfig("gat", 5, 6, 3)
         model = init_model(cfg, "classification", num_classes=2, seed=7)
-        _, attention = encode(model, g, return_attention=True)
+        attention, softmax = [], ad.segment_softmax
+
+        def capture(logits, adj):
+            coeff = softmax(logits, adj)
+            attention.append(coeff.value.copy())
+            return coeff
+
+        monkeypatch.setattr(ad, "segment_softmax", capture)
+        encode(model, g)
         adj = normalize_adjacency(g, "renormalized")
         assert len(attention) == cfg.num_layers
         for coeff in attention:
             sums = np.add.reduceat(coeff[:, 0], adj.offsets[:-1])
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("variant,mode", [
+        ("gcn", "renormalized"), ("sage-mean", "row-mean"), ("sage-sum", "none")])
+    def test_operator_is_built_once_per_graph_and_read_only(self, variant, mode):
+        g = small_graph(seed=9)
+        model = init_model(EncoderConfig(variant, 5, 6, 3), "classification",
+                           num_classes=2, seed=9)
+        first = encode(model, g).value
+        memo = g.operators[mode]
+        assert encode(model, g).value.tobytes() == first.tobytes()
+        assert list(g.operators) == [mode] and g.operators[mode] is memo
+        fresh = normalize_adjacency(g, mode)
+        assert memo.num_nodes == fresh.num_nodes
+        for field in dataclasses.fields(fresh)[1:]:
+            got, want = getattr(memo, field.name), getattr(fresh, field.name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
+        # read-only views: the graph's own CSR, which they may share, stays writable
+        assert g.csr_offsets.flags.writeable and g.csr_targets.flags.writeable
 
     def test_sum_aggregate_is_twice_mean_on_ring(self):
         """On a 2-regular ring every node has degree 2, so the sum aggregate is

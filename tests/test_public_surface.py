@@ -33,3 +33,15 @@ def test_package_reexports_are_exported_by_their_modules():
         module = importlib.import_module(f"tailkit.{module_name}")
         assert name in module.__all__, f"tailkit.{module_name} does not export {name!r}"
         assert name in tailkit.__all__, f"tailkit.__all__ lacks re-exported {name!r}"
+
+
+def test_library_errors_share_one_base():
+    # the CLI maps a TailkitError to exit 2; its own two errors map themselves
+    errors = {name: getattr(importlib.import_module(f"tailkit.{module}"), name)
+              for module in MODULES
+              for name in getattr(importlib.import_module(f"tailkit.{module}"), "__all__", ())
+              if name.endswith("Error")}
+    assert {"GraphError", "AutodiffError", "TheoryError", "DatasetFileError"} <= set(errors)
+    for name, cls in errors.items():
+        if name not in ("ConfigError", "MissingInputError"):
+            assert issubclass(cls, tailkit.TailkitError), name

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import tailkit.models as models
 import tailkit.training as training
 from tailkit import autodiff as ad
 from tailkit.autodiff import AdamState, Tape
@@ -572,3 +573,25 @@ class TestSharedStageOne:
         tuneup, no_pseudo = shared["tuneup"][0], shared["no-pseudo"][0]
         assert not any(np.shares_memory(a.value, b.value) for a, b in
                        zip(tuneup.parameters(), no_pseudo.parameters()))
+
+
+class TestOperatorReuse:
+    def test_each_graph_is_normalized_once(self, monkeypatch):
+        # stage 1, validation, pseudo-labelling and the clean passes share the
+        # intact graph's operator; each dropped-graph update builds its own
+        make, graph, sup, cfg, label_set, validate = oracle_case("gcn")
+        built = []
+        normalize = models.normalize_adjacency
+
+        def counted(g, mode):
+            built.append(g)
+            return normalize(g, mode)
+
+        monkeypatch.setattr(models, "normalize_adjacency", counted)
+        shared = run_ablation(["base", "tuneup"], make(), graph, sup, cfg,
+                              label_set=label_set, validation_fn=validate)
+        finetune = shared["tuneup"][1].stages[1]
+        assert finetune.epochs_run > 0 and shared["base"][1].stages[0].val_epochs
+        assert len(built) == 1 + finetune.epochs_run
+        assert built[0] is graph
+        assert len({id(g) for g in built}) == len(built)
