@@ -306,9 +306,19 @@ def row_max_pool(x: Tensor, graph) -> Tensor:
     that have a j-th neighbor form a prefix of that order, and step j compares
     all of them against their j-th neighbor row in one vectorized pass. The
     loop runs ``max_degree - 1`` times, independent of the node count. A
-    candidate replaces the running max only when strictly greater, and CSR
+    candidate wins only when strictly greater than the running max, and CSR
     neighbors are sorted ascending, so ties (signed zeros included) keep the
     lowest-id neighbor attaining the max, which also receives the gradient.
+    A NaN never wins, and a NaN first neighbor is never beaten.
+
+    The running max is kept by ``np.fmax`` and the winner's position by
+    ``pos = max(pos, win * j)`` (j only grows, so that is the last winning
+    j), which avoids masked copies. A max is exact, so ``fmax`` returns the
+    winner's value everywhere except where it may differ in bits: it skips
+    NaN, so a NaN first neighbor is seeded as +inf (nothing is greater) and
+    its NaN restored at the end, and on a +0/-0 tie it may return either
+    zero. Those slots, the zero ones only when ``x`` holds a -0.0, take the
+    winner's own bits from ``x``.
     """
     if x.value.ndim != 2 or x.value.shape[0] != graph.num_nodes:
         raise AutodiffError(
@@ -329,13 +339,26 @@ def row_max_pool(x: Tensor, graph) -> Tensor:
     # pos[r, c]: which neighbor (0-based, in CSR order) holds row r's max in column c
     pos = np.zeros((rows.size, d), dtype=np.min_scalar_type(max_degree))
     best = x.value[tgt[starts]]
+    fix = np.isnan(best)
+    nan_first = bool(fix.any())
+    if nan_first:
+        best[fix] = np.inf
     win = np.empty(best.shape, dtype=bool)
+    step = np.empty(best.shape, dtype=pos.dtype)
     for j in range(1, max_degree):
         k = active[j]
         cand = x.value[tgt[starts[:k] + j]]
         np.greater(cand, best[:k], out=win[:k])
-        np.copyto(best[:k], cand, where=win[:k])
-        np.copyto(pos[:k], j, where=win[:k], casting="unsafe")
+        np.fmax(best[:k], cand, out=best[:k])
+        np.multiply(win[:k], pos.dtype.type(j), out=step[:k])
+        np.maximum(pos[:k], step[:k], out=pos[:k])
+    if np.any((x.value == 0) & np.signbit(x.value)):
+        fix |= best == 0
+    elif not nan_first:
+        fix = None
+    if fix is not None:
+        r, c = np.nonzero(fix)
+        best[r, c] = x.value[tgt[starts[r] + pos[r, c]], c]
     value[rows] = best
 
     def vjp(u):

@@ -216,7 +216,11 @@ def cold_start_remove(input_edges, new_nodes, removal_ratio: float, seed: int = 
 
 @dataclass
 class SplitBundle:
-    """Everything downstream training and evaluation read from one split."""
+    """Everything downstream training and evaluation read from one split.
+
+    Each inference graph is built once and kept, so every model evaluated on
+    the bundle shares that graph and the operators cached on it.
+    """
 
     task: str
     seed: int
@@ -230,12 +234,16 @@ class SplitBundle:
     new_input_edges: np.ndarray | None = None
     new_test_edges: np.ndarray | None = None
     cold_input_edges: dict[float, np.ndarray] = field(default_factory=dict)
+    _inference_graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def inference_graph(self, setting: str, cold_ratio: float | None = None) -> Graph:
         """The exact graph a model sees at evaluation time for a setting."""
         base = self.train_graph
         if setting == "transductive":
             return base
+        key = (setting, cold_ratio if setting == "inductive-cold" else None)
+        if key in self._inference_graphs:
+            return self._inference_graphs[key]
         if self.task == "recsys":
             raise SplitError("recsys has no inductive setting")
         if setting == "inductive":
@@ -250,7 +258,9 @@ class SplitBundle:
         else:
             raise SplitError(f"unknown setting {setting!r}")
         edges = np.concatenate([base.edges, extra.reshape(-1, 2)], axis=0)
-        return build_graph(edges, self.num_nodes, features=base.features, bipartite=base.bipartite)
+        graph = build_graph(edges, self.num_nodes, features=base.features, bipartite=base.bipartite)
+        self._inference_graphs[key] = graph
+        return graph
 
     # -- serialization ------------------------------------------------------
 

@@ -603,16 +603,18 @@ def cmd_generate(config: ExperimentConfig) -> dict:
         return manifest
     dataset, paths = config.dataset, _data_paths(config)
     if dataset["kind"] == "synthetic":
-        (config.run_dir / "dataset").mkdir(parents=True, exist_ok=True)
         params = {key: value for key, value in dataset.items() if key != "kind"}
         if config.task == "recsys":
-            graph = generate_bipartite(**params)
+            graph, labels = generate_bipartite(**params), None
         else:
             graph, labels = generate_scale_free(params.pop("num_nodes"), **params)
-            save_features(graph.features, config.run_dir / paths["features"])
-            if paths["labels"] is not None:
-                save_labels(labels, config.run_dir / paths["labels"])
+        # only a dataset that was generated gets a directory
+        (config.run_dir / "dataset").mkdir(parents=True, exist_ok=True)
         save_edge_list(graph, config.run_dir / paths["edges"])
+        if paths["features"] is not None:
+            save_features(graph.features, config.run_dir / paths["features"])
+        if paths["labels"] is not None:
+            save_labels(labels, config.run_dir / paths["labels"])
     else:
         try:
             graph, _ = _read_dataset(config)

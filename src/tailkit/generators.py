@@ -63,7 +63,9 @@ def generate_scale_free(
 
     rng = np.random.default_rng(seed)
     communities = rng.integers(num_classes, size=n)
-    edges = _attach(rng, communities, m_attach, community_bias)
+    # a weight that overflows to inf is refused by _draw's check on the sum
+    with np.errstate(over="ignore"):
+        edges = _attach(rng, communities, m_attach, community_bias)
 
     means = np.zeros((num_classes, feat_dim))
     means[np.arange(num_classes), np.arange(num_classes)] = separation

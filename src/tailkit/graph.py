@@ -52,7 +52,9 @@ class Graph:
         occupy ids ``[0, num_users)`` and items ``[num_users, num_nodes)``.
     operators:
         The aggregation operators built from this graph by normalization mode,
-        filled in by ``models.encode``: each is built once, freed with the graph.
+        and the sage encoders' aggregates of ``features`` by
+        ``("input", variant)``, filled in by ``models.encode``: each is built
+        once, freed with the graph.
     """
 
     num_nodes: int

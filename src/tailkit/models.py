@@ -188,11 +188,32 @@ def _encoder_input(model: Model, graph: Graph) -> Tensor:
     return Tensor(graph.features)
 
 
+def _sage_aggregate(h: Tensor, graph: Graph, adj) -> Tensor:
+    """The neighbor aggregate a sage layer concatenates to ``h``; sage-max
+    (no operator) pools over the graph's own neighbor lists."""
+    return ad.row_max_pool(h, graph) if adj is None else ad.spmm(adj, h)
+
+
+def _feature_aggregate(features: Tensor, graph: Graph, adj, variant: str) -> Tensor:
+    """:func:`_sage_aggregate` of the graph's own features, computed on the
+    first pass over the graph and kept read-only in ``graph.operators``."""
+    key = ("input", variant)
+    agg = graph.operators.get(key)
+    if agg is None:
+        agg = _sage_aggregate(features, graph, adj).value
+        agg.flags.writeable = False
+        graph.operators[key] = agg
+    return Tensor(agg)
+
+
 def encode(model: Model, graph: Graph) -> Tensor:
     """Run the encoder; returns node embeddings of shape (num_nodes, output_dim).
 
     The graph's aggregation operator is built on the first pass over it and
-    kept in ``graph.operators`` for every later one.
+    kept in ``graph.operators`` for every later one. So is a sage encoder's
+    first-layer aggregate of the graph's own features, read-only under
+    ``("input", variant)``: it is constant, unlike an embedding table's,
+    which changes with every step and is never kept.
     """
     cfg = model.config
     h = _encoder_input(model, graph)
@@ -218,10 +239,10 @@ def encode(model: Model, graph: Graph) -> Tensor:
             coeff = ad.segment_softmax(logits, adj)
             h = ad.add_bias(ad.edge_spmm(coeff, wh, adj), b)
         else:
-            if variant == "sage-max":
-                agg = ad.row_max_pool(h, graph)
+            if layer == 0 and not model.has_embedding_table:
+                agg = _feature_aggregate(h, graph, adj, variant)
             else:
-                agg = ad.spmm(adj, h)
+                agg = _sage_aggregate(h, graph, adj)
             h = ad.add_bias(ad.matmul(ad.concat_cols(h, agg), w), b)
         if layer < cfg.num_layers - 1:
             h = ad.relu(h)

@@ -73,6 +73,42 @@ def row_max_pool_per_node(x, graph, upstream):
     return value, grad
 
 
+def row_max_pool_copyto_sweep(x, graph, upstream):
+    """Reference oracle: the degree-rank sweep with masked copies that
+    ``ad.row_max_pool``'s fmax sweep replaced.
+
+    Unlike the per-node loop it also fixes NaN: a NaN never wins, and a NaN
+    first neighbor is never beaten. Returns the forward value for ``x`` and
+    the vjp of ``upstream``.
+    """
+    n, d = x.shape
+    off, tgt = graph.csr_offsets, graph.csr_targets
+    deg = np.diff(off)
+    order = np.argsort(-deg, kind="stable")
+    max_degree = int(deg.max(initial=0))
+    active = np.searchsorted(-deg[order], -np.arange(max_degree))
+    rows = order[:np.count_nonzero(deg)]
+    starts = off[rows]
+    value = np.zeros((n, d))
+    pos = np.zeros((rows.size, d), dtype=np.min_scalar_type(max_degree))
+    best = x[tgt[starts]]
+    win = np.empty(best.shape, dtype=bool)
+    for j in range(1, max_degree):
+        k = active[j]
+        cand = x[tgt[starts[:k] + j]]
+        np.greater(cand, best[:k], out=win[:k])
+        np.copyto(best[:k], cand, where=win[:k])
+        np.copyto(pos[:k], j, where=win[:k], casting="unsafe")
+    value[rows] = best
+
+    nodes = np.flatnonzero(deg)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    flat = tgt[off[nodes, None] + pos[rank[nodes]]] * d + np.arange(d)
+    grad = np.bincount(flat.ravel(), weights=upstream[nodes].ravel(), minlength=n * d)
+    return value, grad.reshape(n, d)
+
+
 class TestOpValues:
     def test_relu(self):
         x = ad.Tensor([[-1.0, 0.0, 2.0]])
@@ -298,17 +334,102 @@ class TestRowMaxPoolAgainstPerNodeLoop:
         xv = make_x((graph.num_nodes, d), 7)
         upstream = _normal(xv.shape, 8)
         want_value, want_grad = row_max_pool_per_node(xv, graph, upstream)
+        value, grad = taped_row_max_pool(xv, graph, upstream)
 
-        x = ad.Tensor(xv.copy(), requires_grad=True)
-        with ad.Tape() as tape:
-            out = ad.row_max_pool(x, graph)
-            loss = ad.sum_all(ad.hadamard(out, ad.Tensor(upstream)))
-        tape.backward(loss)
-
-        assert out.value.shape == want_value.shape
+        assert value.shape == want_value.shape
         # bytes rather than np.array_equal, so the sign of a zero must match too
-        assert out.value.tobytes() == want_value.tobytes()
-        assert x.grad.tobytes() == want_grad.tobytes()
+        assert value.tobytes() == want_value.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def taped_row_max_pool(xv, graph, upstream):
+    """``ad.row_max_pool``'s value for ``xv`` and its vjp of ``upstream``,
+    through a tape."""
+    x = ad.Tensor(xv.copy(), requires_grad=True)
+    with ad.Tape() as tape:
+        out = ad.row_max_pool(x, graph)
+        with np.errstate(invalid="ignore"):  # inf - inf in the loss only
+            loss = ad.sum_all(ad.hadamard(out, ad.Tensor(upstream)))
+    tape.backward(loss)
+    return out.value, x.grad
+
+
+def _integer_ties(shape, seed):
+    """Integers in [-2, 2], so most maxima tie, with each zero's sign random."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    return np.where((x == 0) & (rng.random(shape) < 0.5), -0.0, x)
+
+
+def _nans(shape, seed):
+    """Normals with a tenth of the entries NaN, half of them with the sign bit set."""
+    rng = np.random.default_rng(seed)
+    nan = np.where(rng.random(shape) < 0.5, np.nan, -np.nan)
+    return np.where(rng.random(shape) < 0.1, nan, rng.normal(size=shape))
+
+
+def _infinities(shape, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.random(shape)
+    return np.where(u < 0.1, np.inf, np.where(u > 0.9, -np.inf, rng.normal(size=shape)))
+
+
+@pytest.fixture(scope="module")
+def large_max_graph():
+    """The benchmark's ``large-max`` graph for seed 0."""
+    graph, _ = generate_scale_free(20000, 2, feat_dim=16, num_classes=2, seed=0,
+                                   separation=1.5, feature_noise=1.0, community_bias=4.0)
+    return graph
+
+
+class TestRowMaxPoolAgainstCopytoSweep:
+    """The fmax sweep must reproduce the masked-copy sweep bit for bit,
+    NaN and signed zeros included."""
+
+    @pytest.mark.parametrize(
+        "make_graph, make_x, d",
+        [
+            pytest.param(lambda: _scale_free_with_isolated(0), _normal, 8, id="normal"),
+            pytest.param(lambda: _scale_free_with_isolated(1), _relu, 16, id="relu"),
+            pytest.param(lambda: _scale_free_with_isolated(2), _integer_ties, 8,
+                         id="integer-ties-signed-zeros"),
+            pytest.param(lambda: _scale_free_with_isolated(3), _signed_zeros, 4,
+                         id="signed-zeros-only"),
+            pytest.param(lambda: _scale_free_with_isolated(4), _nans, 8, id="nan"),
+            pytest.param(_hub, _nans, 8, id="hub-nan"),
+            pytest.param(lambda: _scale_free_with_isolated(5), _infinities, 8, id="inf"),
+            pytest.param(lambda: build_graph(np.empty((0, 2)), 6), _nans, 3, id="edgeless"),
+        ],
+    )
+    def test_value_and_vjp_bitwise_equal(self, make_graph, make_x, d):
+        self._check(make_graph(), make_x, d)
+
+    @pytest.mark.parametrize("make_x, d", [
+        pytest.param(None, 16, id="features"),
+        pytest.param(_relu, 32, id="relu-hidden"),
+        pytest.param(_integer_ties, 4, id="integer-ties-signed-zeros"),
+    ])
+    def test_large_max_graph(self, large_max_graph, make_x, d):
+        self._check(large_max_graph, make_x, d)
+
+    def test_nan_inputs_reach_first_and_later_neighbors(self):
+        graph = _scale_free_with_isolated(4)
+        nan = np.isnan(_nans((graph.num_nodes, 8), 7))
+        first = graph.csr_targets[graph.csr_offsets[:-1][graph.degrees() > 0]]
+        assert nan[first].any()
+        later = np.ones(graph.csr_targets.size, dtype=bool)
+        later[graph.csr_offsets[:-1][graph.degrees() > 0]] = False
+        assert nan[graph.csr_targets[later]].any()
+
+    @staticmethod
+    def _check(graph, make_x, d):
+        xv = graph.features if make_x is None else make_x((graph.num_nodes, d), 7)
+        upstream = _normal(xv.shape, 8)
+        want_value, want_grad = row_max_pool_copyto_sweep(xv, graph, upstream)
+        value, grad = taped_row_max_pool(xv, graph, upstream)
+
+        assert value.tobytes() == want_value.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 _AGGREGATION_GRAPHS = [

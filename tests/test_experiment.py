@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from tailkit import experiment, training
 from tailkit.cli import main
 from tailkit.data import save_edge_list, save_features, save_labels
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
-from tailkit.graph import LabelSet, build_graph
+from tailkit.graph import LabelSet, build_graph, normalize_adjacency
 from tailkit.models import EncoderConfig, init_model, save_model
 from tailkit.training import TrainConfig
 from tailkit.experiment import (
@@ -80,6 +82,146 @@ def files_config(tmp_path, task="classification", **overrides):
     return cfg_path
 
 
+# every config the schema refuses, and the JSON path it names
+SCHEMA_VIOLATIONS = [
+    ({"task": "swimming"}, "$.task"),
+    ({"task": "classification", "frobnicate": 1}, "$.frobnicate"),
+    ({"task": "classification", "model": {"depth": 3}}, "$.model.depth"),
+    ({"task": "classification", "dataset": {"foo": 1}}, "$.dataset.foo"),
+    ({"task": "classification", "seeds": []}, "$.seeds"),
+    ({"task": "classification", "seeds": ["a"]}, "$.seeds[0]"),
+    ({"task": "classification", "seeds": [1, 1]}, "$.seeds"),
+    ({"task": "classification", "methods": []}, "$.methods"),
+    ({"task": "classification", "methods": ["warmup"]}, "$.methods[0]"),
+    ({"task": "classification", "methods": ["base", "base"]}, "$.methods"),
+    ({"task": "classification", "train": {"alpha": 2.0}}, "$.train"),
+    ({"task": "classification", "settings": ["sideways"]}, "$.settings[0]"),
+    ({"task": "classification",
+      "settings": ["inductive-cold(0.5)"]}, "$.settings[0]"),
+    ({"task": "recsys", "settings": ["inductive"]}, "$.settings[0]"),
+    ({"task": "classification", "eval": {"k": 0}}, "$.eval.k"),
+    ({"task": "classification", "theory": {"delta": 2.0}}, "$.theory"),
+    ({"task": "classification", "model": {"hidden_dim": "big"}},
+     "$.model.hidden_dim"),
+    ({"task": "classification", "split": {"new_fraction": 0}},
+     "$.split.new_fraction"),
+    ({"task": "link", "split": {"new_fraction": 0.0},
+      "settings": ["transductive", "inductive-cold(0.9)"]}, "$.split.new_fraction"),
+    ({"task": "classification", "dataset": {"num_nodes": 19},
+      "split": {"new_fraction": 0.05}}, "$.split.new_fraction"),
+    ({"task": "classification", "train": {"stage1_epochs": 2.5}},
+     "$.train.stage1_epochs"),
+    ({"task": "classification", "train": {"stage1_epochs": True}},
+     "$.train.stage1_epochs"),
+    ({"task": "classification", "train": {"eval_every": 2.5}}, "$.train.eval_every"),
+    ({"task": "classification", "train": {"stage1_lr": float("nan")}},
+     "$.train.stage1_lr"),
+    ({"task": "classification", "dataset": {"seed": -1}}, "$.dataset.seed"),
+    ({"task": "classification", "split": {"cold_ratios": [2.0]}},
+     "$.split.cold_ratios[0]"),
+    ({"task": "link", "split": {"trans_ratios": [0.9, 0.9, 0.9]}},
+     "$.split.trans_ratios"),
+    ({"task": "link", "split": {"trans_ratios": [0.5, 0.5]}}, "$.split.trans_ratios"),
+    ({"task": "recsys", "split": {"ratios": [-0.1, 0.2, 0.9]}}, "$.split.ratios"),
+    ({"task": "classification", "theory": {"N": 100.0}}, "$.theory.N"),
+    ({"task": "classification", "theory": {"seed": 1.5}}, "$.theory.seed"),
+    ({"task": "classification", "theory": {"seed": -1}}, "$.theory.seed"),
+    ({"task": "classification", "seeds": [-1]}, "$.seeds[0]"),
+    ({"task": "classification", "train": {"task": "link"}}, "$.train.task"),
+]
+
+
+# overrides of classification_payload that every stage refuses before it
+# runs, and the JSON path each refusal names
+REFUSED_OVERRIDES = [
+    ({"model": {"variant": "gat", "gat_heads": 2}}, "$.model.gat_heads"),
+    ({"split": {"new_fraction": 0}}, "$.split.new_fraction"),
+    ({"split": {"new_fraction": 1.0}, "settings": ["transductive"]},
+     "$.split.new_fraction"),
+    ({"split": {"labeled_fraction": 0}}, "$.split.labeled_fraction"),
+    ({"split": {"labeled_fraction": 0.001}}, "$.split.labeled_fraction"),
+    ({"train": {"stage1_epochs": 2.5}}, "$.train.stage1_epochs"),
+    ({"train": {"stage1_epochs": True}}, "$.train.stage1_epochs"),
+    ({"train": {"eval_every": 2.5}}, "$.train.eval_every"),
+    ({"dataset": {"num_nodes": 120, "seed": -1}}, "$.dataset.seed"),
+    ({"split": {"cold_ratios": [2.0]}}, "$.split.cold_ratios"),
+    ({"task": "link", "split": {"trans_ratios": [0.9, 0.9, 0.9]}},
+     "$.split.trans_ratios"),
+    ({"task": "recsys", "dataset": {"num_users": 30, "num_items": 20},
+      "split": {"ratios": [-0.1, 0.2, 0.9]}}, "$.split.ratios"),
+    ({"theory": {"N": 100.0}}, "$.theory.N"),
+    ({"theory": {"seed": 1.5}}, "$.theory.seed"),
+    ({"dataset": {"num_nodes": 60, "feat_dim": 1}}, "$.dataset"),
+    ({"dataset": {"num_nodes": 4, "m_attach": 4}}, "$.dataset"),
+    ({"task": "recsys", "dataset": {"num_items": 3}}, "$.dataset"),
+    ({"task": "recsys", "dataset": {"min_interactions": 200}}, "$.dataset"),
+    ({"task": "recsys", "dataset": {"min_interactions": 5, "max_interactions": 4}},
+     "$.dataset"),
+    ({"dataset": {"num_nodes": 60, "community_bias": 0.0}}, "$.dataset.community_bias"),
+    ({"dataset": {"num_nodes": 60, "community_bias": -1}}, "$.dataset.community_bias"),
+    # each of these ended in a traceback at train or eval
+    ({"task": "recsys", "dataset": {"num_users": 30, "num_items": 20},
+      "split": {"ratios": [0.2, 0.0, 0.8]}}, "$.split.ratios"),
+    ({"task": "link", "split": {"trans_ratios": [0.5, 0.0, 0.5]}}, "$.split.trans_ratios"),
+    ({"task": "link", "split": {"trans_ratios": [0.0, 0.5, 0.5]}}, "$.split.trans_ratios"),
+    ({"split": {"labeled_fraction": 1.0}}, "$.split.labeled_fraction"),
+    ({"split": {"labeled_fraction": 0.01}}, "$.split.labeled_fraction"),
+]
+
+
+# --seed flags that every stage refuses before it runs
+BAD_SEED_FLAGS = [
+    ("--seed=-1", "$.seeds[0]"),
+    ("--seed=1,1", "$.seeds"),
+]
+# splits of files_config's datasets that the split stage refuses; the
+# ``ratios`` one is a recsys split
+FILE_SPLITS_REFUSED = [
+    ({"labeled_fraction": 0.01}, "$.split.labeled_fraction"),
+    ({"new_fraction": 0.01}, "$.split.new_fraction"),
+    # recsys: 15 interactions leave floor(0.05 * 15) = 0 for validation
+    ({"ratios": [0.10, 0.05, 0.85]}, "$.split.ratios"),
+]
+
+
+def file_dataset(directory, texts) -> dict:
+    """A ``kind: files`` dataset of ``{name: bytes}`` written under ``directory``."""
+    dataset = {"kind": "files"}
+    for name, text in texts.items():
+        (directory / f"{name}.txt").write_bytes(text)
+        dataset[name] = str(directory / f"{name}.txt")
+    return dataset
+
+
+# a three-node file dataset, and the texts that break one of its files at line 2
+DATASET_TEXTS = {"edges": b"0 1\n1 2\n", "features": b"0.5\n1.5\n2.5\n",
+                 "labels": b"0 0\n1 1\n2 0\n"}
+MALFORMED_TEXTS = {
+    "edges": b"0 1\n1 x\n",
+    "features": b"0.5\nx\n2.5\n",
+    "labels": b"0 0\n1 x\n2 0\n",
+    "features-width": b"0.5\n1.5,2\n2.5\n",
+    "edges-utf8": b"0 1\n1 \xff2\n",
+    "labels-utf8": b"0 0\n1 \xff1\n2 0\n",
+}
+# a ten-node file dataset whose last label is 2**62
+CLASS_ID_TOO_LARGE = {
+    "edges": "".join(f"{i} {i + 1}\n" for i in range(9)).encode(),
+    "labels": ("".join(f"{i} {i % 2}\n" for i in range(9))
+               + "9 4611686018427387904\n").encode(),
+}
+# (task, files) whose line 2 holds an id beyond int64
+BEYOND_INT64 = [
+    ("recsys", {"edges": b"%bipartite 2 2\n1 99999999999999999999\n0 2\n"}),
+    ("classification", {"edges": b"0 1\n1 2\n",
+                        "labels": b"0 0\n1 99999999999999999999\n"}),
+]
+
+
+def drop_first_line(path) -> None:
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+
+
 class TestConfigSchema:
     def test_minimal_config_fills_defaults(self, tmp_path):
         config = ExperimentConfig.from_dict({"task": "classification"})
@@ -122,52 +264,7 @@ class TestConfigSchema:
                              "patience": 3, "alpha": 0.75})
         assert config.config_hash != changed.config_hash
 
-    @pytest.mark.parametrize("payload,path", [
-        ({"task": "swimming"}, "$.task"),
-        ({"task": "classification", "frobnicate": 1}, "$.frobnicate"),
-        ({"task": "classification", "model": {"depth": 3}}, "$.model.depth"),
-        ({"task": "classification", "dataset": {"foo": 1}}, "$.dataset.foo"),
-        ({"task": "classification", "seeds": []}, "$.seeds"),
-        ({"task": "classification", "seeds": ["a"]}, "$.seeds[0]"),
-        ({"task": "classification", "seeds": [1, 1]}, "$.seeds"),
-        ({"task": "classification", "methods": []}, "$.methods"),
-        ({"task": "classification", "methods": ["warmup"]}, "$.methods[0]"),
-        ({"task": "classification", "methods": ["base", "base"]}, "$.methods"),
-        ({"task": "classification", "train": {"alpha": 2.0}}, "$.train"),
-        ({"task": "classification", "settings": ["sideways"]}, "$.settings[0]"),
-        ({"task": "classification",
-          "settings": ["inductive-cold(0.5)"]}, "$.settings[0]"),
-        ({"task": "recsys", "settings": ["inductive"]}, "$.settings[0]"),
-        ({"task": "classification", "eval": {"k": 0}}, "$.eval.k"),
-        ({"task": "classification", "theory": {"delta": 2.0}}, "$.theory"),
-        ({"task": "classification", "model": {"hidden_dim": "big"}},
-         "$.model.hidden_dim"),
-        ({"task": "classification", "split": {"new_fraction": 0}},
-         "$.split.new_fraction"),
-        ({"task": "link", "split": {"new_fraction": 0.0},
-          "settings": ["transductive", "inductive-cold(0.9)"]}, "$.split.new_fraction"),
-        ({"task": "classification", "dataset": {"num_nodes": 19},
-          "split": {"new_fraction": 0.05}}, "$.split.new_fraction"),
-        ({"task": "classification", "train": {"stage1_epochs": 2.5}},
-         "$.train.stage1_epochs"),
-        ({"task": "classification", "train": {"stage1_epochs": True}},
-         "$.train.stage1_epochs"),
-        ({"task": "classification", "train": {"eval_every": 2.5}}, "$.train.eval_every"),
-        ({"task": "classification", "train": {"stage1_lr": float("nan")}},
-         "$.train.stage1_lr"),
-        ({"task": "classification", "dataset": {"seed": -1}}, "$.dataset.seed"),
-        ({"task": "classification", "split": {"cold_ratios": [2.0]}},
-         "$.split.cold_ratios[0]"),
-        ({"task": "link", "split": {"trans_ratios": [0.9, 0.9, 0.9]}},
-         "$.split.trans_ratios"),
-        ({"task": "link", "split": {"trans_ratios": [0.5, 0.5]}}, "$.split.trans_ratios"),
-        ({"task": "recsys", "split": {"ratios": [-0.1, 0.2, 0.9]}}, "$.split.ratios"),
-        ({"task": "classification", "theory": {"N": 100.0}}, "$.theory.N"),
-        ({"task": "classification", "theory": {"seed": 1.5}}, "$.theory.seed"),
-        ({"task": "classification", "theory": {"seed": -1}}, "$.theory.seed"),
-        ({"task": "classification", "seeds": [-1]}, "$.seeds[0]"),
-        ({"task": "classification", "train": {"task": "link"}}, "$.train.task"),
-    ])
+    @pytest.mark.parametrize("payload,path", SCHEMA_VIOLATIONS)
     def test_schema_violations_report_json_path(self, payload, path):
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig.from_dict(payload)
@@ -485,6 +582,32 @@ class TestStages:
                 assert report["metric"] == "accuracy"
                 assert len(report["buckets"]) == len(BUCKET_LABELS)
 
+    def test_eval_builds_each_graph_once(self, tmp_path, monkeypatch):
+        # every method of a seed evaluates on the same inference graphs, so
+        # each distinct graph is built, and its operator normalized, once
+        config = make_config(
+            tmp_path, task="link", seeds=[0], dataset={"num_nodes": 150, "seed": 1},
+            model={"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8},
+            settings=["transductive", "inductive", "inductive-cold(0.9)"])
+        for stage in (cmd_generate, cmd_split, cmd_train):
+            stage(config)
+        built, normalized = [], []
+
+        def counted_build(*args, **kwargs):
+            built.append(build_graph(*args, **kwargs))
+            return built[-1]
+
+        def counted_normalize(graph, mode):
+            normalized.append(graph)
+            return normalize_adjacency(graph, mode)
+
+        monkeypatch.setattr("tailkit.data.build_graph", counted_build)
+        monkeypatch.setattr("tailkit.models.normalize_adjacency", counted_normalize)
+        cmd_eval(config)
+        # the dataset, the training graph, and one graph per inductive setting
+        assert len(built) == len({g.edge_hash() for g in built}) == 4
+        assert len(normalized) == len({g.edge_hash() for g in normalized}) == 3
+
     def test_theory_stage_writes_json_and_csv(self, tmp_path):
         config = make_config(
             tmp_path,
@@ -720,48 +843,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "$.task" in err
 
-    @pytest.mark.parametrize("override,path", [
-        ({"model": {"variant": "gat", "gat_heads": 2}}, "$.model.gat_heads"),
-        ({"split": {"new_fraction": 0}}, "$.split.new_fraction"),
-        ({"split": {"new_fraction": 1.0}, "settings": ["transductive"]},
-         "$.split.new_fraction"),
-        ({"split": {"labeled_fraction": 0}}, "$.split.labeled_fraction"),
-        ({"split": {"labeled_fraction": 0.001}}, "$.split.labeled_fraction"),
-        ({"train": {"stage1_epochs": 2.5}}, "$.train.stage1_epochs"),
-        ({"train": {"stage1_epochs": True}}, "$.train.stage1_epochs"),
-        ({"train": {"eval_every": 2.5}}, "$.train.eval_every"),
-        ({"dataset": {"num_nodes": 120, "seed": -1}}, "$.dataset.seed"),
-        ({"split": {"cold_ratios": [2.0]}}, "$.split.cold_ratios"),
-        ({"task": "link", "split": {"trans_ratios": [0.9, 0.9, 0.9]}},
-         "$.split.trans_ratios"),
-        ({"task": "recsys", "dataset": {"num_users": 30, "num_items": 20},
-          "split": {"ratios": [-0.1, 0.2, 0.9]}}, "$.split.ratios"),
-        ({"theory": {"N": 100.0}}, "$.theory.N"),
-        ({"theory": {"seed": 1.5}}, "$.theory.seed"),
-        ({"dataset": {"num_nodes": 60, "feat_dim": 1}}, "$.dataset"),
-        ({"dataset": {"num_nodes": 4, "m_attach": 4}}, "$.dataset"),
-        ({"task": "recsys", "dataset": {"num_items": 3}}, "$.dataset"),
-        ({"task": "recsys", "dataset": {"min_interactions": 200}}, "$.dataset"),
-        ({"task": "recsys", "dataset": {"min_interactions": 5, "max_interactions": 4}},
-         "$.dataset"),
-        ({"dataset": {"num_nodes": 60, "community_bias": 0.0}}, "$.dataset.community_bias"),
-        ({"dataset": {"num_nodes": 60, "community_bias": -1}}, "$.dataset.community_bias"),
-        # each of these ended in a traceback at train or eval
-        ({"task": "recsys", "dataset": {"num_users": 30, "num_items": 20},
-          "split": {"ratios": [0.2, 0.0, 0.8]}}, "$.split.ratios"),
-        ({"task": "link", "split": {"trans_ratios": [0.5, 0.0, 0.5]}}, "$.split.trans_ratios"),
-        ({"task": "link", "split": {"trans_ratios": [0.0, 0.5, 0.5]}}, "$.split.trans_ratios"),
-        ({"split": {"labeled_fraction": 1.0}}, "$.split.labeled_fraction"),
-        ({"split": {"labeled_fraction": 0.01}}, "$.split.labeled_fraction"),
-    ])
+    @pytest.mark.parametrize("override,path", REFUSED_OVERRIDES)
     def test_refused_before_any_stage_exits_2(self, tmp_path, capsys, override, path):
         self.assert_refused(tmp_path, capsys, classification_payload(tmp_path, **override),
                             path)
 
-    @pytest.mark.parametrize("flag,path", [
-        ("--seed=-1", "$.seeds[0]"),
-        ("--seed=1,1", "$.seeds"),
-    ])
+    @pytest.mark.parametrize("flag,path", BAD_SEED_FLAGS)
     def test_bad_seed_flag_refused_before_any_stage_exits_2(self, tmp_path, capsys,
                                                              flag, path):
         self.assert_refused(tmp_path, capsys, classification_payload(tmp_path), path, flag)
@@ -774,12 +861,7 @@ class TestCli:
             assert path in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("split,path", [
-        ({"labeled_fraction": 0.01}, "$.split.labeled_fraction"),
-        ({"new_fraction": 0.01}, "$.split.new_fraction"),
-        # recsys: 15 interactions leave floor(0.05 * 15) = 0 for validation
-        ({"ratios": [0.10, 0.05, 0.85]}, "$.split.ratios"),
-    ])
+    @pytest.mark.parametrize("split,path", FILE_SPLITS_REFUSED)
     def test_file_dataset_split_counts_refused_at_split(self, tmp_path, capsys,
                                                         split, path):
         task = "recsys" if "ratios" in split else "classification"
@@ -823,9 +905,8 @@ class TestCli:
     def test_recsys_file_dataset_without_a_bipartite_line_exits_2(self, tmp_path, capsys):
         cfg_path = files_config(tmp_path, task="recsys")
         edges = tmp_path / "data" / "edges.txt"
-        lines = edges.read_text().splitlines(keepends=True)
-        assert lines[0].startswith("%bipartite")
-        edges.write_text("".join(lines[1:]))
+        assert edges.read_text().startswith("%bipartite")
+        drop_first_line(edges)
         assert self.run_cli("generate", "--config", str(cfg_path)) == 2
         assert ("$.dataset.edges: a recsys edge file needs a '%bipartite' line"
                 in capsys.readouterr().err)
@@ -839,16 +920,20 @@ class TestCli:
         assert re.fullmatch(r"error: node \d+'s attachment weights sum to inf\n",
                             capsys.readouterr().err)
 
-    @pytest.mark.parametrize("task,texts", [
-        ("recsys", {"edges": b"%bipartite 2 2\n1 99999999999999999999\n0 2\n"}),
-        ("classification", {"edges": b"0 1\n1 2\n",
-                            "labels": b"0 0\n1 99999999999999999999\n"}),
-    ])
+    def test_refused_generate_leaves_nothing_behind(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, dataset={"num_nodes": 60, "community_bias": 1e308})))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        assert [str(w.message) for w in caught] == []
+        assert "attachment weights sum to inf" in capsys.readouterr().err
+        assert not list((tmp_path / "runs").rglob("*"))
+
+    @pytest.mark.parametrize("task,texts", BEYOND_INT64)
     def test_id_beyond_int64_exits_2(self, tmp_path, capsys, task, texts):
-        dataset = {"kind": "files"}
-        for name, text in texts.items():
-            (tmp_path / f"{name}.txt").write_bytes(text)
-            dataset[name] = str(tmp_path / f"{name}.txt")
+        dataset = file_dataset(tmp_path, texts)
         key = list(texts)[-1]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(classification_payload(
@@ -857,21 +942,10 @@ class TestCli:
         assert f"$.dataset.{key}: {tmp_path / key}.txt:2: " in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("bad", ["edges", "features", "labels", "features-width",
-                                     "edges-utf8", "labels-utf8"])
+    @pytest.mark.parametrize("bad", list(MALFORMED_TEXTS))
     def test_malformed_dataset_file_exits_2(self, tmp_path, capsys, bad):
-        texts = {"edges": b"0 1\n1 2\n", "features": b"0.5\n1.5\n2.5\n",
-                 "labels": b"0 0\n1 1\n2 0\n"}
         key = bad.split("-")[0]
-        texts[key] = {"edges": b"0 1\n1 x\n", "features": b"0.5\nx\n2.5\n",
-                      "labels": b"0 0\n1 x\n2 0\n",
-                      "features-width": b"0.5\n1.5,2\n2.5\n",
-                      "edges-utf8": b"0 1\n1 \xff2\n",
-                      "labels-utf8": b"0 0\n1 \xff1\n2 0\n"}[bad]
-        dataset = {"kind": "files"}
-        for name, text in texts.items():
-            (tmp_path / f"{name}.txt").write_bytes(text)
-            dataset[name] = str(tmp_path / f"{name}.txt")
+        dataset = file_dataset(tmp_path, {**DATASET_TEXTS, key: MALFORMED_TEXTS[bad]})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(classification_payload(tmp_path, dataset=dataset)))
         assert self.run_cli("generate", "--config", str(cfg_path)) == 2
@@ -1195,14 +1269,11 @@ class TestCli:
     def test_class_id_at_or_above_node_count_exits_2(self, tmp_path, capsys):
         # ten nodes: a class id of 2**62 asked the model for a head that
         # numpy could not allocate
-        edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
-        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
-        labels.write_text("".join(f"{i} {i % 2}\n" for i in range(9))
-                          + "9 4611686018427387904\n")
+        dataset = file_dataset(tmp_path, CLASS_ID_TOO_LARGE)
+        labels = dataset["labels"]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(classification_payload(
-            tmp_path, dataset={"kind": "files", "edges": str(edges), "labels": str(labels)},
-            model={"featureless": True}, seeds=[0])))
+            tmp_path, dataset=dataset, model={"featureless": True}, seeds=[0])))
         assert self.run_cli("generate", "--config", str(cfg_path)) == 2
         assert (f"$.dataset.labels: {labels}:10: class 4611686018427387904 is not below "
                 "the node count 10") in capsys.readouterr().err
@@ -1219,3 +1290,145 @@ class TestCli:
         assert "violation rate" in out
         config = load_config(cfg_path)
         assert (config.run_dir / "theory.csv").is_file()
+
+    # Each case's stages run downstream first, so that every stage meets the
+    # bad input before anything upstream rewrites it, then in pipeline order.
+    SWEEP = ("report", "eval", "train", "split", "generate", "split", "train", "eval",
+             "report")
+
+    def sweep(self, capsys, name, cfg_path, *flags):
+        capsys.readouterr()
+        for command in self.SWEEP:
+            code = self.run_cli(command, "--config", str(cfg_path), *flags)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (name, command, code, err)
+            assert "Traceback" not in err, (name, command, err)
+
+    def test_every_bad_config_exits_0_2_or_3_at_every_stage(self, tmp_path, capsys):
+        """Every malformed config and dataset file in this module."""
+        cases = []
+
+        def case(name, make, *flags):
+            directory = tmp_path / f"case{len(cases)}"
+            directory.mkdir()
+            payload = {"output_dir": str(directory / "runs"), **make(directory)}
+            cfg_path = directory / "cfg.json"
+            cfg_path.write_text(json.dumps(payload))
+            cases.append((name, cfg_path, flags))
+
+        def files(task, **overrides):
+            return lambda d: json.loads(files_config(d, task=task, **overrides).read_text())
+
+        def recsys_without_bipartite_line(d):
+            payload = files("recsys")(d)
+            drop_first_line(d / "data" / "edges.txt")
+            return payload
+
+        case("not a task", lambda d: {"task": "juggling"})
+        for payload, path in SCHEMA_VIOLATIONS:
+            case(path, lambda d, payload=payload: payload)
+        for override, path in REFUSED_OVERRIDES:
+            case(path, lambda d, override=override: classification_payload(d, **override))
+        for flag, _ in BAD_SEED_FLAGS:
+            case(flag, lambda d: classification_payload(d), flag)
+        for split, path in FILE_SPLITS_REFUSED:
+            case(path, files("recsys" if "ratios" in split else "classification", split=split))
+        case("no test edge", lambda d: classification_payload(
+            d, task="recsys", seeds=[0], dataset={"num_users": 30, "num_items": 20, "seed": 1},
+            split={"ratios": [0.5, 0.5, 0.0]}))
+        case("no inductive test edge", lambda d: classification_payload(
+            d, task="link", seeds=[0], dataset={"num_nodes": 150, "seed": 2},
+            split={"inductive_ratio": 1.0}))
+        case("no bipartite line", recsys_without_bipartite_line)
+        case("library error", lambda d: classification_payload(
+            d, dataset={"num_nodes": 60, "community_bias": 1e308}))
+        for task, texts in BEYOND_INT64:
+            case(f"{task} id beyond int64", lambda d, task=task, texts=texts: (
+                classification_payload(d, task=task, dataset=file_dataset(d, texts),
+                                       model={"featureless": True})))
+        for bad, text in MALFORMED_TEXTS.items():
+            texts = {**DATASET_TEXTS, bad.split("-")[0]: text}
+            case(f"malformed {bad}", lambda d, texts=texts: classification_payload(
+                d, dataset=file_dataset(d, texts)))
+        case("class id too large", lambda d: classification_payload(
+            d, dataset=file_dataset(d, CLASS_ID_TOO_LARGE), model={"featureless": True},
+            seeds=[0]))
+
+        for name, cfg_path, flags in cases:
+            self.sweep(capsys, name, cfg_path, *flags)
+
+    def test_every_edited_artifact_exits_0_2_or_3_at_every_stage(self, tmp_path, capsys):
+        """Every edit this module makes to a stage output or a dataset file,
+        each on a fresh copy of one finished run."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, seeds=[0], settings=["transductive"])))
+        for command in ("generate", "split", "train", "eval", "report"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        assert self.run_cli("split", "--config", str(cfg_path), "--seed", "7") == 0
+        config = load_config(cfg_path)
+        runs, template = tmp_path / "runs", tmp_path / "template"
+        runs.rename(template)
+
+        def json_edit(rel, edit):
+            def apply(run_dir):
+                payload = json.loads((run_dir / rel).read_text())
+                edit(payload)
+                write_json(run_dir / rel, payload)
+            return apply
+
+        def write(rel, text):
+            return lambda run_dir: (run_dir / rel).write_bytes(text)
+
+        def truncate(rel):
+            return lambda run_dir: (run_dir / rel).write_bytes((run_dir / rel).read_bytes()[:40])
+
+        def copy(src, dst):
+            return lambda run_dir: (run_dir / dst).write_bytes((run_dir / src).read_bytes())
+
+        def unparsable_edges_in_manifest(run_dir):
+            write("dataset/edges.txt", b"0 1\n1 \xff2\n")(run_dir)
+            json_edit("dataset.json", lambda p: p["checksums"].update({
+                "dataset/edges.txt": hashlib.sha256(b"0 1\n1 \xff2\n").hexdigest()}))(run_dir)
+
+        edits = {
+            "edges not UTF-8": write("dataset/edges.txt", b"0 1\n1 \xff2\n"),
+            "edges changed": write("dataset/edges.txt", b"0 1\n1 2\n"),
+            "features changed": write("dataset/features.txt", b"0.5\n"),
+            "labels deleted": lambda run_dir: (run_dir / "dataset/labels.txt").unlink(),
+            "unparsable edges in the manifest": unparsable_edges_in_manifest,
+            "manifest without checksums": json_edit("dataset.json", lambda p: p.pop("checksums")),
+            "manifest without paths": json_edit("dataset.json", lambda p: p.pop("paths")),
+            "split of another config": json_edit(
+                "0/split.json", lambda p: p.update(config_hash="000000000000")),
+            "another seed's split": copy("7/split.json", "0/split.json"),
+            "split truncated": truncate("0/split.json"),
+            "train loss edited": json_edit(
+                "0/train.json", lambda p: p["methods"]["base"]["stages"][0]["losses"].append(1.0)),
+            "train without checkpoints": json_edit("0/train.json", lambda p: p.pop("checkpoints")),
+            "train truncated": truncate("0/train.json"),
+            "checkpoint truncated": truncate("0/models/base.json"),
+            "another method's checkpoint": copy("0/models/tuneup.json", "0/models/base.json"),
+            "eval of another config": json_edit(
+                "0/eval.json", lambda p: p.update(config_hash="000000000000")),
+            "eval without checksums": json_edit("0/eval.json", lambda p: p.pop("checksums")),
+            "eval reports not an object": json_edit("0/eval.json", lambda p: p.update(reports=[])),
+            "eval method not an object": json_edit(
+                "0/eval.json", lambda p: p["reports"].update(base="x")),
+            "eval setting missing": json_edit(
+                "0/eval.json", lambda p: p["reports"]["base"].pop("transductive")),
+            "eval cell not an object": json_edit(
+                "0/eval.json", lambda p: p["reports"]["base"].update(transductive=5)),
+            "eval bucket missing": json_edit(
+                "0/eval.json", lambda p: p["reports"]["tuneup"]["transductive"]["buckets"].pop()),
+            "eval bucket count a string": json_edit(
+                "0/eval.json", lambda p: p["reports"]["base"]["transductive"]["buckets"][3]
+                .update(count="2")),
+            "eval methods not a list": json_edit("0/eval.json", lambda p: p.update(methods=5)),
+            "report truncated": truncate("report.json"),
+        }
+        for name, edit in edits.items():
+            shutil.rmtree(runs, ignore_errors=True)
+            shutil.copytree(template, runs)
+            edit(config.run_dir)
+            self.sweep(capsys, name, cfg_path)

@@ -131,7 +131,6 @@ class TestAttachmentAgainstChoiceOracle:
         with pytest.raises(GraphError, match="community_bias"):
             generate_scale_free(60, 2, community_bias=bias)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_weights_that_overflow_are_refused(self):
         # (deg + 1) * 1e308 is inf once a target has an edge
         with pytest.raises(GraphError, match="weights sum to inf"):
@@ -221,7 +220,6 @@ class TestBlockDrawFallback:
         assert_same_attachment(5, communities, 2, bias)
         assert located == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_weights_that_overflow_are_refused_at_any_crossover(self, monkeypatch):
         monkeypatch.setattr(generators, "_CROSSOVER", 0)
         with pytest.raises(GraphError, match="weights sum to inf"):

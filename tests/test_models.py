@@ -110,7 +110,9 @@ class TestEncode:
         first = encode(model, g).value
         memo = g.operators[mode]
         assert encode(model, g).value.tobytes() == first.tobytes()
-        assert list(g.operators) == [mode] and g.operators[mode] is memo
+        # a sage encoder also keeps its first-layer aggregate of the features
+        keys = [mode] if variant == "gcn" else [mode, ("input", variant)]
+        assert list(g.operators) == keys and g.operators[mode] is memo
         fresh = normalize_adjacency(g, mode)
         assert memo.num_nodes == fresh.num_nodes
         for field in dataclasses.fields(fresh)[1:]:
@@ -120,6 +122,41 @@ class TestEncode:
                 got[0] = 0
         # read-only views: the graph's own CSR, which they may share, stays writable
         assert g.csr_offsets.flags.writeable and g.csr_targets.flags.writeable
+
+    @pytest.mark.parametrize("variant", ["sage-mean", "sage-max", "sage-sum"])
+    def test_feature_aggregate_is_kept_read_only(self, variant):
+        g = small_graph(seed=10)
+        model = init_model(EncoderConfig(variant, 5, 6, 3), "classification",
+                           num_classes=2, seed=10)
+        first = encode(model, g).value
+        kept = g.operators[("input", variant)]
+        x = ad.Tensor(g.features)
+        if variant == "sage-max":
+            fresh = ad.row_max_pool(x, g).value
+        else:
+            fresh = ad.spmm(normalize_adjacency(g, "row-mean" if variant == "sage-mean"
+                                                else "none"), x).value
+        assert kept.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0
+        assert encode(model, g).value.tobytes() == first.tobytes()
+        assert g.operators[("input", variant)] is kept
+
+    @pytest.mark.parametrize("variant", ["sage-mean", "sage-max"])
+    def test_embedding_table_input_is_never_kept(self, variant):
+        g = small_graph(seed=11)
+        model = init_model(EncoderConfig(variant, 5, 6, 3), "classification",
+                           num_classes=2, num_nodes=g.num_nodes, featureless=True, seed=11)
+        first = encode(model, g).value
+        assert ("input", variant) not in g.operators
+        model.params["embed.table"].value[...] += 1.0  # as an optimizer step would
+        second = encode(model, g).value
+        assert ("input", variant) not in g.operators
+        fresh = init_model(EncoderConfig(variant, 5, 6, 3), "classification",
+                           num_classes=2, num_nodes=g.num_nodes, featureless=True, seed=11)
+        fresh.params["embed.table"].value[...] += 1.0
+        assert second.tobytes() == encode(fresh, small_graph(seed=11)).value.tobytes()
+        assert second.tobytes() != first.tobytes()
 
     def test_sum_aggregate_is_twice_mean_on_ring(self):
         """On a 2-regular ring every node has degree 2, so the sum aggregate is

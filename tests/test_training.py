@@ -595,3 +595,26 @@ class TestOperatorReuse:
         assert len(built) == 1 + finetune.epochs_run
         assert built[0] is graph
         assert len({id(g) for g in built}) == len(built)
+
+    def test_features_are_pooled_once_per_graph(self, monkeypatch):
+        # sage-max's first layer pools the constant features: once on the
+        # intact graph for stage 1, validation and pseudo-labelling, and once
+        # on each dropped-graph update's own graph
+        make, graph, sup, cfg, label_set, validate = oracle_case("sage-max")
+        first_layer, later_layers = [], []
+        pool = ad.row_max_pool
+
+        def counted(x, g):
+            (first_layer if x.value is graph.features else later_layers).append(g)
+            return pool(x, g)
+
+        monkeypatch.setattr(ad, "row_max_pool", counted)
+        shared = run_ablation(["base", "tuneup"], make(), graph, sup, cfg,
+                              label_set=label_set, validation_fn=validate)
+        finetune = shared["tuneup"][1].stages[1]
+        assert finetune.epochs_run > 0 and shared["base"][1].stages[0].val_epochs
+        assert len(first_layer) == 1 + finetune.epochs_run
+        assert first_layer[0] is graph
+        assert len({id(g) for g in first_layer}) == len(first_layer)
+        stage1 = shared["base"][1].stages[0]
+        assert len(later_layers) > stage1.epochs_run + finetune.epochs_run
