@@ -37,7 +37,6 @@ from .evaluation import (
     MetricReport,
     accuracy,
     evaluate_setting,
-    recall_at_k,
 )
 from .training import (
     PRESETS,
@@ -109,7 +108,6 @@ __all__ = [
     "monte_carlo_validate",
     "normalize_adjacency",
     "pseudo_label",
-    "recall_at_k",
     "run_ablation",
     "sample_negatives",
     "sample_world",

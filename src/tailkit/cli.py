@@ -6,8 +6,8 @@ theory, and report. Every stage reads one JSON config (``--config``), with
 Exit codes: 0 on success, 2 for config schema violations (reported with the
 JSON path of the offending field) and for any other input the library
 refuses (a :class:`TailkitError`), 3 when a required earlier stage output
-is missing or unusable; ``report`` checks each ``eval.json`` it averages by
-the same rule as every other stage.
+is missing or unusable, by the one rule that also makes the stage owning it
+recompute it (``report`` included).
 """
 from __future__ import annotations
 

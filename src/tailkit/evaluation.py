@@ -34,7 +34,6 @@ __all__ = [
     "predict_classes",
     "ranking_score_fn",
     "ranking_sources",
-    "recall_at_k",
     "recall_per_source",
     "validation_metric",
 ]
@@ -133,14 +132,6 @@ def _top_k(scores: np.ndarray, ids: np.ndarray, k: int):
         better, tied = top[key[top] < kth], np.flatnonzero(key == kth)
     fill = tied[np.argsort(ids[tied])[: k - better.size]]
     return np.concatenate([better, fill])
-
-
-def recall_at_k(score_fn, sources, positives, pool, k=50, exclude=None) -> float:
-    """Mean recall@k over sources (see :func:`recall_per_source`)."""
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.size == 0:
-        raise EvalError("recall over an empty source set is undefined")
-    return float(recall_per_source(score_fn, sources, positives, pool, k, exclude).mean())
 
 
 def bucket_index(degrees) -> np.ndarray:

@@ -16,6 +16,7 @@ and degree bucket.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -38,13 +39,14 @@ from .data import (
     save_labels,
     write_atomic,
 )
+from .errors import TailkitError
 from .evaluation import (BUCKET_LABELS, EvalError, evaluate_setting, parse_setting,
                          ranking_sources, validation_metric)
 from .generators import generate_bipartite, generate_scale_free
 from .losses import SupervisionSet
 from .models import TASKS, VARIANTS, EncoderConfig, init_model, load_model, save_model
 from .theory import MonteCarloConfig, monte_carlo_validate
-from .training import METHODS, PRESETS, TrainConfig, run_ablation
+from .training import METHODS, PRESETS, TrainConfig, TrainError, run_ablation
 
 __all__ = [
     "ConfigError",
@@ -484,22 +486,22 @@ def _checkpoint(seed: int, method: str) -> str:
 
 
 def _entry(name: str, seed=None, extra=()) -> tuple:
-    """``(path, stage, keys, files)`` of the stage output ``name`` (of
+    """``(path, stage, seed, read, files)`` of the stage output ``name`` (of
     ``seed``, for a per-seed one): its run-relative path, the stage that
-    writes it, the keys it must carry, and the files its checksums record
-    (those it was computed from, run-relative unless absolute). ``extra``
-    adds the files only a config names (``_stage_output``)."""
+    writes it, the seed it records, its reader (``read(payload, *given)``
+    returns what its consumers use, or raises if they could not use it), and
+    the files its checksums record (those it was computed from, run-relative
+    unless absolute; ``extra`` adds those only a config names)."""
     split, train = f"{seed}/split.json", f"{seed}/train.json"
-    stage, keys, files = {
-        "dataset.json": ("generate", ("paths", "num_nodes", "num_edges"), []),
-        "split.json": ("split", ("bundle",), ["dataset.json"]),
-        "train.json": ("train", ("methods", "checkpoints"), ["dataset.json", split]),
-        "eval.json": ("eval", ("methods", "settings", "reports"),
-                      ["dataset.json", split, train]),
-        "theory.json": ("theory", ("summary", "rows"), []),
-        "report.json": ("report", ("table",), []),
+    stage, read, files = {
+        "dataset.json": ("generate", _read_manifest, []),
+        "split.json": ("split", _read_split, ["dataset.json"]),
+        "train.json": ("train", _read_train, ["dataset.json", split]),
+        "eval.json": ("eval", _read_eval, ["dataset.json", split, train]),
+        "theory.json": ("theory", _read_theory, []),
+        "report.json": ("report", None, []),  # report never reads its own output
     }[name]
-    return name if seed is None else f"{seed}/{name}", stage, keys, [*files, *extra]
+    return name if seed is None else f"{seed}/{name}", stage, seed, read, [*files, *extra]
 
 
 def _stage_output(config: ExperimentConfig, name: str, seed=None) -> tuple:
@@ -510,62 +512,126 @@ def _stage_output(config: ExperimentConfig, name: str, seed=None) -> tuple:
     return _entry(name, seed, extra.get(name, ()))
 
 
-def _usable(run_dir: Path, config_hash: str, entry: tuple):
-    """``(payload, None)`` when the stage output ``entry`` names under
-    ``run_dir`` is usable: it parses, carries ``config_hash``, its stage's
-    keys and a ``checksums`` map, and each file in that map or among the
-    files its entry records still has the recorded sha256. Else ``(None, why
-    not)``. This one rule decides for every stage, ``report`` included."""
-    rel, _, keys, files = entry
+def _read(run_dir: Path, config_hash: str, entry: tuple, *given):
+    """What the stage output ``entry`` names under ``run_dir`` holds, as its
+    reader returns it given ``given``, if it is usable: it parses, carries
+    ``config_hash``, its entry's seed and a ``checksums`` map, each file in
+    that map or among its entry's files still has the recorded sha256, and
+    its reader accepts it. Else :class:`MissingInputError` names why not and
+    the stage to rerun. This one rule decides for every stage."""
+    rel, stage, seed, read, files = entry
     path = run_dir / rel
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         payload = None
     if not isinstance(payload, dict):
-        return None, f"{path} {'is not valid JSON' if path.is_file() else 'not found'}"
-    if payload.get("config_hash") != config_hash:
-        return None, (f"{path} belongs to config {payload.get('config_hash')!r}, "
-                      f"not {config_hash!r}")
-    checksums = payload.get("checksums")
-    for key in ("checksums", *keys):
-        if key not in payload or not isinstance(checksums, dict):
-            return None, f"{path} does not record {key!r}"
-    for rel in dict.fromkeys([*files, *checksums]):
-        file = run_dir / rel
-        if not file.is_file() or _sha256(file) != checksums.get(rel):
-            return None, f"{file} is missing or does not match its checksum in {path}"
-    return payload, None
-
-
-def _required(run_dir: Path, config_hash: str, entry: tuple) -> dict:
-    """An earlier stage's output; an unusable one exits 3 naming why."""
-    payload, reason = _usable(run_dir, config_hash, entry)
-    if reason is not None:
-        raise MissingInputError(f"{reason}; rerun the {entry[1]!r} stage")
-    return payload
+        why = f"{path} {'is not valid JSON' if path.is_file() else 'not found'}"
+    elif payload.get("config_hash") != config_hash:
+        why = f"{path} belongs to config {payload.get('config_hash')!r}, not {config_hash!r}"
+    elif seed is not None and payload.get("seed") != int(seed):
+        why = f"{path} belongs to seed {payload.get('seed')!r}, not {seed}"
+    elif not isinstance(checksums := payload.get("checksums"), dict):
+        why = f"{path} does not record 'checksums'"
+    else:
+        why = next((f"{run_dir / rel} is missing or does not match its checksum in {path}"
+                    for rel in dict.fromkeys([*files, *checksums])
+                    if not (run_dir / rel).is_file()
+                    or _sha256(run_dir / rel) != checksums.get(rel)), None)
+    if why is None:
+        try:
+            return read(payload, *given)
+        except KeyError as exc:
+            why = f"{path} does not record {exc.args[0]!r}"
+        except (AttributeError, TypeError, ValueError) as exc:
+            # a library error's message names what it refused
+            why = str(exc) if isinstance(exc, TailkitError) else f"{path} is malformed: {exc}"
+    raise MissingInputError(f"{why}; rerun the {stage!r} stage")
 
 
 def _record(run_dir: Path, config_hash: str, entry: tuple, payload: dict) -> dict:
     """Write a stage output with the config hash and the checksums of the
     files its entry records."""
     payload = {"config_hash": config_hash, **payload,
-               "checksums": {rel: _sha256(run_dir / rel) for rel in entry[3]}}
+               "checksums": {rel: _sha256(run_dir / rel) for rel in entry[4]}}
     write_json(run_dir / entry[0], payload)
     return payload
 
 
-def _output(config: ExperimentConfig, name: str, seed=None):
-    return _usable(config.run_dir, config.config_hash, _stage_output(config, name, seed))
+def _input(config: ExperimentConfig, name: str, seed=None, *given):
+    return _read(config.run_dir, config.config_hash, _stage_output(config, name, seed), *given)
 
 
-def _input(config: ExperimentConfig, name: str, seed=None) -> dict:
-    return _required(config.run_dir, config.config_hash, _stage_output(config, name, seed))
+def _output(config: ExperimentConfig, name: str, seed=None, *given):
+    """A stage's own output as its reader returns it; None makes it recompute."""
+    try:
+        return _input(config, name, seed, *given)
+    except MissingInputError:
+        return None
 
 
 def _write_output(config: ExperimentConfig, name: str, seed, payload: dict) -> dict:
     return _record(config.run_dir, config.config_hash, _stage_output(config, name, seed),
                    payload)
+
+
+def _read_manifest(payload: dict, config: ExperimentConfig) -> tuple:
+    """dataset.json: itself, and the graph and labels of the files it records."""
+    recorded = payload["paths"], payload["num_nodes"], payload["num_edges"]
+    graph, labels = _read_dataset(config)
+    if recorded != (_data_paths(config), graph.num_nodes, graph.num_edges):
+        raise ValueError("its paths or counts are not the dataset's")
+    return payload, graph, labels
+
+
+def _read_split(payload: dict, graph) -> SplitBundle:
+    """split.json: the seed's bundle, built on the dataset's ``graph``."""
+    return SplitBundle.from_dict(payload["bundle"], graph)
+
+
+def _read_train(payload: dict, methods) -> dict:
+    """train.json: a report object per method of ``methods``, and its checkpoints."""
+    reports, seed = payload["methods"], payload["seed"]
+    if not (isinstance(reports, dict) and sorted(reports) == sorted(methods)
+            and all(isinstance(report, dict) for report in reports.values())
+            and payload["checkpoints"] == {m: _checkpoint(seed, m) for m in methods}):
+        raise TrainError(f"seed {seed} holds malformed method reports or checkpoints")
+    return payload
+
+
+def _read_eval(payload: dict, methods=None, settings=None) -> dict:
+    """eval.json: method and setting lists (those given, when given), and for
+    each pair a cell holding every field ``report`` averages."""
+    seed, reports = payload["seed"], payload["reports"]
+    lists = payload["methods"], payload["settings"]
+    if (not all(isinstance(v, list) and all(isinstance(s, str) for s in v) for v in lists)
+            or (methods is not None and lists != (list(methods), list(settings)))):
+        raise EvalError(f"seed {seed} holds malformed method or setting lists")
+    for method in lists[0]:
+        for setting in lists[1]:
+            try:
+                cell = reports[method][setting]
+            except (KeyError, TypeError) as exc:
+                raise EvalError(f"seed {seed} lacks {method}/{setting}") from exc
+            buckets = cell.get("buckets") if isinstance(cell, dict) else None
+            if not (isinstance(buckets, list) and len(buckets) == len(BUCKET_LABELS)
+                    and type(cell.get("value")) in (int, float)
+                    and isinstance(cell.get("metric"), str)
+                    and all(isinstance(b, dict) and type(b.get("count")) is int
+                            and type(b.get("mean")) in (type(None), int, float)
+                            for b in buckets)):
+                raise EvalError(f"seed {seed} holds a malformed {method}/{setting} cell")
+    return payload
+
+
+def _read_theory(payload: dict) -> dict:
+    """theory.json: numbers for the summary figures ``theory`` prints; rows as objects."""
+    summary = payload["summary"]
+    if not (all(type(summary[key][method]) in (int, float) for method in summary["violation_rate"]
+                for key in ("violation_rate", "mean_gap", "mean_bound"))
+            and all(isinstance(row, dict) for row in payload["rows"])):
+        raise ValueError("its summary figures or rows are not numbers and objects")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +664,9 @@ def cmd_generate(config: ExperimentConfig) -> dict:
     file-backed datasets are checksummed in place. Either way the manifest
     records paths and digests so later stages can verify what they load.
     """
-    manifest, stale = _output(config, "dataset.json")
-    if stale is None:
-        return manifest
+    usable = _output(config, "dataset.json", None, config)
+    if usable is not None:
+        return usable[0]
     dataset, paths = config.dataset, _data_paths(config)
     if dataset["kind"] == "synthetic":
         params = {key: value for key, value in dataset.items() if key != "kind"}
@@ -625,22 +691,8 @@ def cmd_generate(config: ExperimentConfig) -> dict:
         if config.task == "recsys" and graph.bipartite is None:
             raise ConfigError("$.dataset.edges", "a recsys edge file needs a '%bipartite' line")
     return _write_output(config, "dataset.json", None, {
-        "task": config.task,
-        "dataset": dict(dataset),
-        "paths": paths,
-        "num_nodes": graph.num_nodes,
-        "num_edges": int(graph.edges.shape[0]),
-    })
-
-
-def _load_run_dataset(config: ExperimentConfig):
-    """The dataset ``generate`` recorded; an unusable manifest, or a file
-    that does not parse, exits 3 naming the ``generate`` stage."""
-    _input(config, "dataset.json")
-    try:
-        return _read_dataset(config)
-    except DatasetFileError as exc:
-        raise MissingInputError(f"{exc}; rerun the 'generate' stage") from exc
+        "task": config.task, "dataset": dict(dataset), "paths": paths,
+        "num_nodes": graph.num_nodes, "num_edges": graph.num_edges})
 
 
 def _build_bundle(config: ExperimentConfig, graph, labels, seed: int) -> SplitBundle:
@@ -672,17 +724,13 @@ def cmd_split(config: ExperimentConfig) -> dict:
     training without an edge, or validation or an evaluated setting without
     a source (``_build_bundle``), writes nothing.
     """
-    graph, labels = _load_run_dataset(config)
+    _, graph, labels = _input(config, "dataset.json", None, config)
     _check_split_counts(graph.num_nodes, config.split, config.settings)
     bundles = {seed: _build_bundle(config, graph, labels, seed) for seed in config.seeds
-               if _output(config, "split.json", seed)[1] is not None}
+               if _output(config, "split.json", seed, graph) is None}
     for seed, bundle in bundles.items():
         _write_output(config, "split.json", seed, {"seed": seed, "bundle": bundle.to_dict()})
     return {seed: str(config.seed_dir(seed) / "split.json") for seed in config.seeds}
-
-
-def _load_bundle(config: ExperimentConfig, graph, seed: int) -> SplitBundle:
-    return SplitBundle.from_dict(_input(config, "split.json", seed)["bundle"], graph)
 
 
 def _encoder_config(config: ExperimentConfig, graph) -> EncoderConfig:
@@ -717,20 +765,16 @@ def cmd_train(config: ExperimentConfig) -> dict:
     the comparison isolates the training strategy, and methods with the same
     stage 1 share one run of it (``run_ablation``).
     """
-    graph, _ = _load_run_dataset(config)
+    _, graph, _ = _input(config, "dataset.json", None, config)
     results = {}
     for seed in config.seeds:
-        results[seed], stale = _output(config, "train.json", seed)
-        if stale is None:
+        results[seed] = _output(config, "train.json", seed, config.methods)
+        if results[seed] is not None:
             continue
-        bundle = _load_bundle(config, graph, seed)
+        bundle = _input(config, "split.json", seed, graph)
         supervision = _make_supervision(config, bundle)
         label_set = bundle.label_set if config.task == "classification" else None
-        k = config.evaluation["k"]
-
-        def validate(model, bundle=bundle, k=k):
-            return validation_metric(model, bundle, k=k)
-
+        validate = functools.partial(validation_metric, bundle=bundle, k=config.evaluation["k"])
         model = init_model(
             _encoder_config(config, bundle.train_graph), config.task,
             num_classes=label_set.num_classes if label_set is not None else None,
@@ -745,24 +789,22 @@ def cmd_train(config: ExperimentConfig) -> dict:
         (config.seed_dir(seed) / "models").mkdir(exist_ok=True)
         for method, (model, _) in trained.items():
             save_model(model, config.run_dir / checkpoints[method])
+        reports = {method: report.to_dict() for method, (_, report) in trained.items()}
         results[seed] = _write_output(config, "train.json", seed, {
-            "seed": seed,
-            "methods": {method: report.to_dict() for method, (_, report) in trained.items()},
-            "checkpoints": checkpoints,
-        })
+            "seed": seed, "methods": reports, "checkpoints": checkpoints})
     return results
 
 
 def cmd_eval(config: ExperimentConfig) -> dict:
     """Evaluate every trained method on every setting; returns {seed: payload}."""
-    graph, _ = _load_run_dataset(config)
+    _, graph, _ = _input(config, "dataset.json", None, config)
     results = {}
     for seed in config.seeds:
-        results[seed], stale = _output(config, "eval.json", seed)
-        if stale is None:
+        results[seed] = _output(config, "eval.json", seed, config.methods, config.settings)
+        if results[seed] is not None:
             continue
-        bundle = _load_bundle(config, graph, seed)
-        _input(config, "train.json", seed)  # its checksums vouch for the checkpoints
+        bundle = _input(config, "split.json", seed, graph)
+        _input(config, "train.json", seed, config.methods)  # it vouches for the checkpoints
         reports = {}
         for method in config.methods:
             model = load_model(config.run_dir / _checkpoint(seed, method))
@@ -772,25 +814,19 @@ def cmd_eval(config: ExperimentConfig) -> dict:
                 for setting in config.settings
             }
         results[seed] = _write_output(config, "eval.json", seed, {
-            "seed": seed,
-            "methods": list(config.methods),
-            "settings": list(config.settings),
-            "reports": reports,
-        })
+            "seed": seed, "methods": list(config.methods), "settings": list(config.settings),
+            "reports": reports})
     return results
 
 
 def cmd_theory(config: ExperimentConfig, *, csv: bool = False) -> dict:
     """Run the bound validation campaign; writes theory.json (and CSV)."""
-    payload, stale = _output(config, "theory.json")
-    if stale is not None:
+    payload = _output(config, "theory.json")
+    if payload is None:
         params = dict(config.theory)
         trials = params.pop("trials")
-        result = monte_carlo_validate(MonteCarloConfig(**params), trials)
-        payload = _write_output(config, "theory.json", None, {
-            "summary": result["summary"],
-            "rows": result["rows"],
-        })
+        payload = _write_output(config, "theory.json", None,
+                                monte_carlo_validate(MonteCarloConfig(**params), trials))
     if csv:
         _write_csv(config.run_dir / "theory.csv", _THEORY_CSV_COLUMNS, payload["rows"])
     return payload
@@ -843,29 +879,11 @@ def _aggregate_cell(per_seed: list[dict]) -> dict:
     }
 
 
-def _eval_cell(name: str, payload: dict, method: str, setting: str) -> dict:
-    """Seed ``name``'s cell of ``method`` and ``setting``, holding every field
-    the report reads; a hand-edited eval.json exits 3 naming the eval stage."""
-    try:
-        cell = payload["reports"][method][setting]
-    except (KeyError, TypeError) as exc:
-        raise MissingInputError(
-            f"seed {name} lacks {method}/{setting}; rerun the 'eval' stage") from exc
-    buckets = cell.get("buckets") if isinstance(cell, dict) else None
-    if not (isinstance(buckets, list) and len(buckets) == len(BUCKET_LABELS)
-            and type(cell.get("value")) in (int, float) and isinstance(cell.get("metric"), str)
-            and all(isinstance(b, dict) and type(b.get("count")) is int
-                    and type(b.get("mean")) in (type(None), int, float) for b in buckets)):
-        raise MissingInputError(
-            f"seed {name} holds a malformed {method}/{setting} cell; rerun the 'eval' stage")
-    return cell
-
-
 def cmd_report(run_path, *, csv: bool = False) -> dict:
     """Aggregate per-seed evaluations into a comparison table.
 
     Reads every ``<seed>/eval.json`` under the run directory through the rule
-    every stage output passes (``_usable``), with the directory's name as the
+    every stage output passes (``_read``), with the directory's name as the
     config hash, and emits mean and standard deviation per method, setting,
     and degree bucket, plus the relative gain of tuneup over base on the
     headline metric. Writes report.json, whose checksums record the
@@ -881,34 +899,24 @@ def cmd_report(run_path, *, csv: bool = False) -> dict:
             f"no eval.json under {run_path}; run the 'eval' stage first")
     config_hash = run_path.resolve().name  # "." names the run directory too
     entries = [_entry("eval.json", name) for name in names]
-    payloads = [_required(run_path, config_hash, entry) for entry in entries]
-    methods, settings = payloads[0]["methods"], payloads[0]["settings"]
-    if not all(isinstance(v, list) and all(isinstance(s, str) for s in v)
-               for v in (methods, settings)):
-        raise MissingInputError(f"seed {names[0]} holds malformed method or setting "
-                                "lists; rerun the 'eval' stage")
+    first = _read(run_path, config_hash, entries[0])
+    methods, settings = first["methods"], first["settings"]
+    # every other seed holds the first seed's methods and settings
+    payloads = [first, *(_read(run_path, config_hash, entry, methods, settings)
+                         for entry in entries[1:])]
 
-    table = {}
-    for setting in settings:
-        table[setting] = {}
-        for method in methods:
-            table[setting][method] = _aggregate_cell(
-                [_eval_cell(name, payload, method, setting)
-                 for name, payload in zip(names, payloads)])
+    table = {setting: {method: _aggregate_cell([p["reports"][method][setting] for p in payloads])
+                       for method in methods} for setting in settings}
     metric = (payloads[0]["reports"][methods[0]][settings[0]]["metric"]
               if methods and settings else "")
 
     relative_gain = {}
     if "base" in methods and "tuneup" in methods:
         for setting in settings:
-            base = table[setting]["base"]["mean"]
-            tune = table[setting]["tuneup"]["mean"]
-            if base > 0:
-                gain = (tune - base) / base
-                relative_gain[setting] = {
-                    "value": gain, "formatted": f"{gain:+.1%}"}
-            else:
-                relative_gain[setting] = {"value": None, "formatted": "n/a"}
+            base, tune = (table[setting][method]["mean"] for method in ("base", "tuneup"))
+            gain = (tune - base) / base if base > 0 else None
+            relative_gain[setting] = {"value": gain,
+                                      "formatted": "n/a" if gain is None else f"{gain:+.1%}"}
 
     seeds = [int(name) for name in names]
     report = {"metric": metric, "seeds": seeds, "num_seeds": len(seeds), "methods": methods,

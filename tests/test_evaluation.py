@@ -13,7 +13,6 @@ from tailkit.evaluation import (
     evaluate_setting,
     parse_setting,
     ranking_score_fn,
-    recall_at_k,
     recall_per_source,
     validation_metric,
 )
@@ -118,14 +117,14 @@ class TestRecall:
     def test_all_positives_in_top_k(self):
         table = {(0, c): 10.0 - c for c in range(6)}
         fn = table_score_fn(table)
-        val = recall_at_k(fn, [0], {0: np.array([1, 2])}, np.arange(6), k=3)
+        val = recall_per_source(fn, [0], {0: np.array([1, 2])}, np.arange(6), k=3).mean()
         assert val == 1.0
 
     def test_half_of_four_positives(self):
         # positives 1,2 score high; 8,9 score low; k=4 captures exactly 2
         scores = {(0, c): float(-c) for c in range(10)}
         fn = table_score_fn(scores)
-        val = recall_at_k(fn, [0], {0: np.array([1, 2, 8, 9])}, np.arange(10), k=4)
+        val = recall_per_source(fn, [0], {0: np.array([1, 2, 8, 9])}, np.arange(10), k=4).mean()
         assert val == 0.5
 
     def test_six_node_hand_instance(self):
@@ -133,7 +132,7 @@ class TestRecall:
         fn = table_score_fn(table)
         pos = {0: np.array([2, 5])}
         pool = np.arange(6)
-        got = recall_at_k(fn, [0], pos, pool, k=3)
+        got = recall_per_source(fn, [0], pos, pool, k=3).mean()
         assert got == brute_force_recall(fn, [0], pos, pool, 3)
         # top-3 by (-score, id): 1 (0.9), 2 (0.9), 4 (0.8) -> hits {2} of {2,5}
         assert got == 0.5
@@ -141,8 +140,8 @@ class TestRecall:
     def test_ties_break_to_lower_id(self):
         fn = table_score_fn({(0, c): 1.0 for c in range(5)})
         # all tied: top-2 must be ids 0 and 1
-        assert recall_at_k(fn, [0], {0: np.array([0, 1])}, np.arange(5), k=2) == 1.0
-        assert recall_at_k(fn, [0], {0: np.array([3, 4])}, np.arange(5), k=2) == 0.0
+        assert recall_per_source(fn, [0], {0: np.array([0, 1])}, np.arange(5), k=2).mean() == 1.0
+        assert recall_per_source(fn, [0], {0: np.array([3, 4])}, np.arange(5), k=2).mean() == 0.0
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(1)
@@ -158,7 +157,7 @@ class TestRecall:
                 np.setdiff1d(pool, pos[0]), size=int(rng.integers(0, 3)), replace=False
             )
             exclude = {0: banned}
-            got = recall_at_k(fn, [0], pos, pool, k, exclude)
+            got = recall_per_source(fn, [0], pos, pool, k, exclude).mean()
             want = brute_force_recall(fn, [0], pos, pool, k, exclude)
             assert got == want
 
@@ -168,8 +167,8 @@ class TestRecall:
         fn = table_score_fn(table)
         warped = lambda s, cand: np.tanh(fn(s, cand)) * 3.0 + 7.0
         pos = {0: np.array([4, 11, 17])}
-        a = recall_at_k(fn, [0], pos, np.arange(20), k=5)
-        b = recall_at_k(warped, [0], pos, np.arange(20), k=5)
+        a = recall_per_source(fn, [0], pos, np.arange(20), k=5).mean()
+        b = recall_per_source(warped, [0], pos, np.arange(20), k=5).mean()
         assert a == b
 
     def test_excluded_never_ranked(self):
@@ -185,16 +184,14 @@ class TestRecall:
         table = {(s, c): float(-c) for s in (0, 1) for c in range(6)}
         fn = table_score_fn(table)
         pos = {0: np.array([0]), 1: np.array([5])}
-        assert recall_at_k(fn, [0, 1], pos, np.arange(6), k=1) == 0.5
+        assert recall_per_source(fn, [0, 1], pos, np.arange(6), k=1).mean() == 0.5
 
     def test_errors(self):
         fn = table_score_fn({(0, 0): 1.0})
         with pytest.raises(EvalError):
-            recall_at_k(fn, [], {}, np.arange(3))
+            recall_per_source(fn, [0], {0: np.array([], dtype=int)}, np.arange(1))
         with pytest.raises(EvalError):
-            recall_at_k(fn, [0], {0: np.array([], dtype=int)}, np.arange(1))
-        with pytest.raises(EvalError):
-            recall_at_k(
+            recall_per_source(
                 fn, [0], {0: np.array([0])}, np.array([0]), exclude={0: np.array([0])}
             )
 

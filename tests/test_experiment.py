@@ -1,6 +1,7 @@
 """Tests for the config schema, pipeline stages, report aggregation, and CLI."""
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 
 from tailkit import experiment, training
 from tailkit.cli import main
-from tailkit.data import save_edge_list, save_features, save_labels
+from tailkit.data import SplitBundle, save_edge_list, save_features, save_labels
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
 from tailkit.graph import LabelSet, build_graph, normalize_adjacency
 from tailkit.models import EncoderConfig, init_model, save_model
@@ -608,6 +609,29 @@ class TestStages:
         assert len(built) == len({g.edge_hash() for g in built}) == 4
         assert len(normalized) == len({g.edge_hash() for g in normalized}) == 3
 
+    def test_each_stage_reads_the_dataset_once_and_each_bundle_at_most_once(
+            self, tmp_path, monkeypatch):
+        config = make_config(tmp_path, settings=["transductive"])
+        cmd_generate(config)
+        calls = []
+        load_dataset, from_dict = experiment.load_dataset, SplitBundle.from_dict
+
+        def counted_load(*paths):
+            calls.append("dataset")
+            return load_dataset(*paths)
+
+        def counted_from_dict(cls, payload, graph):
+            calls.append(payload["seed"])
+            return from_dict(payload, graph)
+
+        monkeypatch.setattr(experiment, "load_dataset", counted_load)
+        monkeypatch.setattr(SplitBundle, "from_dict", classmethod(counted_from_dict))
+        # split builds the bundles it writes; train and eval read them back
+        for stage, bundles in ((cmd_split, []), (cmd_train, [0, 1]), (cmd_eval, [0, 1])):
+            calls.clear()
+            stage(config)
+            assert calls == ["dataset", *bundles], stage.__name__
+
     def test_theory_stage_writes_json_and_csv(self, tmp_path):
         config = make_config(
             tmp_path,
@@ -810,6 +834,49 @@ class TestDeterminism:
         WRITERS[writer](path, 5)
         assert path.read_bytes() != before
 
+    @pytest.mark.parametrize("task,overrides", [
+        ("classification", {}),
+        ("link", {"model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8}}),
+        ("recsys", {"dataset": {"num_users": 30, "num_items": 20}}),
+    ], ids=["classification", "link", "recsys"])
+    def test_a_failed_write_anywhere_resumes_to_the_same_run(self, tmp_path, monkeypatch,
+                                                             task, overrides):
+        """Each write of a one-seed pipeline fails in turn; rerunning every
+        stage then leaves the bytes of an uninterrupted run."""
+        payload = classification_payload(
+            tmp_path, task=task, seeds=[0],
+            theory={"N": 500, "T": 120, "R": 100, "m": 20, "d": 4, "trials": 2}, **overrides)
+
+        def run(output_dir):
+            config = ExperimentConfig.from_dict(dict(payload, output_dir=str(output_dir)))
+            for stage in (cmd_generate, cmd_split, cmd_train, cmd_eval):
+                stage(config)
+            cmd_theory(config, csv=True)
+            cmd_report(config.run_dir, csv=True)
+            return {str(p.relative_to(output_dir)): p.read_bytes()
+                    for p in output_dir.rglob("*") if p.is_file()}
+
+        replace, written = os.replace, []
+
+        def counted(src, dst):
+            written.append(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counted)
+        intact = run(tmp_path / "intact")
+        assert len(written) == len(intact)  # every file is written once
+        for failing in range(len(written)):
+            def fail_at(src, dst, failing=failing, calls=itertools.count()):
+                if next(calls) == failing:
+                    raise OSError("disk went away")
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", fail_at)
+            with pytest.raises(OSError):
+                run(tmp_path / str(failing))
+            monkeypatch.setattr(os, "replace", replace)
+            assert run(tmp_path / str(failing)) == intact, written[failing]
+
 
 class TestCli:
     def run_cli(self, *argv):
@@ -1006,9 +1073,12 @@ class TestCli:
             recomputed = {"split.json", "train.json", "eval.json", "models/base.json",
                           "models/tuneup.json"}
         elif changed == "split.json":
-            # another valid split: the one built for seed 7
+            # another valid split: the one built for seed 7, recorded as seed
+            # 0's (a copy that still records seed 7 is rewritten by split)
             assert self.run_cli("split", "--config", str(cfg_path), "--seed", "7") == 0
-            (seed_dir / changed).write_bytes((config.seed_dir(7) / changed).read_bytes())
+            payload = json.loads((config.seed_dir(7) / changed).read_text())
+            payload["seed"] = payload["bundle"]["seed"] = 0
+            write_json(seed_dir / changed, payload)
             recomputed = {"train.json", "eval.json", "models/base.json",
                           "models/tuneup.json"}
         elif changed == "train.json":
@@ -1048,6 +1118,31 @@ class TestCli:
         assert self.run_cli("split", "--config", str(cfg_path)) == 0
         assert split_json.read_bytes() == intact
 
+    @pytest.mark.parametrize("name,owner,consumer", [
+        ("split.json", "split", "train"),
+        ("train.json", "train", "eval"),
+        ("eval.json", "eval", "report"),
+    ])
+    def test_output_of_another_seed_exits_3_and_is_rewritten(self, tmp_path, capsys,
+                                                             name, owner, consumer):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, seeds=[0], settings=["transductive"])))
+        for seed in ("0", "7"):
+            for command in ("generate", "split", "train", "eval"):
+                assert self.run_cli(command, "--config", str(cfg_path), "--seed", seed) == 0
+        config = load_config(cfg_path)
+        target = config.seed_dir(0) / name
+        intact = target.read_bytes()
+        target.write_bytes((config.seed_dir(7) / name).read_bytes())
+        capsys.readouterr()
+        assert self.run_cli(consumer, "--config", str(cfg_path)) == 3
+        assert (f"missing input: {target} belongs to seed 7, not 0; rerun the {owner!r} stage"
+                in capsys.readouterr().err)
+        assert self.run_cli(owner, "--config", str(cfg_path)) == 0
+        assert target.read_bytes() == intact
+        assert self.run_cli(consumer, "--config", str(cfg_path)) == 0
+
     def test_dataset_file_that_does_not_parse_exits_3(self, tmp_path, capsys):
         # a file whose checksum matches but that does not parse: only a
         # manifest edited by hand can get here
@@ -1066,6 +1161,28 @@ class TestCli:
         assert self.run_cli("split", "--config", str(cfg_path)) == 3
         assert (f"missing input: {edges}:2: byte 0xff is not UTF-8; "
                 "rerun the 'generate' stage") in capsys.readouterr().err
+        # generate does not accept what split refused: it writes the dataset again
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        assert self.run_cli("split", "--config", str(cfg_path)) == 0
+
+    def test_file_dataset_that_does_not_parse_exits_2_at_generate(self, tmp_path, capsys):
+        # as above, for a file dataset: generate refuses it as on a first run
+        cfg_path = files_config(tmp_path, seeds=[0])
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        config = load_config(cfg_path)
+        edges = Path(config.dataset["edges"]).resolve()
+        edges.write_bytes(b"0 1\n1 \xff2\n")
+        manifest_path = config.run_dir / "dataset.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["checksums"][str(edges)] = hashlib.sha256(edges.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self.run_cli("split", "--config", str(cfg_path)) == 3
+        assert (f"missing input: {edges}:2: byte 0xff is not UTF-8; "
+                "rerun the 'generate' stage") in capsys.readouterr().err
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        assert (f"config error: $.dataset.edges: {edges}:2: byte 0xff is not UTF-8"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key", ["checksums", "paths"])
     def test_manifest_without_a_key_exits_3_and_is_regenerated(self, tmp_path, capsys,
@@ -1403,10 +1520,14 @@ class TestCli:
                 "0/split.json", lambda p: p.update(config_hash="000000000000")),
             "another seed's split": copy("7/split.json", "0/split.json"),
             "split truncated": truncate("0/split.json"),
+            "bundle without v_train": json_edit(
+                "0/split.json", lambda p: p["bundle"].pop("v_train")),
             "train loss edited": json_edit(
                 "0/train.json", lambda p: p["methods"]["base"]["stages"][0]["losses"].append(1.0)),
             "train without checkpoints": json_edit("0/train.json", lambda p: p.pop("checkpoints")),
             "train truncated": truncate("0/train.json"),
+            "train methods not an object": json_edit(
+                "0/train.json", lambda p: p.update(methods=5)),
             "checkpoint truncated": truncate("0/models/base.json"),
             "another method's checkpoint": copy("0/models/tuneup.json", "0/models/base.json"),
             "eval of another config": json_edit(
@@ -1432,3 +1553,7 @@ class TestCli:
             shutil.copytree(template, runs)
             edit(config.run_dir)
             self.sweep(capsys, name, cfg_path)
+            # each stage has recomputed what the next one refused
+            for command in ("generate", "split", "train", "eval", "report"):
+                code = self.run_cli(command, "--config", str(cfg_path))
+                assert code == 0, (name, command, capsys.readouterr().err)
