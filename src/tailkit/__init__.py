@@ -35,7 +35,6 @@ from .data import (
 from .evaluation import (
     EvalError,
     MetricReport,
-    accuracy,
     evaluate_setting,
 )
 from .training import (
@@ -89,7 +88,6 @@ __all__ = [
     "TrainError",
     "TrainReport",
     "VARIANTS",
-    "accuracy",
     "bpr_loss",
     "build_graph",
     "cross_entropy",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -262,61 +262,65 @@ class SplitBundle:
         self._inference_graphs[key] = graph
         return graph
 
+    @property
+    def train_edges(self) -> np.ndarray:
+        return self.train_graph.edges
+
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
+        def listed(array):
+            return None if array is None else np.asarray(array).tolist()
 
-        out = {
-            "task": self.task,
-            "seed": self.seed,
-            "num_nodes": self.num_nodes,
-            "v_train": arr(self.v_train),
-            "v_new": arr(self.v_new),
-            "train_edges": arr(self.train_graph.edges),
-            "trans_val_edges": arr(self.trans_val_edges),
-            "trans_test_edges": arr(self.trans_test_edges),
-            "new_input_edges": arr(self.new_input_edges),
-            "new_test_edges": arr(self.new_test_edges),
-            "cold_input_edges": {repr(r): arr(e) for r, e in sorted(self.cold_input_edges.items())},
-        }
+        out = {"task": self.task, "seed": self.seed, "num_nodes": self.num_nodes,
+               **{key: listed(getattr(self, key)) for key in _ID_ARRAYS},
+               "cold_input_edges": {repr(r): listed(e)
+                                    for r, e in sorted(self.cold_input_edges.items())}}
         if self.label_set is not None:
-            out["labels"] = {k: arr(v) for k, v in asdict(self.label_set).items()}
+            out["labels"] = {key: listed(getattr(self.label_set, key))
+                             for key in ("labels", "num_classes", *_LABEL_ARRAYS)}
         return out
 
     @classmethod
     def from_dict(cls, payload: dict, base_graph: Graph) -> "SplitBundle":
-        def edge_arr(x):
-            return None if x is None else np.asarray(x, dtype=np.int64).reshape(-1, 2)
+        """The bundle :meth:`to_dict` wrote, on the nodes of ``base_graph``.
+        Refuses another node count, an id outside ``[0, num_nodes)`` in any
+        id array, and ``labels`` that do not hold one entry per node."""
+        n = base_graph.num_nodes
+        if payload["num_nodes"] != n:
+            raise SplitError(f"num_nodes {payload['num_nodes']!r} is not the graph's {n}")
 
-        train_graph = build_graph(
-            edge_arr(payload["train_edges"]),
-            payload["num_nodes"],
-            features=base_graph.features,
-            bipartite=base_graph.bipartite,
-        )
+        def ids(value, where: str):
+            if value is None:
+                return None
+            array = np.asarray(value, dtype=np.int64).reshape((-1, 2) if "edges" in where else -1)
+            if array.size and (array.min() < 0 or array.max() >= n):
+                raise SplitError(f"{where} holds a node id outside [0, {n})")
+            return array
+
+        arrays = {key: ids(payload[key], key) for key in _ID_ARRAYS}
         label_set = None
         if "labels" in payload:
             lab = payload["labels"]
-            label_set = LabelSet(lab["labels"], lab["num_classes"]).with_splits(
-                lab["train_labeled"], lab["validation"], lab["unlabeled"])
-        return cls(
-            task=payload["task"],
-            seed=payload["seed"],
-            num_nodes=payload["num_nodes"],
-            v_train=np.asarray(payload["v_train"], dtype=np.int64),
-            v_new=np.asarray(payload["v_new"], dtype=np.int64),
-            train_graph=train_graph,
-            label_set=label_set,
-            trans_val_edges=edge_arr(payload["trans_val_edges"]),
-            trans_test_edges=edge_arr(payload["trans_test_edges"]),
-            new_input_edges=edge_arr(payload["new_input_edges"]),
-            new_test_edges=edge_arr(payload["new_test_edges"]),
-            cold_input_edges={
-                float(r): edge_arr(e) for r, e in payload["cold_input_edges"].items()
-            },
-        )
+            if len(lab["labels"]) != n:
+                raise SplitError(f"labels.labels holds {len(lab['labels'])} entries for {n} nodes")
+            label_set = LabelSet(lab["labels"], lab["num_classes"],
+                                 *(ids(lab[key], f"labels.{key}") for key in _LABEL_ARRAYS))
+        train_graph = build_graph(arrays.pop("train_edges"), n, features=base_graph.features,
+                                  bipartite=base_graph.bipartite)
+        cold = {float(r): ids(e, f"cold_input_edges.{r}")
+                for r, e in payload["cold_input_edges"].items()}
+        return cls(task=payload["task"], seed=payload["seed"], num_nodes=n,
+                   train_graph=train_graph, label_set=label_set, cold_input_edges=cold,
+                   **arrays)
+
+
+# The id arrays of a bundle's payload: node lists, and (u, v) lists under keys
+# that name edges (``cold_input_edges`` maps ratios to them), beside the label
+# split's node lists under ``labels``.
+_ID_ARRAYS = ("v_train", "v_new", "train_edges", "trans_val_edges", "trans_test_edges",
+              "new_input_edges", "new_test_edges")
+_LABEL_ARRAYS = ("train_labeled", "validation", "unlabeled")
 
 
 def make_classification_bundle(

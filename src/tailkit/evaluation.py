@@ -26,15 +26,14 @@ __all__ = [
     "BUCKET_LABELS",
     "EvalError",
     "MetricReport",
-    "accuracy",
     "bucket_index",
     "degree_buckets",
     "evaluate_setting",
     "parse_setting",
     "predict_classes",
     "ranking_score_fn",
-    "ranking_sources",
     "recall_per_source",
+    "scored_nodes",
     "validation_metric",
 ]
 
@@ -49,16 +48,6 @@ class EvalError(TailkitError):
 # ---------------------------------------------------------------------------
 # core metrics
 # ---------------------------------------------------------------------------
-
-def accuracy(predictions, labels, nodes) -> float:
-    """Fraction of ``nodes`` whose prediction equals the label."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size == 0:
-        raise EvalError("accuracy over an empty node set is undefined")
-    return float(np.mean(predictions[nodes] == labels[nodes]))
-
 
 def recall_per_source(score_fn, sources, positives, pool, k=50, exclude=None) -> np.ndarray:
     """Per-source recall@k, in the order of ``sources``.
@@ -286,17 +275,24 @@ def _positives_from_edges(edges: np.ndarray, both_directions: bool = True) -> di
     return dict(zip(sources[np.r_[0, starts]].tolist(), np.split(targets, starts)))
 
 
-def ranking_sources(bundle, kind: str) -> tuple[np.ndarray, dict, np.ndarray]:
-    """``(sources, positives, pool)`` that a ranking setting scores.
+def scored_nodes(bundle, kind: str) -> tuple[np.ndarray, dict | None, np.ndarray | None]:
+    """``(nodes, positives, pool)`` that ``kind`` scores on ``bundle``.
 
-    ``kind`` is ``validation``, ``transductive`` or ``inductive`` (every
-    ``inductive-cold(r)`` setting scores as ``inductive``). Link ranks the
-    training nodes for the sources of the validation edges, and of the test
-    edges that are also validation sources, or every node for the new nodes of
-    the inductive test edges. Recsys (never inductive) ranks the items for each
-    user of the validation or test edges. ``positives`` maps each source to
-    its targets.
+    ``kind`` is ``validation`` or a setting kind of :func:`parse_setting`
+    (``inductive-cold`` scores as ``inductive``). Classification scores the
+    validation, unlabeled (transductive) or new nodes, with no positives and
+    no pool. Link ranks the training nodes for the sources of the validation
+    edges, and of the test edges that are also validation sources, or every
+    node for the new nodes of the inductive test edges. Recsys (never
+    inductive) ranks the items for each user of the validation or test edges.
+    ``positives`` maps each source to its targets.
     """
+    kind = "inductive" if kind == "inductive-cold" else kind
+    if bundle.task == "classification":
+        label_set = bundle.label_set
+        nodes = {"validation": label_set.validation, "transductive": label_set.unlabeled,
+                 "inductive": bundle.v_new}[kind]
+        return np.asarray(nodes, dtype=np.int64), None, None
     edges = {"validation": bundle.trans_val_edges, "transductive": bundle.trans_test_edges,
              "inductive": bundle.new_test_edges}[kind]
     if bundle.task == "recsys":
@@ -318,41 +314,33 @@ def ranking_sources(bundle, kind: str) -> tuple[np.ndarray, dict, np.ndarray]:
 
 
 def _scored(model: Model, bundle, graph: Graph, kind: str, k: int):
-    """``(nodes, metric per node)`` of ``kind`` (as in :func:`ranking_sources`)
-    on ``graph``: the validation, unlabeled training (transductive) or new
-    nodes with their accuracy for classification; the ranking sources with
-    their recall@k, each source's neighbors in ``graph`` excluded, otherwise."""
-    if bundle.task == "classification":
-        label_set = bundle.label_set
-        nodes = np.asarray({"validation": label_set.validation,
-                            "transductive": label_set.unlabeled}.get(kind, bundle.v_new),
-                           dtype=np.int64)
-        if nodes.size == 0:
-            raise EvalError(f"no {kind} nodes to score")
-        preds = predict_classes(model, graph)
-        return nodes, (preds[nodes] == label_set.labels[nodes]).astype(np.float64)
-    sources, positives, pool = ranking_sources(bundle, kind)
-    if sources.size == 0:
-        raise EvalError(f"no {kind} sources to rank")
+    """``(nodes, metric per node)`` of :func:`scored_nodes` on ``graph``:
+    each node's accuracy for classification, else each source's recall@k
+    with its neighbors in ``graph`` excluded."""
+    nodes, positives, pool = scored_nodes(bundle, kind)
+    if nodes.size == 0:
+        raise EvalError(f"no {kind} nodes to score")
+    if positives is None:
+        labels = bundle.label_set.labels
+        return nodes, (predict_classes(model, graph)[nodes] == labels[nodes]).astype(np.float64)
     score_fn = ranking_score_fn(model, encode(model, graph).value)
-    exclude = {int(s): graph.neighbors(int(s)) for s in sources}
-    return sources, recall_per_source(score_fn, sources, positives, pool, k, exclude)
+    exclude = {int(s): graph.neighbors(int(s)) for s in nodes}
+    return nodes, recall_per_source(score_fn, nodes, positives, pool, k, exclude)
 
 
 def evaluate_setting(model: Model, bundle, setting: str, k: int = 50) -> MetricReport:
     """Run the frozen model under one evaluation setting and report metrics.
 
-    The inference graph is rebuilt per the tag: training graph for
-    transductive, plus each new node's input edges for inductive, with the
-    requested fraction removed for inductive-cold. Parameters are never
-    updated (scoring happens outside any tape).
+    The inference graph is the training graph for transductive, plus each
+    new node's input edges for inductive, with the requested fraction removed
+    for inductive-cold; the bundle builds each once and keeps it. Parameters
+    are never updated (scoring happens outside any tape).
     """
     kind, ratio = parse_setting(setting)
     if bundle.task == "recsys" and kind != "transductive":
         raise EvalError("recsys supports only the transductive setting")
     graph = bundle.inference_graph(kind, ratio)
-    nodes, per_node = _scored(model, bundle, graph,
-                              "transductive" if kind == "transductive" else "inductive", k)
+    nodes, per_node = _scored(model, bundle, graph, kind, k)
     return MetricReport(
         setting=setting,
         metric_name="accuracy" if bundle.task == "classification" else f"recall@{k}",

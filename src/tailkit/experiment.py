@@ -39,9 +39,8 @@ from .data import (
     save_labels,
     write_atomic,
 )
-from .errors import TailkitError
 from .evaluation import (BUCKET_LABELS, EvalError, evaluate_setting, parse_setting,
-                         ranking_sources, validation_metric)
+                         scored_nodes, validation_metric)
 from .generators import generate_bipartite, generate_scale_free
 from .losses import SupervisionSet
 from .models import TASKS, VARIANTS, EncoderConfig, init_model, load_model, save_model
@@ -344,7 +343,7 @@ def _check_split_counts(n, split: dict, settings: tuple) -> None:
     ``label_split`` labels ``floor(labeled_fraction * |V_train|)`` of the rest
     (training takes the larger half, validation the rest). The node count of
     a file dataset is unknown until it is read (``n=None``), so there only
-    zero fractions are caught; the split stage checks again with the count.
+    zero fractions are caught; ``_check_bundle`` checks every bundle built.
     """
     for key in ("trans_ratios", "ratios"):
         for part, what in enumerate(("training", "validation")):
@@ -543,9 +542,10 @@ def _read(run_dir: Path, config_hash: str, entry: tuple, *given):
             return read(payload, *given)
         except KeyError as exc:
             why = f"{path} does not record {exc.args[0]!r}"
-        except (AttributeError, TypeError, ValueError) as exc:
-            # a library error's message names what it refused
-            why = str(exc) if isinstance(exc, TailkitError) else f"{path} is malformed: {exc}"
+        except (AttributeError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+            # these readers' own refusals name the data file or the seed
+            why = (str(exc) if isinstance(exc, (DatasetFileError, TrainError, EvalError))
+                   else f"{path} is malformed: {exc}")
     raise MissingInputError(f"{why}; rerun the {stage!r} stage")
 
 
@@ -584,9 +584,11 @@ def _read_manifest(payload: dict, config: ExperimentConfig) -> tuple:
     return payload, graph, labels
 
 
-def _read_split(payload: dict, graph) -> SplitBundle:
-    """split.json: the seed's bundle, built on the dataset's ``graph``."""
-    return SplitBundle.from_dict(payload["bundle"], graph)
+def _read_split(payload: dict, config: ExperimentConfig, graph) -> SplitBundle:
+    """split.json: the seed's bundle on the dataset's ``graph``, if ``_check_bundle`` passes it."""
+    bundle = SplitBundle.from_dict(payload["bundle"], graph)
+    _check_bundle(config, bundle)
+    return bundle
 
 
 def _read_train(payload: dict, methods) -> dict:
@@ -696,38 +698,46 @@ def cmd_generate(config: ExperimentConfig) -> dict:
 
 
 def _build_bundle(config: ExperimentConfig, graph, labels, seed: int) -> SplitBundle:
-    """The seed's split; a ranking split is refused when it leaves training
-    without an edge, or validation or an evaluated setting without a source."""
-    if config.task == "classification":
-        return make_classification_bundle(graph, labels, **config.split, seed=seed)
-    if config.task == "link":
-        bundle = make_link_bundle(graph, **config.split, seed=seed)
-    else:
-        bundle = make_recsys_bundle(graph, **config.split, seed=seed)
-    key = "$.split.trans_ratios" if config.task == "link" else "$.split.ratios"
-    if bundle.train_graph.num_edges == 0:
-        raise ConfigError(key, f"holds out no training edge for seed {seed}")
-    kinds = {"validation", *("transductive" if tag == "transductive" else "inductive"
-                             for tag in config.settings)}
-    for kind, part in (("validation", "validation"), ("transductive", "test"),
-                       ("inductive", "inductive test")):
-        if kind in kinds and ranking_sources(bundle, kind)[0].size == 0:
-            raise ConfigError("$.split.inductive_ratio" if kind == "inductive" else key,
-                              f"holds out no {part} edge with a source to rank for seed {seed}")
+    """The seed's split, if it passes ``_check_bundle``."""
+    make = {"classification": functools.partial(make_classification_bundle, labels=labels),
+            "link": make_link_bundle, "recsys": make_recsys_bundle}[config.task]
+    bundle = make(graph, **config.split, seed=seed)
+    _check_bundle(config, bundle)
     return bundle
+
+
+def _check_bundle(config: ExperimentConfig, bundle: SplitBundle) -> None:
+    """Refuse a bundle that leaves training, validation or an evaluated
+    setting nothing to score (``scored_nodes``), or lacks the variant of an
+    evaluated cold ratio, naming the split key at fault."""
+    seed, ranking = bundle.seed, config.task != "classification"
+    unit = "edge" if ranking else "node"
+    key = {"classification": "labeled_fraction", "link": "trans_ratios"}.get(config.task, "ratios")
+    if len(bundle.train_edges if ranking else bundle.label_set.train_labeled) == 0:
+        raise ConfigError(f"$.split.{key}", f"holds out no training {unit} for seed {seed}")
+    new = "inductive_ratio" if bundle.v_new.size else "new_fraction"
+    parsed = [parse_setting(tag) for tag in config.settings]
+    for kind in dict.fromkeys(["validation", *(kind for kind, _ in parsed)]):
+        if scored_nodes(bundle, kind)[0].size == 0:
+            at, part = {"validation": (key, "validation"), "transductive": (key, "test")}.get(
+                kind, (new, "inductive test"))
+            raise ConfigError(f"$.split.{at}",
+                              f"holds out no {part} {unit} to score for seed {seed}")
+    for tag, (_, ratio) in zip(config.settings, parsed):
+        if ratio is not None and ratio not in bundle.cold_input_edges:
+            raise ConfigError("$.split.cold_ratios", f"has no variant for {tag} for seed {seed}")
 
 
 def cmd_split(config: ExperimentConfig) -> dict:
     """Build one split bundle per seed; returns {seed: path}.
 
     Every bundle is built before any is written, so a split that leaves
-    training without an edge, or validation or an evaluated setting without
-    a source (``_build_bundle``), writes nothing.
+    training, validation or an evaluated setting nothing to score
+    (``_check_bundle``) writes nothing.
     """
     _, graph, labels = _input(config, "dataset.json", None, config)
-    _check_split_counts(graph.num_nodes, config.split, config.settings)
     bundles = {seed: _build_bundle(config, graph, labels, seed) for seed in config.seeds
-               if _output(config, "split.json", seed, graph) is None}
+               if _output(config, "split.json", seed, config, graph) is None}
     for seed, bundle in bundles.items():
         _write_output(config, "split.json", seed, {"seed": seed, "bundle": bundle.to_dict()})
     return {seed: str(config.seed_dir(seed) / "split.json") for seed in config.seeds}
@@ -771,7 +781,7 @@ def cmd_train(config: ExperimentConfig) -> dict:
         results[seed] = _output(config, "train.json", seed, config.methods)
         if results[seed] is not None:
             continue
-        bundle = _input(config, "split.json", seed, graph)
+        bundle = _input(config, "split.json", seed, config, graph)
         supervision = _make_supervision(config, bundle)
         label_set = bundle.label_set if config.task == "classification" else None
         validate = functools.partial(validation_metric, bundle=bundle, k=config.evaluation["k"])
@@ -803,7 +813,7 @@ def cmd_eval(config: ExperimentConfig) -> dict:
         results[seed] = _output(config, "eval.json", seed, config.methods, config.settings)
         if results[seed] is not None:
             continue
-        bundle = _input(config, "split.json", seed, graph)
+        bundle = _input(config, "split.json", seed, config, graph)
         _input(config, "train.json", seed, config.methods)  # it vouches for the checkpoints
         reports = {}
         for method in config.methods:

@@ -26,6 +26,7 @@ from tailkit.data import (
     save_labels,
 )
 from tailkit.data import _feature_line_error
+from tailkit.experiment import canonical_json
 from tailkit.generators import generate_bipartite, generate_scale_free
 from tailkit.graph import GraphError, LabelSet, build_graph
 
@@ -381,38 +382,85 @@ class TestRecsysBundle:
         assert b.train_graph.bipartite == (25, 30)
 
 
+def serialized_bundle(task):
+    """``(graph, bundle)``: a small split of each task."""
+    if task == "classification":
+        graph, labels = generate_scale_free(120, 2, seed=9)
+        return graph, make_classification_bundle(graph, labels, seed=3)
+    if task == "link":
+        graph = random_graph(90, 0.1, seed=9, features=True)
+        return graph, make_link_bundle(graph, seed=3)
+    graph = generate_bipartite(20, 25, seed=9)
+    return graph, make_recsys_bundle(graph, seed=3)
+
+
+def assert_same_array(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# (task, path in the payload) of every id array a bundle serializes
+BUNDLE_ID_ARRAYS = [
+    *(("link", (key,)) for key in ("v_train", "v_new", "train_edges", "trans_val_edges",
+                                   "trans_test_edges", "new_input_edges", "new_test_edges")),
+    ("link", ("cold_input_edges", "0.3")),
+    *(("classification", ("labels", key)) for key in ("train_labeled", "validation",
+                                                      "unlabeled")),
+]
+
+
 class TestBundleSerialization:
     @pytest.mark.parametrize("task", ["classification", "link", "recsys"])
     def test_json_round_trip(self, task):
-        if task == "classification":
-            graph, labels = generate_scale_free(120, 2, seed=9)
-            bundle = make_classification_bundle(graph, labels, seed=3)
-        elif task == "link":
-            graph = random_graph(90, 0.1, seed=9, features=True)
-            bundle = make_link_bundle(graph, seed=3)
-        else:
-            graph = generate_bipartite(20, 25, seed=9)
-            bundle = make_recsys_bundle(graph, seed=3)
-
+        graph, bundle = serialized_bundle(task)
         payload = json.loads(json.dumps(bundle.to_dict()))
         back = SplitBundle.from_dict(payload, graph)
-        assert back.task == bundle.task
-        assert back.num_nodes == bundle.num_nodes
-        assert np.array_equal(back.v_new, bundle.v_new)
-        assert pair_set(back.train_graph.edges) == pair_set(bundle.train_graph.edges)
-        for name in ("trans_val_edges", "trans_test_edges", "new_input_edges", "new_test_edges"):
-            a, b = getattr(bundle, name), getattr(back, name)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert pair_set(a) == pair_set(b)
-        assert set(back.cold_input_edges) == set(bundle.cold_input_edges)
+        assert (back.task, back.seed, back.num_nodes) == (bundle.task, bundle.seed,
+                                                          bundle.num_nodes)
+        for name in ("v_train", "v_new", "trans_val_edges", "trans_test_edges",
+                     "new_input_edges", "new_test_edges"):
+            assert_same_array(getattr(back, name), getattr(bundle, name))
+        assert_same_array(back.train_graph.edges, bundle.train_graph.edges)
+        assert back.train_graph.bipartite == bundle.train_graph.bipartite
+        assert back.train_graph.features is graph.features
+        assert list(back.cold_input_edges) == list(bundle.cold_input_edges)
         for r, e in bundle.cold_input_edges.items():
-            assert pair_set(back.cold_input_edges[r]) == pair_set(e)
+            assert_same_array(back.cold_input_edges[r], e)
+        assert (back.label_set is None) == (bundle.label_set is None)
         if bundle.label_set is not None:
-            assert np.array_equal(back.label_set.labels, bundle.label_set.labels)
-            assert np.array_equal(
-                back.label_set.train_labeled, bundle.label_set.train_labeled
-            )
+            assert back.label_set.num_classes == bundle.label_set.num_classes
+            for name in ("labels", "train_labeled", "validation", "unlabeled"):
+                assert_same_array(getattr(back.label_set, name),
+                                  getattr(bundle.label_set, name))
+        again = json.loads(json.dumps(back.to_dict()))
+        assert canonical_json(again) == canonical_json(bundle.to_dict())
+
+    @pytest.mark.parametrize("bad", ["negative", "num_nodes"])
+    @pytest.mark.parametrize("task,path", BUNDLE_ID_ARRAYS,
+                             ids=[".".join(path) for _, path in BUNDLE_ID_ARRAYS])
+    def test_from_dict_refuses_an_id_outside_the_graph(self, task, path, bad):
+        graph, bundle = serialized_bundle(task)
+        payload = json.loads(json.dumps(bundle.to_dict()))
+        holder = payload[path[0]] if len(path) > 1 else payload
+        node = -1 if bad == "negative" else graph.num_nodes
+        holder[path[-1]] = [[0, node]] if "edges" in path[0] else [node]
+        with pytest.raises(SplitError, match=rf"^{'.'.join(path)} holds a node id outside "
+                                             rf"\[0, {graph.num_nodes}\)$"):
+            SplitBundle.from_dict(payload, graph)
+
+    def test_from_dict_refuses_labels_not_one_per_node(self):
+        graph, bundle = serialized_bundle("classification")
+        payload = bundle.to_dict()
+        payload["labels"]["labels"] = payload["labels"]["labels"][:2]
+        with pytest.raises(SplitError, match="labels.labels holds 2 entries for 120 nodes"):
+            SplitBundle.from_dict(payload, graph)
+
+    def test_from_dict_refuses_another_node_count(self):
+        graph, bundle = serialized_bundle("link")
+        payload = dict(bundle.to_dict(), num_nodes=91)
+        with pytest.raises(SplitError, match="num_nodes 91 is not the graph's 90"):
+            SplitBundle.from_dict(payload, graph)
 
 
 # ---------------------------------------------------------------------------

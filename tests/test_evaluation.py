@@ -7,7 +7,6 @@ from tailkit.evaluation import (
     BUCKET_LABELS,
     EvalError,
     MetricReport,
-    accuracy,
     bucket_index,
     degree_buckets,
     evaluate_setting,
@@ -91,26 +90,6 @@ def positives_from_edges_loop(edges, both_directions=True):
 
 def table_score_fn(table):
     return lambda s, cand: np.array([table[(s, int(c))] for c in cand], dtype=np.float64)
-
-
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy([1, 0, 1], [1, 0, 1], [0, 1, 2]) == 1.0
-
-    def test_two_thirds(self):
-        assert accuracy([0, 1, 0], [0, 1, 2], [0, 1, 2]) == pytest.approx(2 / 3)
-
-    def test_counting_oracle(self):
-        rng = np.random.default_rng(0)
-        preds = rng.integers(0, 4, size=100)
-        labels = rng.integers(0, 4, size=100)
-        nodes = rng.choice(100, size=40, replace=False)
-        expect = sum(int(preds[n] == labels[n]) for n in nodes) / 40
-        assert accuracy(preds, labels, nodes) == pytest.approx(expect)
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(EvalError):
-            accuracy([0], [0], [])
 
 
 class TestRecall:
@@ -373,8 +352,9 @@ class TestValidationMetric:
         from tailkit.evaluation import predict_classes
 
         preds = predict_classes(model, bundle.train_graph)
-        want = accuracy(preds, bundle.label_set.labels, bundle.label_set.validation)
-        assert val == want
+        nodes = bundle.label_set.validation.tolist()
+        correct = sum(int(preds[n] == bundle.label_set.labels[n]) for n in nodes)
+        assert val == correct / len(nodes)
 
     def test_ranking_validation_in_range(self):
         rng = np.random.default_rng(9)

@@ -61,6 +61,7 @@ def make_config(tmp_path, **overrides):
 # small synthetic datasets that files_config writes out as a file dataset
 FILE_SOURCES = {
     "classification": {"num_nodes": 40, "m_attach": 2, "feat_dim": 6, "seed": 1},
+    "link": {"num_nodes": 40, "m_attach": 2, "feat_dim": 6, "seed": 1},
     "recsys": {"num_users": 5, "num_items": 3, "min_interactions": 3, "num_clusters": 3},
 }
 
@@ -175,14 +176,22 @@ BAD_SEED_FLAGS = [
     ("--seed=-1", "$.seeds[0]"),
     ("--seed=1,1", "$.seeds"),
 ]
-# splits of files_config's datasets that the split stage refuses; the
-# ``ratios`` one is a recsys split
+# splits of files_config's datasets that the split stage refuses, of the
+# task file_split_task names
 FILE_SPLITS_REFUSED = [
     ({"labeled_fraction": 0.01}, "$.split.labeled_fraction"),
     ({"new_fraction": 0.01}, "$.split.new_fraction"),
     # recsys: 15 interactions leave floor(0.05 * 15) = 0 for validation
     ({"ratios": [0.10, 0.05, 0.85]}, "$.split.ratios"),
+    # link: floor(0.01 * 40) = 0 new nodes, so no inductive test edge either
+    ({"new_fraction": 0.01, "inductive_ratio": 0.5}, "$.split.new_fraction"),
 ]
+
+
+def file_split_task(split) -> str:
+    """The task of a FILE_SPLITS_REFUSED split, by a key only that task takes."""
+    return ("recsys" if "ratios" in split else "link" if "inductive_ratio" in split
+            else "classification")
 
 
 def file_dataset(directory, texts) -> dict:
@@ -931,11 +940,11 @@ class TestCli:
     @pytest.mark.parametrize("split,path", FILE_SPLITS_REFUSED)
     def test_file_dataset_split_counts_refused_at_split(self, tmp_path, capsys,
                                                         split, path):
-        task = "recsys" if "ratios" in split else "classification"
-        cfg_path = files_config(tmp_path, task=task, split=split)
+        cfg_path = files_config(tmp_path, task=file_split_task(split), split=split)
         assert self.run_cli("generate", "--config", str(cfg_path)) == 0
         assert self.run_cli("split", "--config", str(cfg_path)) == 2
-        assert path in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err and "inductive_ratio" not in err
         assert not list((tmp_path / "files").rglob("split.json"))
 
     @pytest.mark.parametrize("dataset_seed,codes", [
@@ -1413,13 +1422,17 @@ class TestCli:
     SWEEP = ("report", "eval", "train", "split", "generate", "split", "train", "eval",
              "report")
 
-    def sweep(self, capsys, name, cfg_path, *flags):
+    def sweep(self, capsys, name, cfg_path, *flags) -> list:
+        """``(command, exit code, stderr)`` of each stage run in SWEEP order."""
         capsys.readouterr()
+        runs = []
         for command in self.SWEEP:
             code = self.run_cli(command, "--config", str(cfg_path), *flags)
             err = capsys.readouterr().err
             assert code in (0, 2, 3), (name, command, code, err)
             assert "Traceback" not in err, (name, command, err)
+            runs.append((command, code, err))
+        return runs
 
     def test_every_bad_config_exits_0_2_or_3_at_every_stage(self, tmp_path, capsys):
         """Every malformed config and dataset file in this module."""
@@ -1449,7 +1462,7 @@ class TestCli:
         for flag, _ in BAD_SEED_FLAGS:
             case(flag, lambda d: classification_payload(d), flag)
         for split, path in FILE_SPLITS_REFUSED:
-            case(path, files("recsys" if "ratios" in split else "classification", split=split))
+            case(path, files(file_split_task(split), split=split))
         case("no test edge", lambda d: classification_payload(
             d, task="recsys", seeds=[0], dataset={"num_users": 30, "num_items": 20, "seed": 1},
             split={"ratios": [0.5, 0.5, 0.0]}))
@@ -1476,16 +1489,21 @@ class TestCli:
 
     def test_every_edited_artifact_exits_0_2_or_3_at_every_stage(self, tmp_path, capsys):
         """Every edit this module makes to a stage output or a dataset file,
-        each on a fresh copy of one finished run."""
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(classification_payload(
-            tmp_path, seeds=[0], settings=["transductive"])))
-        for command in ("generate", "split", "train", "eval", "report"):
-            assert self.run_cli(command, "--config", str(cfg_path)) == 0
-        assert self.run_cli("split", "--config", str(cfg_path), "--seed", "7") == 0
-        config = load_config(cfg_path)
-        runs, template = tmp_path / "runs", tmp_path / "template"
-        runs.rename(template)
+        and a bundle edit of each kind the split.json reader refuses, each on
+        a fresh copy of one finished run of its task."""
+        runs = {}
+        for task, settings in (("classification", ["transductive"]),
+                               ("link", ["transductive", "inductive", "inductive-cold(0.3)"])):
+            directory = tmp_path / task
+            directory.mkdir()
+            cfg_path = directory / "cfg.json"
+            cfg_path.write_text(json.dumps(classification_payload(
+                directory, task=task, seeds=[0], settings=settings)))
+            for command in ("generate", "split", "train", "eval", "report"):
+                assert self.run_cli(command, "--config", str(cfg_path)) == 0
+            assert self.run_cli("split", "--config", str(cfg_path), "--seed", "7") == 0
+            (directory / "runs").rename(directory / "template")
+            runs[task] = cfg_path, load_config(cfg_path)
 
         def json_edit(rel, edit):
             def apply(run_dir):
@@ -1502,6 +1520,9 @@ class TestCli:
 
         def copy(src, dst):
             return lambda run_dir: (run_dir / dst).write_bytes((run_dir / src).read_bytes())
+
+        def bundle_edit(edit):
+            return json_edit("0/split.json", lambda p: edit(p["bundle"]))
 
         def unparsable_edges_in_manifest(run_dir):
             write("dataset/edges.txt", b"0 1\n1 \xff2\n")(run_dir)
@@ -1547,13 +1568,38 @@ class TestCli:
                 .update(count="2")),
             "eval methods not a list": json_edit("0/eval.json", lambda p: p.update(methods=5)),
             "report truncated": truncate("report.json"),
+            "labeled node off the graph": bundle_edit(
+                lambda b: b["labels"].update(train_labeled=[1000000])),
+            "labels cut to two": bundle_edit(
+                lambda b: b["labels"].update(labels=b["labels"]["labels"][:2])),
+            "new node off the graph": bundle_edit(lambda b: b.update(v_new=[1000000])),
         }
-        for name, edit in edits.items():
-            shutil.rmtree(runs, ignore_errors=True)
-            shutil.copytree(template, runs)
+        link_edits = {
+            "validation edge off the graph": bundle_edit(
+                lambda b: b.update(trans_val_edges=[[0, 1000000]])),
+            "cold edge off the graph": bundle_edit(
+                lambda b: b["cold_input_edges"].update({"0.3": [[0, 1000000]]})),
+            "no inductive test edge": bundle_edit(lambda b: b.update(new_test_edges=[])),
+            "cold variant missing": bundle_edit(lambda b: b["cold_input_edges"].pop("0.3")),
+        }
+        cases = [*(("classification", *item) for item in edits.items()),
+                 *(("link", *item) for item in link_edits.items())]
+        for task, name, edit in cases:
+            cfg_path, config = runs[task]
+            template = cfg_path.parent / "template" / config.config_hash
+            split_json = config.seed_dir(0) / "split.json"
+            shutil.rmtree(cfg_path.parent / "runs", ignore_errors=True)
+            shutil.copytree(template.parent, cfg_path.parent / "runs")
             edit(config.run_dir)
-            self.sweep(capsys, name, cfg_path)
-            # each stage has recomputed what the next one refused
+            sweep = self.sweep(capsys, name, cfg_path)
+            if split_json.read_bytes() != (template / "0" / "split.json").read_bytes():
+                # eval refuses an edited bundle, naming its file and its stage
+                _, code, err = sweep[1]
+                assert code == 3 and f"missing input: {split_json}" in err, (name, err)
+                assert err.endswith("; rerun the 'split' stage\n"), (name, err)
+            # each stage has recomputed what the next one refused, and split
+            # has written the bundle a fresh split writes
             for command in ("generate", "split", "train", "eval", "report"):
                 code = self.run_cli(command, "--config", str(cfg_path))
                 assert code == 0, (name, command, capsys.readouterr().err)
+            assert split_json.read_bytes() == (template / "0" / "split.json").read_bytes(), name
