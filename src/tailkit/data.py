@@ -336,7 +336,11 @@ def make_classification_bundle(
         raise SplitError("label set does not match the graph")
     r_node, r_label, r_cold = np.random.SeedSequence(seed).spawn(3)
     ns = node_split(graph, new_fraction, seed=_entropy(r_node))
-    train, val, unlabeled = label_split(ns.v_train, labeled_fraction, seed=_entropy(r_label))
+    # train and validation nodes come from those whose label is known; every
+    # other V_train node is unlabeled, a pseudo-label target
+    known = ns.v_train[labels.labels[ns.v_train] >= 0]
+    train, val, _ = label_split(known, labeled_fraction, seed=_entropy(r_label))
+    unlabeled = np.setdiff1d(ns.v_train, np.concatenate([train, val]), assume_unique=True)
     new_input = np.concatenate([ns.cross_edges, ns.new_new_edges])
     return SplitBundle(
         task="classification",

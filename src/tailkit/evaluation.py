@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TailkitError
-from .graph import Graph
+from .graph import Graph, build_graph
 from .models import Model, encode
 
 __all__ = [
@@ -262,55 +262,44 @@ def ranking_score_fn(model: Model, embeddings: np.ndarray):
     raise EvalError(f"no ranking scorer for task {model.task!r}")
 
 
-def _positives_from_edges(edges: np.ndarray, both_directions: bool = True) -> dict:
-    """Source -> sorted distinct targets, from one sort of the pair keys."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if both_directions:
-        edges = np.concatenate([edges, edges[:, ::-1]])
-    if edges.size == 0:
-        return {}
-    n = int(edges.max()) + 1
-    sources, targets = np.divmod(np.unique(edges[:, 0] * n + edges[:, 1]), n)
-    starts = np.flatnonzero(np.diff(sources)) + 1
-    return dict(zip(sources[np.r_[0, starts]].tolist(), np.split(targets, starts)))
-
-
 def scored_nodes(bundle, kind: str) -> tuple[np.ndarray, dict | None, np.ndarray | None]:
     """``(nodes, positives, pool)`` that ``kind`` scores on ``bundle``.
 
     ``kind`` is ``validation`` or a setting kind of :func:`parse_setting`
     (``inductive-cold`` scores as ``inductive``). Classification scores the
-    validation, unlabeled (transductive) or new nodes, with no positives and
-    no pool. Link ranks the training nodes for the sources of the validation
-    edges, and of the test edges that are also validation sources, or every
-    node for the new nodes of the inductive test edges. Recsys (never
-    inductive) ranks the items for each user of the validation or test edges.
-    ``positives`` maps each source to its targets.
+    validation, unlabeled (transductive) or new nodes whose label is known,
+    with no positives and no pool. The ranking tasks read the scored edges
+    as a graph, ``held_out``, and rank for each source its neighbors there
+    (``positives[s] = held_out.neighbors(s)``). Link sources are the
+    validation edges' nodes, the test edges' nodes that are also validation
+    sources (both ranked among the training nodes), or the new nodes of the
+    inductive test edges (ranked among every node). Recsys (never inductive)
+    ranks the items for each user of the validation or test edges.
     """
     kind = "inductive" if kind == "inductive-cold" else kind
     if bundle.task == "classification":
         label_set = bundle.label_set
-        nodes = {"validation": label_set.validation, "transductive": label_set.unlabeled,
-                 "inductive": bundle.v_new}[kind]
-        return np.asarray(nodes, dtype=np.int64), None, None
+        nodes = np.asarray({"validation": label_set.validation, "transductive": label_set.unlabeled,
+                            "inductive": bundle.v_new}[kind], dtype=np.int64)
+        return nodes[label_set.labels[nodes] >= 0], None, None
+    n = bundle.num_nodes
     edges = {"validation": bundle.trans_val_edges, "transductive": bundle.trans_test_edges,
              "inductive": bundle.new_test_edges}[kind]
+    held_out = build_graph(edges, n)
+    eligible = held_out.degrees() > 0
     if bundle.task == "recsys":
-        positives = _positives_from_edges(edges, both_directions=False)
         num_users = bundle.train_graph.bipartite[0]
-        eligible = range(num_users)
-        pool = np.arange(num_users, bundle.num_nodes, dtype=np.int64)
+        eligible[num_users:] = False
+        pool = np.arange(num_users, n, dtype=np.int64)
+    elif kind == "inductive":
+        eligible &= np.isin(np.arange(n), bundle.v_new)
+        pool = np.arange(n, dtype=np.int64)
     else:
-        positives = _positives_from_edges(edges)
-        if kind == "inductive":
-            eligible = set(bundle.v_new.tolist())
-            pool = np.arange(bundle.num_nodes, dtype=np.int64)
-        else:
-            eligible = (positives if kind == "validation"
-                        else _positives_from_edges(bundle.trans_val_edges))
-            pool = np.asarray(bundle.v_train, dtype=np.int64)
-    sources = np.array(sorted(s for s in positives if s in eligible), dtype=np.int64)
-    return sources, positives, pool
+        if kind == "transductive":
+            eligible &= build_graph(bundle.trans_val_edges, n).degrees() > 0
+        pool = np.asarray(bundle.v_train, dtype=np.int64)
+    sources = np.flatnonzero(eligible)
+    return sources, {s: held_out.neighbors(s) for s in sources.tolist()}, pool
 
 
 def _scored(model: Model, bundle, graph: Graph, kind: str, k: int):

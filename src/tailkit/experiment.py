@@ -715,7 +715,7 @@ def _check_bundle(config: ExperimentConfig, bundle: SplitBundle) -> None:
     key = {"classification": "labeled_fraction", "link": "trans_ratios"}.get(config.task, "ratios")
     if len(bundle.train_edges if ranking else bundle.label_set.train_labeled) == 0:
         raise ConfigError(f"$.split.{key}", f"holds out no training {unit} for seed {seed}")
-    new = "inductive_ratio" if bundle.v_new.size else "new_fraction"
+    new = "inductive_ratio" if ranking and bundle.v_new.size else "new_fraction"
     parsed = [parse_setting(tag) for tag in config.settings]
     for kind in dict.fromkeys(["validation", *(kind for kind, _ in parsed)]):
         if scored_nodes(bundle, kind)[0].size == 0:

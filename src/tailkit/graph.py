@@ -52,8 +52,9 @@ class Graph:
         occupy ids ``[0, num_users)`` and items ``[num_users, num_nodes)``.
     operators:
         The aggregation operators built from this graph by normalization mode,
-        and the sage encoders' aggregates of ``features`` by
-        ``("input", variant)``, filled in by ``models.encode``: each is built
+        the sage encoders' aggregates of ``features`` by
+        ``("input", variant)``, filled in by ``models.encode``, and the sorted
+        pair keys of :meth:`has_edges` under ``"pair_keys"``: each is built
         once, freed with the graph.
     """
 
@@ -78,6 +79,26 @@ class Graph:
         """Degree of every node as an int64 array."""
         return np.diff(self.csr_offsets)
 
+    def has_edges(self, u, v) -> np.ndarray:
+        """Whether each pair ``(u[i], v[i])`` is an edge, in either orientation.
+
+        One ``searchsorted`` over the CSR's sorted pair keys ``i * num_nodes +
+        j``, built on the first call and kept in :attr:`operators`.
+        """
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        for ids in (u, v):
+            bad = (ids < 0) | (ids >= self.num_nodes)
+            if bad.any():
+                raise GraphError(f"node {int(ids[bad][0])} out of range [0, {self.num_nodes})")
+        keys = self.operators.get("pair_keys")
+        if keys is None:
+            rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees())
+            keys = self.operators["pair_keys"] = rows * self.num_nodes + self.csr_targets
+        query = u * self.num_nodes + v
+        if keys.size == 0:
+            return np.zeros(query.shape, dtype=bool)
+        return keys[np.minimum(np.searchsorted(keys, query), keys.size - 1)] == query
+
     def edge_hash(self) -> str:
         """Stable hex digest of the edge structure (used to tag eval reports)."""
         import hashlib
@@ -88,17 +109,17 @@ class Graph:
         return h.hexdigest()[:16]
 
 
-def _csr_from_edges(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if edges.size == 0:
-        return np.zeros(num_nodes + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    counts = np.bincount(src, minlength=num_nodes)
+def _csr(num_nodes: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets and targets of the distinct int64 pairs ``(src, dst)``:
+    sorting their scalar keys orders them by source, then target."""
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # the (src, dst) pairs are distinct, so sorting their scalar keys orders
-    # them by source, then target
+    np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
     return offsets, np.sort(src * num_nodes + dst) % num_nodes
+
+
+def _csr_from_edges(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _csr(num_nodes, np.concatenate([edges[:, 0], edges[:, 1]]),
+                np.concatenate([edges[:, 1], edges[:, 0]]))
 
 
 def build_graph(
@@ -230,12 +251,8 @@ def normalize_adjacency(graph: Graph, mode: str = "renormalized") -> NormalizedA
     diag = (np.arange(n, dtype=np.int64) if mode == "renormalized" else
             np.flatnonzero(deg == 0) if mode == "row-mean" else np.empty(0, np.int64))
     if diag.size:
-        rows = np.concatenate([rows, diag])
-        targets = np.concatenate([targets, diag])
-        order = np.argsort(rows * n + targets)  # keys are unique: one order
-        rows, targets = rows[order], targets[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+        offsets, targets = _csr(n, np.concatenate([rows, diag]), np.concatenate([targets, diag]))
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     mirror = np.argsort(targets * n + rows)
 
     if mode == "renormalized":

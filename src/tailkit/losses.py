@@ -29,27 +29,26 @@ class LossError(TailkitError):
 class SupervisionSet:
     """What the trainer fits against.
 
-    Classification: ``nodes``/``classes``/``is_pseudo`` aligned arrays with no
-    duplicate nodes. Ranking (link or recsys): ``positive_pairs`` of
-    (source, target) rows, with a per-source adjacency for negative-candidate
-    exclusion, plus the candidate pool (all nodes for link prediction, the item
-    partition for recsys).
+    Classification: ``nodes``/``classes`` aligned arrays with no duplicate
+    nodes. Ranking (link or recsys): ``positive_pairs`` of (source, target)
+    rows, the training ``graph`` they come from (whose neighbors of a source
+    are its positives, excluded from its negative candidates), and the
+    candidate pool (all nodes for link prediction, the item partition for
+    recsys).
     """
 
     task: str
     num_nodes: int
     nodes: np.ndarray | None = None
     classes: np.ndarray | None = None
-    is_pseudo: np.ndarray | None = None
     positive_pairs: np.ndarray | None = None
     pool: np.ndarray | None = None
-    # sorted unique ``source * num_nodes + target`` of the positive pairs
-    _pos_keys: np.ndarray = field(default=None, repr=False)
+    graph: Graph | None = field(default=None, repr=False)
 
     # -- factories ----------------------------------------------------------
 
     @classmethod
-    def classification(cls, nodes, classes, num_classes: int, num_nodes: int, is_pseudo=None):
+    def classification(cls, nodes, classes, num_classes: int, num_nodes: int):
         nodes = np.asarray(nodes, dtype=np.int64)
         classes = np.asarray(classes, dtype=np.int64)
         if nodes.shape != classes.shape or nodes.ndim != 1:
@@ -58,13 +57,7 @@ class SupervisionSet:
             raise LossError("duplicate node in classification supervision")
         if classes.size and (classes.min() < 0 or classes.max() >= num_classes):
             raise LossError(f"class id outside [0, {num_classes})")
-        if is_pseudo is None:
-            is_pseudo = np.zeros(nodes.size, dtype=bool)
-        else:
-            is_pseudo = np.asarray(is_pseudo, dtype=bool)
-            if is_pseudo.shape != nodes.shape:
-                raise LossError("is_pseudo must align with nodes")
-        return cls("classification", num_nodes, nodes=nodes, classes=classes, is_pseudo=is_pseudo)
+        return cls("classification", num_nodes, nodes=nodes, classes=classes)
 
     @classmethod
     def ranking(cls, task: str, graph: Graph):
@@ -84,19 +77,7 @@ class SupervisionSet:
         else:
             pairs = np.concatenate([edges, edges[:, ::-1]], axis=0)
             pool = np.arange(graph.num_nodes, dtype=np.int64)
-        keys = np.unique(pairs[:, 0] * graph.num_nodes + pairs[:, 1])
-        return cls(task, graph.num_nodes, positive_pairs=pairs, pool=pool, _pos_keys=keys)
-
-    def _key_range(self, sources) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds of each source's block of ``_pos_keys``."""
-        start = np.asarray(sources, dtype=np.int64) * self.num_nodes
-        return (np.searchsorted(self._pos_keys, start),
-                np.searchsorted(self._pos_keys, start + self.num_nodes))
-
-    def positives_of(self, source: int) -> np.ndarray:
-        """The sorted distinct targets of ``source``'s positive pairs."""
-        lo, hi = self._key_range(int(source))
-        return self._pos_keys[lo:hi] - int(source) * self.num_nodes
+        return cls(task, graph.num_nodes, positive_pairs=pairs, pool=pool, graph=graph)
 
     @property
     def size(self) -> int:
@@ -146,22 +127,20 @@ def sample_negatives(supervision: SupervisionSet, sources, seed: int) -> np.ndar
     """One uniform negative per source, avoiding each source's positives.
 
     Candidates are the supervision pool (items for recsys, all nodes for link
-    prediction) minus the source's linked targets. Deterministic per seed;
-    raises if some source is linked to the entire pool.
+    prediction) minus the source's neighbors in the training graph; recsys
+    sources are users. Deterministic per seed; raises if some source is
+    linked to the entire pool.
     """
     if supervision.task == "classification":
         raise LossError("negative sampling applies to ranking supervision")
     sources = np.asarray(sources, dtype=np.int64)
-    pool = supervision.pool
+    graph, pool = supervision.graph, supervision.pool
     pool_size = pool.shape[0]
     unique = np.unique(sources)
-    lo, hi = supervision._key_range(unique)
-    full = unique[hi - lo >= pool_size]
+    full = unique[graph.degrees()[unique] >= pool_size]
     if full.size:
         raise LossError(f"source {int(full[0])} is linked to every candidate")
 
-    keys = supervision._pos_keys
-    n = supervision.num_nodes
     rng = np.random.default_rng(seed)
     out = np.empty(sources.shape[0], dtype=np.int64)
     pending = np.arange(sources.shape[0])
@@ -169,15 +148,11 @@ def sample_negatives(supervision: SupervisionSet, sources, seed: int) -> np.ndar
         if pending.size == 0:
             return out
         draws = pool[rng.integers(pool_size, size=pending.size)]
-        q = sources[pending] * n + draws
-        idx = np.minimum(np.searchsorted(keys, q), max(keys.size - 1, 0))
-        bad = keys.size > 0
-        bad = (keys[idx] == q) if bad else np.zeros(pending.size, dtype=bool)
         out[pending] = draws
-        pending = pending[bad]
+        pending = pending[graph.has_edges(sources[pending], draws)]
     # rejection stalled (sources whose positives cover most of the pool):
     # sample the explicit complement, still uniform and seed-deterministic
     for j in pending:
-        candidates = np.setdiff1d(pool, supervision.positives_of(sources[j]), assume_unique=True)
+        candidates = np.setdiff1d(pool, graph.neighbors(sources[j]), assume_unique=True)
         out[j] = candidates[rng.integers(candidates.size)]
     return out

@@ -260,9 +260,10 @@ def pseudo_label(model: Model, graph: Graph, label_set: LabelSet) -> Supervision
     """Augment training supervision with model-predicted classes.
 
     The frozen model predicts on the intact graph; every unlabeled node that
-    has at least one edge receives its argmax class, flagged as pseudo.
-    Labeled training nodes keep their observed classes; isolated unlabeled
-    nodes stay out (an edgeless node gives the encoder nothing to read).
+    has at least one edge receives its argmax class, after the labeled
+    training nodes, which keep their observed classes (so the pseudo-labels
+    are the last ``size - train_labeled.size``). Isolated unlabeled nodes stay
+    out (an edgeless node gives the encoder nothing to read).
     """
     if model.task != "classification":
         raise TrainError(f"pseudo_label needs a classification model, got {model.task!r}")
@@ -275,12 +276,8 @@ def pseudo_label(model: Model, graph: Graph, label_set: LabelSet) -> Supervision
     train = np.asarray(label_set.train_labeled, dtype=np.int64)
     nodes = np.concatenate([train, targets])
     classes = np.concatenate([label_set.labels[train], preds[targets]])
-    flags = np.concatenate(
-        [np.zeros(train.size, dtype=bool), np.ones(targets.size, dtype=bool)]
-    )
     return SupervisionSet.classification(
-        nodes, classes, label_set.num_classes, label_set.num_nodes, is_pseudo=flags
-    )
+        nodes, classes, label_set.num_classes, label_set.num_nodes)
 
 
 def run_ablation(

@@ -1,4 +1,6 @@
 """Metrics against brute-force oracles, bucket tables, and the eval harness."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from tailkit.evaluation import (
     parse_setting,
     ranking_score_fn,
     recall_per_source,
+    scored_nodes,
     validation_metric,
 )
-from tailkit.evaluation import _positives_from_edges
 from tailkit.generators import generate_bipartite, generate_scale_free
 from tailkit.graph import build_graph
 from tailkit.models import EncoderConfig, encode, init_model, score_pairs
@@ -79,7 +81,7 @@ def fresh_ranking_score_fn(model, embeddings):
 
 
 def positives_from_edges_loop(edges, both_directions=True):
-    """Reference oracle: the per-edge loop that ``_positives_from_edges`` replaced."""
+    """Reference oracle: a per-edge loop building each source's sorted targets."""
     table = {}
     for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
         table.setdefault(int(u), []).append(int(v))
@@ -474,17 +476,62 @@ class TestRecallAgainstSetAlgebraOracle:
         with pytest.raises(EvalError, match="k must be"):
             recall_per_source(fn, [0], {0: np.array([1])}, np.arange(4), k=0)
 
-    def test_positives_from_edges_matches_loop(self):
-        rng = np.random.default_rng(12)
-        edges = rng.integers(0, 40, size=(150, 2))
-        for both in (True, False):
-            got = _positives_from_edges(edges, both_directions=both)
-            want = positives_from_edges_loop(edges, both_directions=both)
-            assert sorted(got) == sorted(want)
-            for s in want:
-                assert got[s].dtype == want[s].dtype
-                assert np.array_equal(got[s], want[s])
-        assert _positives_from_edges(np.empty((0, 2), dtype=np.int64)) == {}
+
+def _edge_endpoints(edges, both_directions=True):
+    """The sources of ``edges`` as a Python set."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist()
+    return {u for u, _ in edges} | ({v for _, v in edges} if both_directions else set())
+
+
+def _scored_bundles():
+    graph, _ = generate_scale_free(160, 2, feat_dim=4, seed=8)
+    link = make_link_bundle(graph, new_fraction=0.1, seed=8)
+    recsys = make_recsys_bundle(generate_bipartite(40, 35, seed=8), ratios=(0.5, 0.2, 0.3), seed=8)
+    return {"link": link, "recsys": recsys}
+
+
+class TestScoredNodesAgainstSetRule:
+    """``scored_nodes`` against the rule it replaced, computed with Python
+    sets, and the positives against the per-edge loop oracle."""
+
+    @pytest.mark.parametrize("task,kind", [
+        ("link", "validation"), ("link", "transductive"), ("link", "inductive"),
+        ("link", "inductive-cold"), ("recsys", "validation"), ("recsys", "transductive")])
+    def test_sources_positives_and_pool(self, task, kind):
+        bundle = _scored_bundles()[task]
+        edge_kind = "inductive" if kind == "inductive-cold" else kind
+        edges = {"validation": bundle.trans_val_edges, "transductive": bundle.trans_test_edges,
+                 "inductive": bundle.new_test_edges}[edge_kind]
+        link = task == "link"
+        if not link:
+            eligible = set(range(bundle.train_graph.bipartite[0]))
+            pool = np.arange(bundle.train_graph.bipartite[0], bundle.num_nodes)
+        elif edge_kind == "inductive":
+            eligible, pool = set(bundle.v_new.tolist()), np.arange(bundle.num_nodes)
+        else:
+            eligible = _edge_endpoints(bundle.trans_val_edges)
+            pool = bundle.v_train
+        want_sources = sorted(_edge_endpoints(edges, link) & eligible)
+        want = positives_from_edges_loop(edges, both_directions=link)
+
+        sources, positives, got_pool = scored_nodes(bundle, kind)
+        assert len(want_sources) > 0
+        assert sources.dtype == np.int64 and sources.tolist() == want_sources
+        assert sorted(positives) == want_sources
+        for s in want_sources:
+            assert positives[s].dtype == want[s].dtype
+            assert np.array_equal(positives[s], want[s])
+        assert got_pool.dtype == np.int64 and np.array_equal(got_pool, pool)
+
+    @pytest.mark.parametrize("task", ["link", "recsys"])
+    def test_no_validation_edge_scores_nothing(self, task):
+        """Without validation edges nothing is validated, nor (link only,
+        whose test sources must be validation sources) tested."""
+        bundle = dataclasses.replace(_scored_bundles()[task],
+                                     trans_val_edges=np.empty((0, 2), dtype=np.int64))
+        for kind in ("validation", "transductive") if task == "link" else ("validation",):
+            sources, positives, _ = scored_nodes(bundle, kind)
+            assert sources.size == 0 and positives == {}
 
 
 def _link_scorer_fixture():

@@ -16,8 +16,10 @@ import pytest
 
 from tailkit import experiment, training
 from tailkit.cli import main
-from tailkit.data import SplitBundle, save_edge_list, save_features, save_labels
+from tailkit.data import (SplitBundle, make_classification_bundle, save_edge_list,
+                          save_features, save_labels)
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
+from tailkit.generators import generate_scale_free
 from tailkit.graph import LabelSet, build_graph, normalize_adjacency
 from tailkit.models import EncoderConfig, init_model, save_model
 from tailkit.training import TrainConfig
@@ -936,6 +938,52 @@ class TestCli:
             assert self.run_cli(command, "--config", str(cfg_path), *flags) == 2
             assert path in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_label_file_that_labels_only_some_nodes(self, tmp_path):
+        """Training and validation nodes come only from known labels, the
+        other V_train nodes stay unlabeled, and evaluation scores only
+        known-label nodes."""
+        graph, labels = generate_scale_free(60, 2, feat_dim=4, seed=3)
+        known = labels.labels.copy()
+        known[1::2] = -1  # labels.txt lists only the even nodes
+        data = tmp_path / "data"
+        data.mkdir()
+        save_edge_list(graph, data / "edges.txt")
+        save_features(graph.features, data / "features.txt")
+        save_labels(LabelSet(known, labels.num_classes), data / "labels.txt")
+        dataset = {"kind": "files", **{name: str(data / f"{name}.txt")
+                                       for name in ("edges", "features", "labels")}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, dataset=dataset, split={"labeled_fraction": 0.5})))
+        for command in ("generate", "split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        config = load_config(cfg_path)
+        for seed in config.seeds:
+            bundle = json.loads((config.seed_dir(seed) / "split.json").read_text())["bundle"]
+            split = {key: np.asarray(bundle["labels"][key], dtype=np.int64)
+                     for key in ("train_labeled", "validation", "unlabeled")}
+            assert bundle["labels"]["labels"] == known.tolist()
+            assert (known[split["train_labeled"]] >= 0).all()
+            assert (known[split["validation"]] >= 0).all()
+            assert (known[split["unlabeled"]] < 0).any()
+            assert sorted(np.concatenate(list(split.values())).tolist()) == bundle["v_train"]
+            scored = {"transductive": split["unlabeled"],
+                      "inductive": np.asarray(bundle["v_new"], dtype=np.int64)}
+            reports = json.loads((config.seed_dir(seed) / "eval.json").read_text())["reports"]
+            for per_setting in reports.values():
+                for setting, report in per_setting.items():
+                    nodes = scored["transductive" if setting == "transductive" else "inductive"]
+                    assert report["population"] == int((known[nodes] >= 0).sum()) > 0
+
+    def test_no_known_label_new_node_names_new_fraction(self, tmp_path):
+        config = make_config(tmp_path, settings=["transductive", "inductive"])
+        graph, labels = generate_scale_free(120, 2, feat_dim=6, seed=1)
+        bundle = make_classification_bundle(graph, labels, seed=0)
+        assert bundle.v_new.size
+        bundle.label_set.labels[bundle.v_new] = -1
+        with pytest.raises(ConfigError, match=r"\$\.split\.new_fraction.*inductive test node"):
+            experiment._check_bundle(config, bundle)
 
     @pytest.mark.parametrize("split,path", FILE_SPLITS_REFUSED)
     def test_file_dataset_split_counts_refused_at_split(self, tmp_path, capsys,

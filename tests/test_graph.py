@@ -207,6 +207,24 @@ def drop_edges_by_lexsort(graph, alpha, seed):
     return (kept, *csr_by_lexsort(graph.num_nodes, kept))
 
 
+def self_looped_by_argsort(graph, mode):
+    """Reference oracle: the argsort and re-index block that inserted
+    ``normalize_adjacency``'s diagonal entries before its CSR came from
+    ``graph._csr``; returns its ``(offsets, targets, rows)``."""
+    n, deg = graph.num_nodes, graph.degrees()
+    offsets, targets = graph.csr_offsets, graph.csr_targets
+    rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+    diag = np.arange(n, dtype=np.int64) if mode == "renormalized" else np.flatnonzero(deg == 0)
+    if diag.size:
+        rows = np.concatenate([rows, diag])
+        targets = np.concatenate([targets, diag])
+        order = np.argsort(rows * n + targets)
+        rows, targets = rows[order], targets[order]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets, targets, rows
+
+
 def same_bytes(arrays, expected):
     assert len(arrays) == len(expected)
     for got, want in zip(arrays, expected):
@@ -251,6 +269,13 @@ class TestScalarKeySortsAgainstRowSortOracles:
             same_bytes([g.edges, g.csr_offsets, g.csr_targets],
                        [edges_by_unique_rows(edge_list), *csr_by_lexsort(4, g.edges)])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_normalize_adjacency_self_loops(self, seed):
+        g = build_graph(*random_edge_list(np.random.default_rng(seed)))
+        for mode in ("renormalized", "row-mean"):
+            adj = normalize_adjacency(g, mode)
+            same_bytes([adj.offsets, adj.targets, adj.rows], self_looped_by_argsort(g, mode))
+
     def test_node_count_whose_keys_overflow_is_refused(self):
         int64_max = np.iinfo(np.int64).max
         # the largest key, (n - 1) * n + (n - 1), fits at MAX_NODES and not above
@@ -258,6 +283,42 @@ class TestScalarKeySortsAgainstRowSortOracles:
         # refused before anything of size num_nodes is allocated
         with pytest.raises(GraphError, match=f"num_nodes {MAX_NODES + 1} exceeds"):
             build_graph([(0, 1), (1, 2)], MAX_NODES + 1)
+
+
+class TestHasEdges:
+    """Pair membership against a Python set of the edges in both orientations."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_set_of_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        g = build_graph(*random_edge_list(rng))
+        n = g.num_nodes
+        pairs = {(int(u), int(v)) for u, v in g.edges} | {(int(v), int(u)) for u, v in g.edges}
+        u, v = rng.integers(n, size=200), rng.integers(n, size=200)
+        if g.num_edges:  # every edge, both ways, beside the random (mostly absent) pairs
+            u = np.concatenate([u, g.edges[:, 0], g.edges[:, 1]])
+            v = np.concatenate([v, g.edges[:, 1], g.edges[:, 0]])
+        got = g.has_edges(u, v)
+        assert got.dtype == bool and got.shape == u.shape
+        assert got.tolist() == [(int(a), int(b)) in pairs for a, b in zip(u, v)]
+        assert (~got).any() or n == 1
+
+    def test_pair_keys_are_built_once(self):
+        g = build_graph([(0, 1), (1, 2)], 4)
+        assert g.has_edges([2, 0, 3], [1, 2, 3]).tolist() == [True, False, False]
+        keys = g.operators["pair_keys"]
+        g.has_edges([0], [1])
+        assert g.operators["pair_keys"] is keys
+
+    def test_edgeless_graph(self):
+        g = build_graph([], 3)
+        assert g.has_edges([0, 1, 2], [1, 2, 0]).tolist() == [False, False, False]
+
+    @pytest.mark.parametrize("u,v,bad", [([0, 4], [1, 1], 4), ([0, 1], [-1, 2], -1)])
+    def test_out_of_range_id_raises(self, u, v, bad):
+        g = build_graph([(0, 1), (1, 2)], 4)
+        with pytest.raises(GraphError, match=f"node {bad} out of range"):
+            g.has_edges(u, v)
 
 
 class TestNormalizeAdjacency:

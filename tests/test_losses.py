@@ -1,11 +1,13 @@
 """Losses against frozen hand values and sampling against uniformity oracles."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from tailkit import autodiff as ad
-from tailkit.generators import generate_scale_free
+from tailkit.generators import generate_bipartite, generate_scale_free
 from tailkit.graph import build_graph
 from tailkit.losses import (
     LossError,
@@ -141,14 +143,17 @@ class TestSupervisionRanking:
         graph, _ = generate_scale_free(300, 3, seed=2)
         sup = SupervisionSet.ranking("link", graph)
         assert sup.size == 2 * graph.num_edges
+        assert sup.graph is graph
+        pairs = {(int(u), int(v)) for u, v in sup.positive_pairs}
         for node in range(graph.num_nodes):
-            np.testing.assert_array_equal(sup.positives_of(node), graph.neighbors(node))
+            want = sorted(v for u, v in pairs if u == node)
+            np.testing.assert_array_equal(sup.graph.neighbors(node), want)
 
     def test_link_orients_both_ways(self):
         g = build_graph([(0, 1), (1, 2)], 3)
         sup = SupervisionSet.ranking("link", g)
         assert sup.size == 4
-        np.testing.assert_array_equal(sup.positives_of(1), [0, 2])
+        np.testing.assert_array_equal(sup.graph.neighbors(1), [0, 2])
 
     def test_recsys_orients_user_to_item(self):
         g = build_graph([(0, 2), (1, 3), (1, 2)], 4, bipartite=(2, 2))
@@ -166,7 +171,7 @@ class TestSampleNegatives:
         for seed in range(200):
             negs = sample_negatives(sup, sources, seed)
             for s, t in zip(sources, negs):
-                assert t not in set(sup.positives_of(s).tolist())
+                assert t not in set(sup.graph.neighbors(s).tolist())
 
     def test_deterministic(self):
         g = build_graph([(0, 1), (1, 2), (2, 3)], 6)
@@ -209,6 +214,46 @@ class TestSampleNegatives:
         sup = SupervisionSet.ranking("recsys", g)
         with pytest.raises(LossError, match="source 0 is linked"):
             sample_negatives(sup, [2, 1, 2, 0], seed=0)
+
+    # sha256[:16] of the int64 bytes of each draw over every positive pair's
+    # source, computed before negatives were drawn through ``Graph.has_edges``
+    PINNED = {
+        "link": ["f18ae92046700747", "f48f1023e0ea46e9", "e691b3e60bf82854", "a9960978ab9bbbaf"],
+        "recsys": ["dd0368ae0f1c0da7", "71acd10f27bbd79e", "646c1658fc2bfb35", "be895af78a08bba5"],
+    }
+
+    @pytest.mark.parametrize("task", ["link", "recsys"])
+    def test_draws_are_pinned(self, task):
+        graph = (generate_scale_free(80, 3, seed=4)[0] if task == "link"
+                 else generate_bipartite(30, 25, seed=4))
+        sup = SupervisionSet.ranking(task, graph)
+        for seed, want in enumerate(self.PINNED[task]):
+            got = sample_negatives(sup, sup.positive_pairs[:, 0], seed)
+            assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == want, seed
+
+    @pytest.mark.parametrize("task,seed,want", [
+        ("link", 123, [0, 0, 0, 299, 0, 299, 76, 55, 100]),
+        ("link", 7, [0, 299, 0, 299, 299, 299, 250, 67, 16]),
+        ("recsys", 3, [202, 202, 202, 202, 202, 202, 176, 119]),
+        ("recsys", 4, [202, 202, 202, 202, 202, 202, 197, 19]),
+    ])
+    def test_forced_complement_draws_are_pinned(self, task, seed, want, monkeypatch):
+        """Source 0 is linked to all but one or two candidates, so rejection
+        stalls and the complement path draws (counted through ``setdiff1d``)."""
+        if task == "link":
+            edges = [(0, j) for j in range(1, 299)] + [(1, 2), (5, 9)]
+            sup = SupervisionSet.ranking("link", build_graph(edges, 300))
+            sources = [0] * 6 + [1, 2, 5]
+        else:
+            edges = [(0, j) for j in range(3, 202)] + [(1, 4), (2, 6)]
+            sup = SupervisionSet.ranking("recsys", build_graph(edges, 203, bipartite=(3, 200)))
+            sources = [0] * 6 + [1, 2]
+        calls = []
+        setdiff1d = np.setdiff1d
+        monkeypatch.setattr(np, "setdiff1d",
+                            lambda *a, **kw: calls.append(1) or setdiff1d(*a, **kw))
+        assert sample_negatives(sup, sources, seed).tolist() == want
+        assert calls
 
     def test_recsys_negatives_are_items(self):
         g = build_graph([(0, 3), (1, 4), (2, 5), (0, 4)], 7, bipartite=(3, 4))

@@ -223,7 +223,8 @@ class TestPseudoLabel:
         # 2 labeled train + unlabeled {4,5} non-isolated; {6,7} isolated, skipped
         assert sup.size == 4
         assert sup.nodes.tolist() == [0, 1, 4, 5]
-        assert sup.is_pseudo.tolist() == [False, False, True, True]
+        # the labeled training nodes first, with their observed classes
+        assert sup.size - labels.train_labeled.size == 2
         assert sup.classes[:2].tolist() == [0, 1]
 
     def test_constant_model_assigns_class_zero(self):
@@ -232,7 +233,7 @@ class TestPseudoLabel:
         for p in model.parameters():
             p.value[:] = 0.0  # all logits equal; argmax picks class 0
         sup = pseudo_label(model, graph, labels)
-        assert (sup.classes[sup.is_pseudo] == 0).all()
+        assert (sup.classes[labels.train_labeled.size:] == 0).all()
 
     def test_all_isolated_unlabeled_leaves_supervision_unchanged(self):
         edges = [(0, 1), (1, 2), (2, 3)]
@@ -241,7 +242,7 @@ class TestPseudoLabel:
         model = small_model(graph)
         sup = pseudo_label(model, graph, labels)
         assert sup.nodes.tolist() == [0, 1]
-        assert not sup.is_pseudo.any()
+        assert sup.size == labels.train_labeled.size
 
     def test_count_identity_on_random_instance(self):
         graph, labels = generate_scale_free(150, 2, seed=7)
