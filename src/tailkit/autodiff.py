@@ -84,7 +84,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -96,7 +95,6 @@ class Tape:
 
     def _record(self, out: Tensor, vjps: list[tuple[Tensor, Callable]]) -> None:
         self._records.append((out, vjps))
-        self._produced.add(id(out))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(input) into every reachable tensor's ``.grad``.
@@ -106,7 +104,7 @@ class Tape:
         """
         if not self._records:
             raise AutodiffError("backward called before any op ran under this tape")
-        if id(loss) not in self._produced:
+        if not any(out is loss for out, _ in reversed(self._records)):
             raise AutodiffError("loss tensor was not produced under this tape")
         if loss.value.size != 1:
             raise AutodiffError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -343,15 +341,12 @@ def row_max_pool(x: Tensor, graph) -> Tensor:
     nan_first = bool(fix.any())
     if nan_first:
         best[fix] = np.inf
-    win = np.empty(best.shape, dtype=bool)
-    step = np.empty(best.shape, dtype=pos.dtype)
     for j in range(1, max_degree):
         k = active[j]
         cand = x.value[tgt[starts[:k] + j]]
-        np.greater(cand, best[:k], out=win[:k])
+        win = cand > best[:k]
         np.fmax(best[:k], cand, out=best[:k])
-        np.multiply(win[:k], pos.dtype.type(j), out=step[:k])
-        np.maximum(pos[:k], step[:k], out=pos[:k])
+        np.maximum(pos[:k], win * pos.dtype.type(j), out=pos[:k])
     if np.any((x.value == 0) & np.signbit(x.value)):
         fix |= best == 0
     elif not nan_first:

@@ -57,8 +57,8 @@ class DatasetFileError(GraphError):
         super().__init__(f"{where}: {message}")
 
 
-def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+def _spawn_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def node_split(graph: Graph, new_fraction: float = 0.05, seed: int = 0) -> NodeS
         raise SplitError(f"new_fraction must be in [0, 1), got {new_fraction}")
     n = graph.num_nodes
     num_new = int(np.floor(new_fraction * n))
-    (rng,) = _spawn_rngs(seed, 1)
+    rng = _spawn_rng(seed)
     v_new = np.sort(rng.choice(n, size=num_new, replace=False))
     is_new = np.zeros(n, dtype=bool)
     is_new[v_new] = True
@@ -110,7 +110,7 @@ def label_split(
         raise SplitError(f"labeled_fraction must be in (0, 1], got {labeled_fraction}")
     nodes = np.asarray(nodes, dtype=np.int64)
     num_labeled = int(np.floor(labeled_fraction * nodes.size))
-    (rng,) = _spawn_rngs(seed, 1)
+    rng = _spawn_rng(seed)
     perm = rng.permutation(nodes)
     labeled = perm[:num_labeled]
     num_train = num_labeled - num_labeled // 2  # ceil: odd count favors train
@@ -145,7 +145,7 @@ def edge_split_transductive(
     the remainder. The returned train graph contains only train edges.
     """
     check_three_ratios(ratios)
-    (rng,) = _spawn_rngs(seed, 1)
+    rng = _spawn_rng(seed)
     perm = rng.permutation(graph.num_edges)
     n_train, n_val, _ = _partition_counts(graph.num_edges, ratios)
     train_edges = graph.edges[np.sort(perm[:n_train])]
@@ -178,7 +178,7 @@ def _pick_per_owner(edges: np.ndarray, new_nodes, ratio: float, seed: int) -> np
     both = is_new.all(axis=1)
     owner = np.where(is_new[:, 0], edges[:, 0], edges[:, 1])
     owner[both] = edges[both].min(axis=1)
-    (rng,) = _spawn_rngs(seed, 1)
+    rng = _spawn_rng(seed)
     picked = np.zeros(edges.shape[0], dtype=bool)
     for node in np.unique(owner):
         idx = np.flatnonzero(owner == node)

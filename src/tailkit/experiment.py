@@ -169,8 +169,8 @@ def _seeds(raw) -> tuple:
     return _distinct(raw, "$.seeds", lambda v, path: _value(v, int, path, {"minimum": 0}))
 
 
-def _at_least(minimum, default):
-    return dataclasses.field(default=default, metadata={"minimum": minimum})
+def _at_least(minimum, default, maximum=math.inf):
+    return dataclasses.field(default=default, metadata={"minimum": minimum, "maximum": maximum})
 
 
 def _unit(default):
@@ -210,9 +210,9 @@ class _Document:
 
 @dataclasses.dataclass(frozen=True)
 class _ScaleFreeDataset:
-    num_nodes: int = _at_least(3, 2000)
+    num_nodes: int = _at_least(3, 2000, 2**24)
     m_attach: int = _at_least(1, 4)
-    feat_dim: int = _at_least(1, 16)
+    feat_dim: int = _at_least(1, 16, 2**16)
     num_classes: int = _at_least(2, 2)
     label_noise: float = _unit(0.0)
     separation: float = 2.0
@@ -229,8 +229,8 @@ class _ScaleFreeDataset:
 
 @dataclasses.dataclass(frozen=True)
 class _BipartiteDataset:
-    num_users: int = _at_least(1, 300)
-    num_items: int = _at_least(1, 150)
+    num_users: int = _at_least(1, 300, 2**24)
+    num_items: int = _at_least(1, 150, 2**24)
     exponent: float = 1.8
     min_interactions: int = _at_least(1, 2)
     max_interactions: int | None = _at_least(1, None)
@@ -258,9 +258,9 @@ class _FilesDataset:
 @dataclasses.dataclass(frozen=True)
 class _Model:
     variant: str = dataclasses.field(default="gcn", metadata={"choices": VARIANTS})
-    hidden_dim: int = _at_least(1, 32)
-    output_dim: int = _at_least(1, 32)
-    num_layers: int = _at_least(1, 2)
+    hidden_dim: int = _at_least(1, 32, 2**16)
+    output_dim: int = _at_least(1, 32, 2**16)
+    num_layers: int = _at_least(1, 2, 2**10)
     featureless: bool = False
 
 
@@ -295,7 +295,7 @@ class _Eval:
 
 @dataclasses.dataclass(frozen=True)
 class _Theory(MonteCarloConfig):
-    trials: int = _at_least(1, 200)
+    trials: int = _at_least(1, 200, 10**6)
 
 
 def _settings(raw, task: str, cold_ratios) -> tuple:

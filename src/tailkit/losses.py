@@ -55,6 +55,9 @@ class SupervisionSet:
             raise LossError("nodes and classes must be aligned 1-d arrays")
         if np.unique(nodes).size != nodes.size:
             raise LossError("duplicate node in classification supervision")
+        outside = nodes[(nodes < 0) | (nodes >= num_nodes)]
+        if outside.size:
+            raise LossError(f"node id {outside[0]} outside [0, {num_nodes})")
         if classes.size and (classes.min() < 0 or classes.max() >= num_classes):
             raise LossError(f"class id outside [0, {num_classes})")
         return cls("classification", num_nodes, nodes=nodes, classes=classes)

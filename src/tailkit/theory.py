@@ -165,12 +165,11 @@ def _logistic_fit(inputs, targets, steps, lr, w0=None, b0=0.0):
     n = x.shape[0]
     w = np.zeros(x.shape[1]) if w0 is None else w0.copy()
     b = float(b0)
-    scaled = np.empty_like(x)
     for _ in range(steps):
         margins = targets * (x @ w + b)
         slope = -targets / (1.0 + np.exp(margins))  # d softplus(-m)/d f
         # the means as ndarray.mean computes them, without its Python wrapper
-        w -= lr * (np.add.reduce(np.multiply(x, slope[:, None], out=scaled), axis=0) / n)
+        w -= lr * (np.add.reduce(x * slope[:, None], axis=0) / n)
         b -= lr * (np.add.reduce(slope) / n)
     final = float(np.mean(np.logaddexp(0.0, -(targets * (x @ w + b)))))
     return w, b, center, final
@@ -383,21 +382,27 @@ def theorem_bound(
 # Monte Carlo validation
 # ---------------------------------------------------------------------------
 
+def _positive(value) -> None:
+    if not value > 0:
+        raise TheoryError(f"must be > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """World and training sizes for one validation campaign."""
 
-    N: int = 10_000
-    T: int = 1_000
-    R: int = 1_000
-    m: int = 100
-    d: int = 16
+    # the field metadata is read by the config schema
+    N: int = field(default=10_000, metadata={"minimum": 1, "maximum": 2**24})
+    T: int = field(default=1_000, metadata={"minimum": 1, "maximum": 2**24})
+    R: int = field(default=1_000, metadata={"minimum": 1, "maximum": 2**24})
+    m: int = field(default=100, metadata={"minimum": 1, "maximum": 2**24})
+    d: int = field(default=16, metadata={"minimum": 1, "maximum": 2**16})
     delta: float = 0.1
     separation: float = 8.0
-    seed: int = field(default=0, metadata={"minimum": 0})  # read by the config schema
-    stage1_steps: int = 300
-    stage2_steps: int = 300
-    lr: float = 0.5
+    seed: int = field(default=0, metadata={"minimum": 0})
+    stage1_steps: int = field(default=300, metadata={"minimum": 0})
+    stage2_steps: int = field(default=300, metadata={"minimum": 0})
+    lr: float = field(default=0.5, metadata={"check": _positive})
 
     def __post_init__(self) -> None:
         if min(self.N, self.T, self.R, self.m, self.d) < 1:
@@ -429,9 +434,6 @@ def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:
         for s in np.random.SeedSequence(config.seed).spawn(trials)
     ]
     rows = []
-    violations = {m: 0 for m in METHODS}
-    gap_sums = {m: 0.0 for m in METHODS}
-    bound_sums = {m: 0.0 for m in METHODS}
     g_value = bound_g_term(config.d, config.R, config.T, config.delta)
     for trial, world_seed in enumerate(seeds):
         world = sample_world(
@@ -448,10 +450,6 @@ def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:
                 method, config.m, config.d, config.delta, q, tau,
                 config.R, config.T,
             )
-            violated = gap > bound
-            violations[method] += int(violated)
-            gap_sums[method] += gap
-            bound_sums[method] += bound
             rows.append(
                 {
                     "trial": trial,
@@ -463,15 +461,26 @@ def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:
                     "g_term": g_value,
                     "stage1_surrogate": clf.stage1_surrogate,
                     "stage2_surrogate": clf.stage2_surrogate,
-                    "violated": bool(violated),
+                    "violated": bool(gap > bound),
                 }
             )
+
+    def mean(key):
+        """Per method, ``key`` summed over its rows in trial order, over ``trials``.
+
+        A plain loop: the builtin ``sum`` compensates floats from Python 3.12 on.
+        """
+        sums = dict.fromkeys(METHODS, 0.0)
+        for row in rows:
+            sums[row["method"]] += row[key]
+        return {m: total / trials for m, total in sums.items()}
+
     summary = {
         "trials": trials,
         "config": asdict(config),
-        "violation_rate": {m: violations[m] / trials for m in METHODS},
-        "mean_gap": {m: gap_sums[m] / trials for m in METHODS},
-        "mean_bound": {m: bound_sums[m] / trials for m in METHODS},
+        "violation_rate": mean("violated"),
+        "mean_gap": mean("gap"),
+        "mean_bound": mean("bound"),
         "g_term": g_value,
     }
     return {"summary": summary, "rows": rows}

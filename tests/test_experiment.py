@@ -132,6 +132,15 @@ SCHEMA_VIOLATIONS = [
     ({"task": "classification", "theory": {"seed": -1}}, "$.theory.seed"),
     ({"task": "classification", "seeds": [-1]}, "$.seeds[0]"),
     ({"task": "classification", "train": {"task": "link"}}, "$.train.task"),
+    # one past each size maximum
+    ({"task": "classification", "dataset": {"num_nodes": 2**24 + 1}}, "$.dataset.num_nodes"),
+    ({"task": "recsys", "dataset": {"num_users": 2**24 + 1}}, "$.dataset.num_users"),
+    ({"task": "recsys", "dataset": {"num_items": 2**24 + 1}}, "$.dataset.num_items"),
+    ({"task": "classification", "theory": {"N": 2**24 + 1}}, "$.theory.N"),
+    ({"task": "classification", "theory": {"T": 2**24 + 1}}, "$.theory.T"),
+    ({"task": "classification", "theory": {"R": 2**24 + 1}}, "$.theory.R"),
+    ({"task": "classification", "theory": {"m": 2**24 + 1}}, "$.theory.m"),
+    ({"task": "classification", "theory": {"d": 2**16 + 1}}, "$.theory.d"),
 ]
 
 
@@ -170,6 +179,12 @@ REFUSED_OVERRIDES = [
     ({"task": "link", "split": {"trans_ratios": [0.0, 0.5, 0.5]}}, "$.split.trans_ratios"),
     ({"split": {"labeled_fraction": 1.0}}, "$.split.labeled_fraction"),
     ({"split": {"labeled_fraction": 0.01}}, "$.split.labeled_fraction"),
+    # each of these ended in a traceback at generate, train or theory
+    ({"dataset": {"num_nodes": 60, "feat_dim": 2**63}}, "$.dataset.feat_dim"),
+    ({"model": {"hidden_dim": 2**63}}, "$.model.hidden_dim"),
+    ({"model": {"output_dim": 2**63}}, "$.model.output_dim"),
+    ({"model": {"num_layers": 2**63}}, "$.model.num_layers"),
+    ({"theory": {"trials": 10**19}}, "$.theory.trials"),
 ]
 
 
@@ -281,6 +296,26 @@ class TestConfigSchema:
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig.from_dict(payload)
         assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("key,value", [
+        ("N", 0), ("T", 0), ("R", 0), ("m", 0), ("d", 0),
+        ("stage1_steps", -1), ("stage2_steps", -1), ("lr", 0.0)])
+    def test_theory_field_errors_name_the_field(self, key, value):
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_dict({"task": "classification", "theory": {key: value}})
+        assert excinfo.value.path == f"$.theory.{key}"
+
+    def test_size_maxima_are_accepted(self):
+        config = ExperimentConfig.from_dict({
+            "task": "classification",
+            "dataset": {"num_nodes": 2**24, "feat_dim": 2**16},
+            "model": {"hidden_dim": 2**16, "output_dim": 2**16, "num_layers": 2**10},
+            "theory": {"N": 2**24, "T": 2**23, "R": 2**23, "m": 2**23, "d": 2**16,
+                       "trials": 10**6}})
+        assert config.model["num_layers"] == 2**10 and config.theory["trials"] == 10**6
+        recsys = ExperimentConfig.from_dict({
+            "task": "recsys", "dataset": {"num_users": 2**24, "num_items": 2**24}})
+        assert recsys.dataset["num_items"] == 2**24
 
     def test_float_fields_take_integers_and_store_floats(self):
         config = ExperimentConfig.from_dict({

@@ -75,6 +75,11 @@ class TestCrossEntropy:
         with pytest.raises(LossError, match="duplicate"):
             SupervisionSet.classification([0, 0], [1, 1], num_classes=2, num_nodes=2)
 
+    @pytest.mark.parametrize("nodes,bad", [([0, 7], 7), ([0, 3], 3), ([-1, 1], -1)])
+    def test_node_ids_outside_the_graph_rejected(self, nodes, bad):
+        with pytest.raises(LossError, match=rf"node id {bad} outside \[0, 3\)"):
+            SupervisionSet.classification(nodes, [0, 1], num_classes=2, num_nodes=3)
+
 
 class TestBPR:
     def test_zero_margin_is_ln2(self):

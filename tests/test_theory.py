@@ -1,10 +1,12 @@
 """Tests for the finite-population theory module."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tailkit.experiment import canonical_json
 from tailkit.theory import (
     METHODS,
     _logistic_fit,
@@ -468,6 +470,13 @@ class TestMonteCarlo:
                                   separation=8.0, seed=6)
         summary = monte_carlo_validate(config, trials=8)["summary"]
         assert summary["mean_gap"]["M2"] <= summary["mean_gap"]["M1"] + 1e-9
+
+    def test_default_campaign_is_pinned(self):
+        """Three default trials, rows and summary (each mean summed in trial
+        order), as canonical JSON."""
+        result = monte_carlo_validate(MonteCarloConfig(), 3)
+        digest = hashlib.sha256(canonical_json(result).encode()).hexdigest()
+        assert digest == "4aa2b0bc931f6047c8f969be65bad3fb4f3e6bb740717d7c1bdda6d671464d6a"
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(TheoryError):
