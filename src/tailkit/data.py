@@ -419,14 +419,15 @@ def _cold_variants(new_input, v_new, cold_ratios, seq: np.random.SeedSequence) -
 # file formats
 # ---------------------------------------------------------------------------
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` through a sibling temp file and ``os.replace``, so a
-    crash never leaves a truncated file behind for a resumed stage to accept.
-    A write that fails removes the temp file and re-raises."""
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) through a sibling temp file and
+    ``os.replace``, so a crash never leaves a truncated file behind for a
+    resumed stage to accept. A write that fails removes the temp file and
+    re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -515,16 +516,18 @@ def _label_lines(path, text: str, labels: np.ndarray) -> None:
 
 
 def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, LabelSet | None]:
-    """Read a graph (and optional features/labels) from text files.
+    """Read a graph (and optional features/labels) from files.
 
     Edge file: UTF-8, one ``u v`` pair of base-10 ids per line, whitespace
     separated; ``#`` starts a comment; an optional first non-comment line
     ``%bipartite <num_users> <num_items>`` declares a user-item graph. The
-    feature file is a headerless CSV whose row i holds node i's features; a
-    label file has ``node_id class_id`` lines, each id below the node count,
-    which comes from the bipartite marker, else the feature row count, else
-    max endpoint + 1 (so a class head never outgrows the graph). A
-    file that cannot be read raises :class:`DatasetFileError` naming it.
+    feature file's row i holds node i's features: a path ending in ``.npy``
+    holds a 2-D float64 array as ``save_features`` writes it, any other path
+    is a headerless CSV. A label file has ``node_id class_id`` lines, each id
+    below the node count, which comes from the bipartite marker, else the
+    feature row count, else max endpoint + 1 (so a class head never outgrows
+    the graph). A file that cannot be read raises :class:`DatasetFileError`
+    naming it.
     Edge and label files are parsed in one numpy pass (``_int_pairs``); a file
     that pass declines is read line by line, with the same result or error.
     """
@@ -546,7 +549,9 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
         edges = _edge_lines(edge_path, text, skiprows)
 
     features = None
-    if feature_path is not None:
+    if feature_path is not None and str(feature_path).endswith(".npy"):
+        features = _npy_features(feature_path)
+    elif feature_path is not None:
         try:
             features = np.loadtxt(feature_path, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:
@@ -586,6 +591,29 @@ def load_dataset(edge_path, feature_path=None, label_path=None) -> tuple[Graph, 
     return graph, label_set
 
 
+def _npy_features(path) -> np.ndarray:
+    """A ``.npy`` feature file as a C-order 2-D float64 array. The file is
+    mapped, not read, so a header claiming more data than the file holds is
+    refused before anything of that size is allocated; pickled data never
+    loads."""
+    try:
+        with open(path, "rb") as file:
+            # np.load would open a zip archive (.npz) and call any other file a pickle
+            if file.read(6) != np.lib.format.MAGIC_PREFIX:
+                raise ValueError("no .npy magic string at its start")
+        mapped = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise DatasetFileError(path, None, f"does not load as a .npy array: {exc}") from exc
+    if mapped.ndim != 2 or mapped.dtype != np.float64:
+        raise DatasetFileError(path, None, f"holds a {mapped.ndim}-D {mapped.dtype.str} "
+                               "array, not a 2-D float64 one")
+    size = os.path.getsize(path)
+    if mapped.offset + mapped.nbytes != size:
+        raise DatasetFileError(path, None, f"its header claims {mapped.nbytes} data bytes, "
+                               f"but {size - mapped.offset} follow it")
+    return np.array(mapped, order="C")
+
+
 def _feature_line_error(path) -> DatasetFileError | None:
     """The first line of a feature CSV that does not parse, or that holds a
     different number of values than the first line (numpy reports rows
@@ -612,9 +640,11 @@ def save_edge_list(graph: Graph, path) -> None:
 
 
 def save_features(features: np.ndarray, path) -> None:
-    """One CSV row per node, each value as ``%.17g`` (exact round trip)."""
-    row = ",".join(["%.17g"] * features.shape[1]) + "\n"
-    write_atomic(path, "".join(row % tuple(values) for values in features.tolist()))
+    """The features as a C-order float64 ``.npy`` file: exact, and the same
+    bytes on every write."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(features, dtype=np.float64), allow_pickle=False)
+    write_atomic(path, buffer.getvalue())
 
 
 def save_labels(label_set: LabelSet, path) -> None:

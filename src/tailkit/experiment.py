@@ -649,7 +649,7 @@ def _data_paths(config: ExperimentConfig) -> dict:
         return {key: None if dataset[key] is None else str(Path(dataset[key]).resolve())
                 for key in ("edges", "features", "labels")}
     return {"edges": "dataset/edges.txt",
-            "features": None if config.task == "recsys" else "dataset/features.txt",
+            "features": None if config.task == "recsys" else "dataset/features.npy",
             "labels": "dataset/labels.txt" if config.task == "classification" else None}
 
 
@@ -662,9 +662,10 @@ def _read_dataset(config: ExperimentConfig):
 def cmd_generate(config: ExperimentConfig) -> dict:
     """Materialize the dataset and write its manifest.
 
-    Synthetic datasets are written as text files under the run directory;
-    file-backed datasets are checksummed in place. Either way the manifest
-    records paths and digests so later stages can verify what they load.
+    Synthetic datasets are written under the run directory (edge and label
+    lists as text, features as ``.npy``); file-backed datasets are
+    checksummed in place. Either way the manifest records paths and digests
+    so later stages can verify what they load.
     """
     usable = _output(config, "dataset.json", None, config)
     if usable is not None:

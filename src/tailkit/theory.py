@@ -49,6 +49,11 @@ class TheoryError(TailkitError):
     """Invalid world parameters or profile contents."""
 
 
+def _check_delta(delta) -> None:
+    if not 0.0 < delta < 1.0:
+        raise TheoryError(f"delta must be in (0, 1), got {delta}")
+
+
 # ---------------------------------------------------------------------------
 # world
 # ---------------------------------------------------------------------------
@@ -73,8 +78,7 @@ class TheoryWorld:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise TheoryError(f"delta must be in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if self.features.ndim != 2:
             raise TheoryError("features must be 2-d")
         if not np.isin(self.labels, (-1, 1)).all():
@@ -330,8 +334,7 @@ def compute_gaps(world: TheoryWorld, profile: LossProfile):
 
 def bound_g_term(d: int, R: int, T: int, delta: float) -> float:
     """The shared sampling term G of the bound."""
-    if not 0.0 < delta < 1.0:
-        raise TheoryError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if min(d, R, T) < 1:
         raise TheoryError("d, R, T must be positive")
     return float(
@@ -360,8 +363,7 @@ def theorem_bound(
     """
     if method not in METHODS:
         raise TheoryError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not 0.0 < delta < 1.0:
-        raise TheoryError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if min(m, d, R, T) < 1:
         raise TheoryError("m, d, R, T must be positive")
     if Q < 0:
@@ -397,7 +399,7 @@ class MonteCarloConfig:
     R: int = field(default=1_000, metadata={"minimum": 1, "maximum": 2**24})
     m: int = field(default=100, metadata={"minimum": 1, "maximum": 2**24})
     d: int = field(default=16, metadata={"minimum": 1, "maximum": 2**16})
-    delta: float = 0.1
+    delta: float = field(default=0.1, metadata={"check": _check_delta})
     separation: float = 8.0
     seed: int = field(default=0, metadata={"minimum": 0})
     stage1_steps: int = field(default=300, metadata={"minimum": 0})
@@ -411,8 +413,7 @@ class MonteCarloConfig:
             raise TheoryError(f"T + R = {self.T + self.R} exceeds N = {self.N}")
         if self.m > self.R:
             raise TheoryError(f"m = {self.m} exceeds R = {self.R}")
-        if not 0.0 < self.delta < 1.0:
-            raise TheoryError(f"delta must be in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if min(self.stage1_steps, self.stage2_steps) < 0:
             raise TheoryError("step counts must be nonnegative")
         if self.lr <= 0:

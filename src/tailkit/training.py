@@ -55,6 +55,11 @@ class TrainError(TailkitError):
     """Invalid training configuration or inputs."""
 
 
+def _check_alpha(alpha) -> None:
+    if not 0.0 <= alpha < 1.0:
+        raise TrainError(f"alpha must be in [0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one training run.
@@ -69,7 +74,8 @@ class TrainConfig:
     stage2_epochs: int = 200
     stage1_lr: float = 0.01
     stage2_lr: float | None = None
-    alpha: float = 0.5
+    # the config schema reads the check, to name the field on refusal
+    alpha: float = field(default=0.5, metadata={"check": _check_alpha})
     l2_weight: float = 0.0
     eval_every: int = 10
     patience: int = 10
@@ -80,8 +86,7 @@ class TrainConfig:
             raise TrainError(f"unknown task {self.task!r}")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise TrainError("epoch counts must be nonnegative")
-        if not 0.0 <= self.alpha < 1.0:
-            raise TrainError(f"alpha must be in [0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.stage1_lr <= 0 or (self.stage2_lr is not None and self.stage2_lr <= 0):
             raise TrainError("learning rates must be positive")
         if self.l2_weight < 0:

@@ -88,3 +88,59 @@ def test_benchmark_oracles_pass_on_a_tiny_link_pipeline(tmp_path):
         "oracle:recall/inductive-cold(0.9)"]
     for name, ok, detail in ops:
         assert ok, f"{name}: {detail}"
+
+
+@pytest.mark.parametrize("task", ["classification", "link"])
+def test_worker_reads_the_dataset_and_bundles_the_stages_used(tmp_path, monkeypatch, task):
+    """``benchmarks/worker.py::run_checks`` reads a run back with the public
+    ``load_dataset`` on the manifest's paths and ``SplitBundle.from_dict`` on
+    ``split.json``: on a tiny run of each task, that gives the features and
+    bundles that the eval stage used."""
+    from tailkit import experiment
+    from tailkit.data import SplitBundle, load_dataset
+
+    config = experiment.ExperimentConfig.from_dict({
+        "task": task,
+        "dataset": {"num_nodes": 120, "m_attach": 2, "feat_dim": 4, "seed": 1},
+        "model": {"variant": "sage-max", "hidden_dim": 8, "output_dim": 8},
+        "train": {"stage1_epochs": 2, "stage2_epochs": 2, "eval_every": 2, "patience": 2},
+        "methods": ["base", "tuneup"],
+        "settings": ["transductive", "inductive-cold(0.9)"],
+        "split": {"new_fraction": 0.1, "cold_ratios": [0.9]},
+        "eval": {"k": 10},
+        "seeds": [0, 1],
+        "output_dir": str(tmp_path / "runs"),
+    })
+    manifest = experiment.cmd_generate(config)
+    experiment.cmd_split(config)
+    experiment.cmd_train(config)
+    used = {"graphs": [], "bundles": {}}
+    from_dict = SplitBundle.from_dict
+
+    def recorded_load(*paths):
+        graph, labels = load_dataset(*paths)
+        used["graphs"].append(graph)
+        return graph, labels
+
+    def recorded_from_dict(cls, payload, graph):
+        used["bundles"][payload["seed"]] = from_dict(payload, graph)
+        return used["bundles"][payload["seed"]]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "load_dataset", recorded_load)
+        patch.setattr(SplitBundle, "from_dict", classmethod(recorded_from_dict))
+        experiment.cmd_eval(config)
+    (stage_graph,) = used["graphs"]
+    assert sorted(used["bundles"]) == [0, 1]
+
+    paths = {k: None if p is None else config.run_dir / p for k, p in manifest["paths"].items()}
+    assert paths["features"].name == "features.npy"
+    graph, _ = load_dataset(paths["edges"], paths["features"], paths["labels"])
+    assert graph.features.dtype == stage_graph.features.dtype
+    assert graph.features.tobytes() == stage_graph.features.tobytes()
+    for seed, stage_bundle in used["bundles"].items():
+        payload = json.loads((config.seed_dir(seed) / "split.json").read_text())
+        bundle = SplitBundle.from_dict(payload["bundle"], graph)
+        assert experiment.canonical_json(bundle.to_dict()) == experiment.canonical_json(
+            stage_bundle.to_dict())
+        assert bundle.train_graph.features.tobytes() == stage_graph.features.tobytes()

@@ -1,6 +1,7 @@
 """Split protocols: exact counts, zero leakage, determinism, file round-trips."""
 import io
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from tailkit.data import _feature_line_error
 from tailkit.experiment import canonical_json
 from tailkit.generators import generate_bipartite, generate_scale_free
 from tailkit.graph import GraphError, LabelSet, build_graph
+
+from feature_files import BAD_NPY, npy_bytes, save_features_csv
 
 
 def pair_set(edges):
@@ -467,6 +470,10 @@ class TestBundleSerialization:
 # files
 # ---------------------------------------------------------------------------
 
+# a feature file of each format: its name, and the writer of its bytes
+FEATURE_WRITERS = [("x.csv", save_features_csv), ("x.npy", save_features)]
+
+
 class TestDatasetFiles:
     def test_plain_round_trip(self, tmp_path):
         g = random_graph(25, 0.2, seed=40)
@@ -477,22 +484,24 @@ class TestDatasetFiles:
         assert loaded.num_nodes == int(g.edges.max()) + 1
         assert pair_set(loaded.edges) == pair_set(g.edges)
 
-    def test_features_pin_node_count(self, tmp_path):
+    @pytest.mark.parametrize("name,save", FEATURE_WRITERS)
+    def test_features_pin_node_count(self, tmp_path, name, save):
         g = random_graph(12, 0.3, seed=41, features=True)
-        epath, fpath = tmp_path / "e.txt", tmp_path / "x.csv"
+        epath, fpath = tmp_path / "e.txt", tmp_path / name
         save_edge_list(g, epath)
         # two extra isolated nodes beyond any edge endpoint
         feats = np.vstack([g.features, np.zeros((2, 3))])
-        save_features(feats, fpath)
+        save(feats, fpath)
         loaded, _ = load_dataset(epath, fpath)
         assert loaded.num_nodes == 14
-        assert np.allclose(loaded.features, feats)
+        assert loaded.features.tobytes() == feats.tobytes()
 
-    def test_feature_count_too_small_rejected(self, tmp_path):
-        epath, fpath = tmp_path / "e.txt", tmp_path / "x.csv"
+    @pytest.mark.parametrize("name,save", FEATURE_WRITERS)
+    def test_feature_count_too_small_rejected(self, tmp_path, name, save):
+        epath, fpath = tmp_path / "e.txt", tmp_path / name
         epath.write_text("0 1\n1 2\n")
-        save_features(np.zeros((2, 4)), fpath)
-        with pytest.raises(GraphError):
+        save(np.zeros((2, 4)), fpath)
+        with pytest.raises(DatasetFileError, match="2 rows, but the edge list implies 3"):
             load_dataset(epath, fpath)
 
     def test_bipartite_round_trip(self, tmp_path):
@@ -564,6 +573,50 @@ class TestDatasetFiles:
         path.write_text("0 8\n%bipartite 8 11\n")
         with pytest.raises(GraphError):
             load_dataset(path)
+
+
+class TestNpyFeatures:
+    def test_special_values_round_trip_byte_for_byte(self, tmp_path):
+        signaling_nan = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+        feats = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072009e-308],
+                          [np.inf, -np.inf, np.nan, signaling_nan],
+                          [np.finfo(np.float64).max, np.finfo(np.float64).tiny, 1 / 3, -1e-310]])
+        epath, fpath = tmp_path / "e.txt", tmp_path / "x.npy"
+        epath.write_text("0 1\n1 2\n")
+        save_features(feats, fpath)
+        graph, _ = load_dataset(epath, fpath)
+        assert graph.features.dtype == np.float64 and graph.features.shape == (3, 4)
+        assert graph.features.flags.c_contiguous
+        assert graph.features.tobytes() == feats.tobytes()
+
+    def test_repeated_writes_are_identical(self, tmp_path):
+        feats = generate_scale_free(50, 2, feat_dim=5, seed=3)[0].features
+        written = []
+        for name in ("a.npy", "b.npy", "a.npy"):
+            save_features(feats, tmp_path / name)
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1] == written[2] == npy_bytes(feats)
+        # a Fortran-order or integer matrix is written as C-order float64
+        save_features(np.asfortranarray(feats), tmp_path / "f.npy")
+        assert (tmp_path / "f.npy").read_bytes() == written[0]
+        save_features(np.arange(6).reshape(3, 2), tmp_path / "i.npy")
+        assert (tmp_path / "i.npy").read_bytes() == npy_bytes(np.arange(6.0).reshape(3, 2))
+
+    @pytest.mark.parametrize("bad", list(BAD_NPY))
+    def test_refused_without_allocating_its_claim(self, tmp_path, bad):
+        epath, fpath = tmp_path / "e.txt", tmp_path / "x.npy"
+        epath.write_text("0 1\n1 2\n")
+        fpath.write_bytes(BAD_NPY[bad])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFileError) as info:
+                load_dataset(epath, fpath)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.path == fpath
+        assert str(info.value).startswith(f"{fpath}: ")
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +731,7 @@ def _round_trips(tmp_path):
     return {
         "scale-free": {
             "edges": _written(tmp_path, lambda p: save_edge_list(graph, p)),
-            "features": _written(tmp_path, lambda p: save_features(graph.features, p)),
+            "features": _written(tmp_path, lambda p: save_features_csv(graph.features, p)),
             "labels": _written(tmp_path, lambda p: save_labels(labels, p)),
         },
         "bipartite": {"edges": _written(tmp_path, lambda p: save_edge_list(bip, p))},

@@ -40,6 +40,8 @@ from tailkit.experiment import (
     write_json,
 )
 
+from feature_files import BAD_NPY, npy_bytes, save_features_csv
+
 
 def classification_payload(tmp_path, **overrides):
     payload = {
@@ -76,8 +78,12 @@ def files_config(tmp_path, task="classification", **overrides):
     data.mkdir()
     dataset = {"kind": "files"}
     for key, rel in cmd_generate(source)["paths"].items():
-        if rel is not None:
-            dataset[key] = str(data / Path(rel).name)
+        if rel is None:
+            continue
+        dataset[key] = str(data / f"{key}.txt")
+        if key == "features":
+            save_features_csv(np.load(source.run_dir / rel), dataset[key])
+        else:
             Path(dataset[key]).write_bytes((source.run_dir / rel).read_bytes())
     cfg_path = tmp_path / "files.json"
     cfg_path.write_text(json.dumps(classification_payload(
@@ -98,13 +104,13 @@ SCHEMA_VIOLATIONS = [
     ({"task": "classification", "methods": []}, "$.methods"),
     ({"task": "classification", "methods": ["warmup"]}, "$.methods[0]"),
     ({"task": "classification", "methods": ["base", "base"]}, "$.methods"),
-    ({"task": "classification", "train": {"alpha": 2.0}}, "$.train"),
+    ({"task": "classification", "train": {"alpha": 2.0}}, "$.train.alpha"),
     ({"task": "classification", "settings": ["sideways"]}, "$.settings[0]"),
     ({"task": "classification",
       "settings": ["inductive-cold(0.5)"]}, "$.settings[0]"),
     ({"task": "recsys", "settings": ["inductive"]}, "$.settings[0]"),
     ({"task": "classification", "eval": {"k": 0}}, "$.eval.k"),
-    ({"task": "classification", "theory": {"delta": 2.0}}, "$.theory"),
+    ({"task": "classification", "theory": {"delta": 2.0}}, "$.theory.delta"),
     ({"task": "classification", "model": {"hidden_dim": "big"}},
      "$.model.hidden_dim"),
     ({"task": "classification", "split": {"new_fraction": 0}},
@@ -466,7 +472,7 @@ class TestStages:
         manifest = cmd_generate(config)
         run = config.run_dir
         assert (run / "dataset/edges.txt").is_file()
-        assert (run / "dataset/features.txt").is_file()
+        assert (run / "dataset/features.npy").is_file()
         assert (run / "dataset/labels.txt").is_file()
         assert manifest["config_hash"] == config.config_hash
         assert manifest["num_nodes"] == 120
@@ -483,14 +489,40 @@ class TestStages:
         assert manifest["checksums"] == {
             "dataset/edges.txt":
                 "0ed028d30ccfb1d229debbec81602489d9d1599a06c863852f3d06b8a59ea0f4",
-            "dataset/features.txt":
-                "ec32a6b7f0c189d987c8a27c321d982296cf04ca48eca862085b356cf3fdde7c",
+            "dataset/features.npy":
+                "909a3fca0abbbb425904248e9ef6b937cfccbd62571683de2d2e3987f82081f9",
             "dataset/labels.txt":
                 "7c247ee56fea49a57ffcd40a30d6f7d706e80ca3740e11e316781f02efc10656",
         }
         for rel, digest in manifest["checksums"].items():
             path = config.run_dir / rel
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("task", ["classification", "link"])
+    def test_generated_features_equal_their_csv_text(self, tmp_path, task):
+        """The generated ``features.npy`` loads bit-equal to the ``%.17g``
+        CSV text of the generator's array, with an equal graph and labels."""
+        config = make_config(tmp_path, task=task)
+        paths = {key: None if rel is None else config.run_dir / rel
+                 for key, rel in cmd_generate(config)["paths"].items()}
+        assert paths["features"].name == "features.npy"
+        params = {key: value for key, value in config.dataset.items() if key != "kind"}
+        generated = generate_scale_free(params.pop("num_nodes"), **params)[0].features
+        text = tmp_path / "features.csv"
+        save_features_csv(generated, text)
+        from_text = np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2)
+        graph, labels = experiment.load_dataset(paths["edges"], paths["features"],
+                                                paths["labels"])
+        assert graph.features.tobytes() == from_text.tobytes() == generated.tobytes()
+        assert graph.features.shape == from_text.shape and graph.features.dtype == np.float64
+        oracle, oracle_labels = experiment.load_dataset(paths["edges"], text, paths["labels"])
+        for name in ("num_nodes", "bipartite", "edges", "csr_offsets", "csr_targets"):
+            assert np.array_equal(getattr(graph, name), getattr(oracle, name)), name
+        if task == "classification":
+            assert np.array_equal(labels.labels, oracle_labels.labels)
+            assert labels.num_classes == oracle_labels.num_classes
+        else:
+            assert labels is None and oracle_labels is None
 
     @pytest.mark.parametrize("task,overrides,digests", [
         ("classification", {}, {
@@ -505,7 +537,7 @@ class TestStages:
                 "58ac1c81f3d688bba7b47afc4236999d0dc74621fca191c67ae6c1706983572b",
             "models/tuneup.json":
                 "c7e3afbab3800c7bc3b6b0e42afc0fcff3ce4db9cce46a2c96c6829cdf90586b",
-            "train.json": "899aebc6fa0276fa1b29daf15a189147e9237b721a8869f8e1dea5cb5ea9e441",
+            "train.json": "fda99b23294929cc031bc4b8aeebdbdff68c4a5732626a7ec7c3eb6340bcd845",
         }),
         ("link", {
             "model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8},
@@ -523,7 +555,7 @@ class TestStages:
                 "526a60076f3655ecee6fea0ff68a34db97548191c98cb2a9d90cf2ab4d49c6f3",
             "models/tuneup.json":
                 "1e867ad8a07466689b19c930125615475c1384bac38b66925e98e816dd81813d",
-            "train.json": "616745a556a446aa9e61cee407dc6fd3021613f6918f41fee35b18abd5abe92d",
+            "train.json": "5180efef491891d86a4150f560da429da6c2eac1de0410be373ea805fbedc865",
         }),
     ])
     def test_training_digests_are_pinned(self, tmp_path, task, overrides, digests):
@@ -541,13 +573,13 @@ class TestStages:
 
     @pytest.mark.parametrize("task,overrides,digests", [
         ("classification", {}, {
-            "0/eval.json": "b267aca2a705fe7e6cb7da6fa2c0af1e6a2843a0700d8bf68d2251916b391620",
-            "1/eval.json": "5a0caecbbed3d8406f8acd92fd0fa97e9be7cd371f8a1a269cd7eacea44c2379",
+            "0/eval.json": "b9468c70b7050dd7208a86469a118e9ea66fc3364f447d80db5490415e40e398",
+            "1/eval.json": "61e772c5523efc599b3424b8edb73ea8365fc103d1df245a02e495e34ce41e8c",
             "report.csv": "6171f3a7cac37d225abb0aa29f3d25a164b2c803aa21046ff50397fd99bd5888",
         }),
         ("link", {"model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8}}, {
-            "0/eval.json": "c77a22cd0ee7c525940bebec71ddd858341100f02feb6d38db3948a702d31c7e",
-            "1/eval.json": "89d2b8e74bd8ca1dd9955f85b932b1e078f9f873aa89cfc58bdbffcbe55f10bd",
+            "0/eval.json": "b0b018be25995d0f461ac474a33e5878f6bf477018487c18026d4d936f6703a7",
+            "1/eval.json": "61acc0826824b2d0d1854cd22e49051efb49ccbedf35c822343a069166784185",
             "report.csv": "8d5f599934842ece8792939da6fc2355659b8b8c1aef9d883b2ef5d1f40862c4",
         }),
         ("recsys", {"dataset": {"num_users": 30, "num_items": 20}}, {
@@ -984,7 +1016,7 @@ class TestCli:
         data = tmp_path / "data"
         data.mkdir()
         save_edge_list(graph, data / "edges.txt")
-        save_features(graph.features, data / "features.txt")
+        save_features_csv(graph.features, data / "features.txt")
         save_labels(LabelSet(known, labels.num_classes), data / "labels.txt")
         dataset = {"kind": "files", **{name: str(data / f"{name}.txt")
                                        for name in ("edges", "features", "labels")}}
@@ -1112,6 +1144,57 @@ class TestCli:
         assert f"$.dataset.{key}: {tmp_path / key}.txt:2:" in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("bad", list(BAD_NPY))
+    def test_refused_npy_feature_file_exits_2(self, tmp_path, capsys, bad):
+        dataset = file_dataset(tmp_path, DATASET_TEXTS)
+        features = tmp_path / "features.npy"
+        features.write_bytes(BAD_NPY[bad])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, dataset=dict(dataset, features=str(features)), seeds=[0])))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 2
+        assert f"config error: $.dataset.features: {features}: " in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        # the same dataset with a readable .npy file of its features loads
+        features.write_bytes(npy_bytes(np.array([[0.5], [1.5], [2.5]])))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+
+    def test_run_of_the_csv_feature_layout_is_regenerated(self, tmp_path, capsys):
+        """A run directory whose manifest names ``dataset/features.txt`` (the
+        CSV layout) makes every stage exit 3 naming ``generate``; after
+        generate rewrites it, every artifact equals a fresh run's."""
+        payload = classification_payload(tmp_path, seeds=[0], settings=["transductive"])
+        cfg_path, fresh_path = tmp_path / "cfg.json", tmp_path / "fresh.json"
+        cfg_path.write_text(json.dumps(payload))
+        fresh_path.write_text(json.dumps(dict(payload, output_dir=str(tmp_path / "fresh"))))
+        config = load_config(cfg_path)
+        run = config.run_dir
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        save_features_csv(np.load(run / "dataset/features.npy"), run / "dataset/features.txt")
+        (run / "dataset/features.npy").unlink()
+        manifest = json.loads((run / "dataset.json").read_text())
+        manifest["paths"]["features"] = "dataset/features.txt"
+        manifest["checksums"] = {
+            rel: hashlib.sha256((run / rel).read_bytes()).hexdigest()
+            for rel in manifest["paths"].values()}
+        write_json(run / "dataset.json", manifest)
+        capsys.readouterr()
+        for command in ("split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 3
+            err = capsys.readouterr().err
+            assert f"{run / 'dataset/features.npy'} is missing" in err
+            assert err.rstrip().endswith("rerun the 'generate' stage")
+        for command in ("generate", "split", "train", "eval"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+            assert self.run_cli(command, "--config", str(fresh_path)) == 0
+        fresh = load_config(fresh_path).run_dir
+        files = {str(p.relative_to(fresh)): p.read_bytes() for p in fresh.rglob("*") if p.is_file()}
+        assert {rel: (run / rel).read_bytes() for rel in files} == files
+        # only the CSV file, which no manifest names any more, is left over
+        assert sorted(str(p.relative_to(run)) for p in run.rglob("*")
+                      if p.is_file() and str(p.relative_to(run)) not in files) == [
+                          "dataset/features.txt"]
+
     @pytest.mark.parametrize("key,text", [
         ("edges", b"0 1\n1 \xff2\n"),
         ("edges", b"0 1\n1 2\n"),
@@ -1126,7 +1209,7 @@ class TestCli:
         config = load_config(cfg_path)
         dataset = config.run_dir / "dataset"
         intact = {p.name: p.read_bytes() for p in dataset.iterdir()}
-        target = dataset / f"{key}.txt"
+        (target,) = dataset.glob(f"{key}.*")
         if text is None:
             target.unlink()
         else:
@@ -1615,7 +1698,7 @@ class TestCli:
         edits = {
             "edges not UTF-8": write("dataset/edges.txt", b"0 1\n1 \xff2\n"),
             "edges changed": write("dataset/edges.txt", b"0 1\n1 2\n"),
-            "features changed": write("dataset/features.txt", b"0.5\n"),
+            "features changed": write("dataset/features.npy", b"0.5\n"),
             "labels deleted": lambda run_dir: (run_dir / "dataset/labels.txt").unlink(),
             "unparsable edges in the manifest": unparsable_edges_in_manifest,
             "manifest without checksums": json_edit("dataset.json", lambda p: p.pop("checksums")),
