@@ -65,10 +65,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     def zero_grad(self) -> None:
         self.grad = None
 

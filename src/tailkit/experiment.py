@@ -39,11 +39,12 @@ from .data import (
     save_labels,
     write_atomic,
 )
+from .errors import check_bounds, positive
 from .evaluation import (BUCKET_LABELS, EvalError, evaluate_setting, parse_setting,
                          scored_nodes, validation_metric)
 from .generators import generate_bipartite, generate_scale_free
 from .losses import SupervisionSet
-from .models import TASKS, VARIANTS, EncoderConfig, init_model, load_model, save_model
+from .models import TASKS, EncoderConfig, init_model, load_model, save_model
 from .theory import MonteCarloConfig, monte_carlo_validate
 from .training import METHODS, PRESETS, TrainConfig, TrainError, run_ablation
 
@@ -85,11 +86,12 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 
 
 def _value(value, kind, path: str, meta):
-    """Check one JSON value against a field annotation and its bounds.
+    """Check one JSON value against a field annotation and its metadata.
 
     ``int`` refuses booleans and floats; ``float`` also takes an integer and
     stores it as a float. ``X | None`` takes null, and ``tuple[X, ...]`` a
-    list whose every entry is an ``X`` within the same bounds.
+    list whose every entry is an ``X``. The bounds in ``meta`` are held by
+    :func:`check_bounds`, the rule the library's config classes apply too.
     """
     if types.UnionType is type(kind):
         if value is None:
@@ -98,60 +100,57 @@ def _value(value, kind, path: str, meta):
     if typing.get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(path, f"expected a list, got {value!r}")
-        item = typing.get_args(kind)[0]
-        return tuple(_value(v, item, f"{path}[{i}]", meta) for i, v in enumerate(value))
-    if kind is float and type(value) is int:
-        value = float(value)
-    accepted = (list, tuple) if kind is list else kind
-    if (isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted)
-            or (kind is float and not math.isfinite(value))):
-        raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
-    if "choices" in meta and value not in meta["choices"]:
-        raise ConfigError(path, f"expected one of {tuple(meta['choices'])}, got {value!r}")
-    if "minimum" in meta and value < meta["minimum"]:
-        raise ConfigError(path, f"must be >= {meta['minimum']}, got {value}")
-    if "maximum" in meta and value > meta["maximum"]:
-        raise ConfigError(path, f"must be <= {meta['maximum']}, got {value}")
+        # each entry is bounded on its own path; a check takes the whole list
+        entry = {key: v for key, v in meta.items() if key != "check"}
+        value = tuple(_value(v, typing.get_args(kind)[0], f"{path}[{i}]", entry)
+                      for i, v in enumerate(value))
+    else:
+        if kind is float and type(value) is int:
+            value = float(value)
+        accepted = (list, tuple) if kind is list else kind
+        if (isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted)
+                or (kind is float and not math.isfinite(value))):
+            raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    try:
+        check_bounds(value, meta)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
     return value
 
 
-def _section(cls, raw, path: str, *, base=None, fixed=None):
-    """Read the JSON object ``raw`` (null reads as ``{}``) into ``cls``.
+def _section(cls, raw, path: str, *, base=None, fixed=None) -> dict:
+    """Read the JSON object ``raw`` (null reads as ``{}``) through ``cls``,
+    and return its keys with their values.
 
-    Every field is typed by its annotation and bounded by its metadata
-    (``minimum``, ``maximum``, ``choices``, and ``check``, a callable whose
-    ``ValueError`` names the field). An absent field takes its value from
-    ``base`` if given, else its default. ``fixed`` fields are set by the
-    caller and are not keys of the section. Unknown and missing keys are
-    errors, and the rules ``cls`` checks itself are reported on ``path``.
+    Every field is typed by its annotation and bounded by its metadata. An
+    absent field takes its value from ``base`` if given, else its default.
+    ``fixed`` fields are set by the caller and are not keys of the section.
+    Unknown and missing keys are errors, and the rules ``cls`` checks
+    itself between fields are reported on ``path``.
     """
     raw = {} if raw is None else _value(raw, dict, path, {})
-    values = dict(fixed or {})
+    fixed = fixed or {}
+    values = dict(fixed)
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.name not in values]
     for key in raw:
         if key not in {f.name for f in fields}:
             raise ConfigError(f"{path}.{key}", "unknown field")
     for f in fields:
-        where = f"{path}.{f.name}"
         if f.name in raw:
-            value = _value(raw[f.name], hints[f.name], where, f.metadata)
-            if value is not None and "check" in f.metadata:
-                try:
-                    f.metadata["check"](value)
-                except ValueError as exc:
-                    raise ConfigError(where, str(exc)) from exc
+            value = _value(raw[f.name], hints[f.name], f"{path}.{f.name}", f.metadata)
         elif base is not None:
             value = getattr(base, f.name)
         elif f.default is not dataclasses.MISSING:
             value = f.default
         else:
-            raise ConfigError(where, "required field is missing")
+            raise ConfigError(f"{path}.{f.name}", "required field is missing")
         values[f.name] = value
     try:
-        return cls(**values)
+        section = dataclasses.asdict(cls(**values))
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
+    return {key: value for key, value in section.items() if key not in fixed}
 
 
 def _distinct(raw, path: str, read) -> tuple:
@@ -179,11 +178,6 @@ def _unit(default):
 
 def _checked(check, default=dataclasses.MISSING):
     return dataclasses.field(default=default, metadata={"check": check})
-
-
-def _positive(value) -> None:
-    if not value > 0:
-        raise ValueError(f"must be > 0, got {value}")
 
 
 def _existing_file(path: str) -> None:
@@ -217,7 +211,7 @@ class _ScaleFreeDataset:
     label_noise: float = _unit(0.0)
     separation: float = 2.0
     feature_noise: float = _at_least(0.0, 1.0)
-    community_bias: float = _checked(_positive, 4.0)
+    community_bias: float = _checked(positive, 4.0)
     seed: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:
@@ -255,13 +249,9 @@ class _FilesDataset:
     labels: str | None = _checked(_existing_file, None)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Model:
-    variant: str = dataclasses.field(default="gcn", metadata={"choices": VARIANTS})
-    hidden_dim: int = _at_least(1, 32, 2**16)
-    output_dim: int = _at_least(1, 32, 2**16)
-    num_layers: int = _at_least(1, 2, 2**10)
-    featureless: bool = False
+# the encoder a config's model section defaults to; its input width is the
+# dataset's, fixed once the dataset is read (``_encoder_config``)
+_MODEL = EncoderConfig("gcn", 1, 32, 32, num_layers=2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,10 +320,7 @@ def _train(raw, task: str) -> dict:
             raise ConfigError(
                 "$.train.preset",
                 f"preset {name!r} is for task {preset.task!r}, not {task!r}")
-    train = dataclasses.asdict(_section(
-        TrainConfig, raw, "$.train", base=preset, fixed={"task": task, "seed": 0}))
-    del train["task"], train["seed"]
-    return train
+    return _section(TrainConfig, raw, "$.train", base=preset, fixed={"task": task, "seed": 0})
 
 
 def _check_split_counts(n, split: dict, settings: tuple) -> None:
@@ -389,28 +376,28 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         doc = _section(_Document, payload, "$")
-        task = doc.task
-        raw_dataset = dict(doc.dataset or {})
+        task = doc["task"]
+        raw_dataset = dict(doc["dataset"] or {})
         kind = _value(raw_dataset.pop("kind", "synthetic"), str, "$.dataset.kind",
                       {"choices": ("synthetic", "files")})
         dataset_cls = (_FilesDataset if kind == "files" else
                        _BipartiteDataset if task == "recsys" else _ScaleFreeDataset)
-        dataset = {"kind": kind,
-                   **dataclasses.asdict(_section(dataset_cls, raw_dataset, "$.dataset"))}
+        dataset = {"kind": kind, **_section(dataset_cls, raw_dataset, "$.dataset")}
         if kind == "files" and task == "classification" and dataset["labels"] is None:
             raise ConfigError("$.dataset.labels", "classification needs a label file")
-        model = _section(_Model, doc.model, "$.model",
-                         base=_Model(featureless=task == "recsys"))
-        methods = _distinct(doc.methods, "$.methods",
+        raw_model = dict(doc["model"] or {})
+        featureless = _value(raw_model.pop("featureless", task == "recsys"), bool,
+                             "$.model.featureless", {})
+        model = {**_section(EncoderConfig, raw_model, "$.model", base=_MODEL,
+                            fixed={"input_dim": 1}), "featureless": featureless}
+        methods = _distinct(doc["methods"], "$.methods",
                             lambda v, path: _value(v, str, path, {"choices": METHODS}))
-        split = dataclasses.asdict(_section(_SPLITS[task], doc.split, "$.split"))
-        settings = _settings(doc.settings, task, split.get("cold_ratios", ()))
+        split = _section(_SPLITS[task], doc["split"], "$.split")
+        settings = _settings(doc["settings"], task, split.get("cold_ratios", ()))
         _check_split_counts(dataset.get("num_nodes"), split, settings)
-        return cls(task, dataset, dataclasses.asdict(model), _train(doc.train, task),
-                   methods, settings, _seeds(doc.seeds), split,
-                   dataclasses.asdict(_section(_Eval, doc.eval, "$.eval")),
-                   dataclasses.asdict(_section(_Theory, doc.theory, "$.theory")),
-                   doc.output_dir)
+        return cls(task, dataset, model, _train(doc["train"], task), methods, settings,
+                   _seeds(doc["seeds"]), split, _section(_Eval, doc["eval"], "$.eval"),
+                   _section(_Theory, doc["theory"], "$.theory"), doc["output_dir"])
 
     def to_dict(self) -> dict:
         """The config as a JSON document: tuples as lists, and
@@ -684,6 +671,10 @@ def cmd_generate(config: ExperimentConfig) -> dict:
             save_features(graph.features, config.run_dir / paths["features"])
         if paths["labels"] is not None:
             save_labels(labels, config.run_dir / paths["labels"])
+        # once they are written, any other file there (say, of an older layout) goes
+        for path in (config.run_dir / "dataset").iterdir():
+            if path.is_file() and str(path.relative_to(config.run_dir)) not in paths.values():
+                path.unlink()
     else:
         try:
             graph, _ = _read_dataset(config)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import write_atomic
-from .errors import TailkitError
+from .errors import TailkitError, check_fields
 from .graph import Graph, normalize_adjacency
 
 __all__ = [
@@ -52,23 +52,22 @@ class ModelError(TailkitError):
     """Invalid model configuration or misuse of a task head."""
 
 
+_WIDTH = {"minimum": 1, "maximum": 2**16}
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Architecture of the message-passing encoder."""
+    """Architecture of the message-passing encoder; each field's bounds are
+    its metadata, which the config schema reads too."""
 
-    variant: str
-    input_dim: int
-    hidden_dim: int
-    output_dim: int
-    num_layers: int = 3
+    variant: str = field(metadata={"choices": VARIANTS})
+    input_dim: int = field(metadata=_WIDTH)
+    hidden_dim: int = field(metadata=_WIDTH)
+    output_dim: int = field(metadata=_WIDTH)
+    num_layers: int = field(default=3, metadata={"minimum": 1, "maximum": 2**10})
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ModelError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if min(self.input_dim, self.hidden_dim, self.output_dim) < 1:
-            raise ModelError("all dimensions must be >= 1")
-        if self.num_layers < 1:
-            raise ModelError(f"num_layers must be >= 1, got {self.num_layers}")
+        check_fields(self, ModelError)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.input_dim] + [self.hidden_dim] * (self.num_layers - 1) + [self.output_dim]

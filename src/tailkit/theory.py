@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import TailkitError
+from .errors import TailkitError, check_fields, positive
 
 __all__ = [
     "LossProfile",
@@ -51,7 +51,7 @@ class TheoryError(TailkitError):
 
 def _check_delta(delta) -> None:
     if not 0.0 < delta < 1.0:
-        raise TheoryError(f"delta must be in (0, 1), got {delta}")
+        raise TheoryError(f"confidence level must be in (0, 1), got {delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +91,6 @@ class TheoryWorld:
             raise TheoryError("A and B overlap")
         if not np.isin(self.s_idx, self.b_idx).all():
             raise TheoryError("S must be a subset of B")
-        if self.s_idx.size > self.b_idx.size:
-            raise TheoryError("m exceeds R")
 
     @property
     def block_sum(self) -> np.ndarray:
@@ -384,16 +382,11 @@ def theorem_bound(
 # Monte Carlo validation
 # ---------------------------------------------------------------------------
 
-def _positive(value) -> None:
-    if not value > 0:
-        raise TheoryError(f"must be > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """World and training sizes for one validation campaign."""
+    """World and training sizes for one validation campaign; each field's
+    bounds are its metadata, which the config schema reads too."""
 
-    # the field metadata is read by the config schema
     N: int = field(default=10_000, metadata={"minimum": 1, "maximum": 2**24})
     T: int = field(default=1_000, metadata={"minimum": 1, "maximum": 2**24})
     R: int = field(default=1_000, metadata={"minimum": 1, "maximum": 2**24})
@@ -404,20 +397,14 @@ class MonteCarloConfig:
     seed: int = field(default=0, metadata={"minimum": 0})
     stage1_steps: int = field(default=300, metadata={"minimum": 0})
     stage2_steps: int = field(default=300, metadata={"minimum": 0})
-    lr: float = field(default=0.5, metadata={"check": _positive})
+    lr: float = field(default=0.5, metadata={"check": positive})
 
     def __post_init__(self) -> None:
-        if min(self.N, self.T, self.R, self.m, self.d) < 1:
-            raise TheoryError("N, T, R, m, d must all be positive")
+        check_fields(self, TheoryError)
         if self.T + self.R > self.N:
             raise TheoryError(f"T + R = {self.T + self.R} exceeds N = {self.N}")
         if self.m > self.R:
             raise TheoryError(f"m = {self.m} exceeds R = {self.R}")
-        _check_delta(self.delta)
-        if min(self.stage1_steps, self.stage2_steps) < 0:
-            raise TheoryError("step counts must be nonnegative")
-        if self.lr <= 0:
-            raise TheoryError(f"lr must be positive, got {self.lr}")
 
 
 def monte_carlo_validate(config: MonteCarloConfig, trials: int) -> dict:

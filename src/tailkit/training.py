@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape
-from .errors import TailkitError
+from .errors import TailkitError, check_fields, positive
 from .evaluation import predict_classes
 from .graph import Graph, LabelSet, drop_edges
 from .losses import SupervisionSet, bpr_loss, cross_entropy, l2_regularize, sample_negatives
@@ -57,7 +57,7 @@ class TrainError(TailkitError):
 
 def _check_alpha(alpha) -> None:
     if not 0.0 <= alpha < 1.0:
-        raise TrainError(f"alpha must be in [0, 1), got {alpha}")
+        raise ValueError(f"must be in [0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -66,33 +66,23 @@ class TrainConfig:
 
     ``stage2_lr=None`` reuses the stage-1 rate, except recsys which defaults
     to 1e-4 for fine-tuning. Any alpha in [0, 1) is accepted, so that
-    alpha=0 degenerates to training on the intact graph.
+    alpha=0 degenerates to training on the intact graph. Each field's bounds
+    are its metadata, which the config schema reads too.
     """
 
-    task: str
-    stage1_epochs: int = 300
-    stage2_epochs: int = 200
-    stage1_lr: float = 0.01
-    stage2_lr: float | None = None
-    # the config schema reads the check, to name the field on refusal
+    task: str = field(metadata={"choices": TASKS})
+    stage1_epochs: int = field(default=300, metadata={"minimum": 0})
+    stage2_epochs: int = field(default=200, metadata={"minimum": 0})
+    stage1_lr: float = field(default=0.01, metadata={"check": positive})
+    stage2_lr: float | None = field(default=None, metadata={"check": positive})
     alpha: float = field(default=0.5, metadata={"check": _check_alpha})
-    l2_weight: float = 0.0
-    eval_every: int = 10
-    patience: int = 10
+    l2_weight: float = field(default=0.0, metadata={"minimum": 0.0})
+    eval_every: int = field(default=10, metadata={"minimum": 1})
+    patience: int = field(default=10, metadata={"minimum": 1})
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise TrainError(f"unknown task {self.task!r}")
-        if self.stage1_epochs < 0 or self.stage2_epochs < 0:
-            raise TrainError("epoch counts must be nonnegative")
-        _check_alpha(self.alpha)
-        if self.stage1_lr <= 0 or (self.stage2_lr is not None and self.stage2_lr <= 0):
-            raise TrainError("learning rates must be positive")
-        if self.l2_weight < 0:
-            raise TrainError("l2_weight must be nonnegative")
-        if self.eval_every < 1 or self.patience < 1:
-            raise TrainError("eval_every and patience must be >= 1")
+        check_fields(self, TrainError)
 
     @property
     def resolved_stage2_lr(self) -> float:

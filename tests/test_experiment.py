@@ -14,15 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailkit import experiment, training
+from tailkit import experiment, theory, training
 from tailkit.cli import main
 from tailkit.data import (SplitBundle, make_classification_bundle, save_edge_list,
                           save_features, save_labels)
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
 from tailkit.generators import generate_scale_free
 from tailkit.graph import LabelSet, build_graph, normalize_adjacency
-from tailkit.models import EncoderConfig, init_model, save_model
-from tailkit.training import TrainConfig
+from tailkit.errors import positive
+from tailkit.models import EncoderConfig, ModelError, init_model, save_model
+from tailkit.theory import MonteCarloConfig, TheoryError
+from tailkit.training import TrainConfig, TrainError
 from tailkit.experiment import (
     _aggregate_cell,
     ConfigError,
@@ -147,6 +149,14 @@ SCHEMA_VIOLATIONS = [
     ({"task": "classification", "theory": {"R": 2**24 + 1}}, "$.theory.R"),
     ({"task": "classification", "theory": {"m": 2**24 + 1}}, "$.theory.m"),
     ({"task": "classification", "theory": {"d": 2**16 + 1}}, "$.theory.d"),
+    # one past each bound of the train keys
+    ({"task": "classification", "train": {"stage1_epochs": -1}}, "$.train.stage1_epochs"),
+    ({"task": "classification", "train": {"stage2_epochs": -1}}, "$.train.stage2_epochs"),
+    ({"task": "classification", "train": {"stage1_lr": 0}}, "$.train.stage1_lr"),
+    ({"task": "classification", "train": {"stage2_lr": 0}}, "$.train.stage2_lr"),
+    ({"task": "classification", "train": {"l2_weight": -0.5}}, "$.train.l2_weight"),
+    ({"task": "classification", "train": {"eval_every": 0}}, "$.train.eval_every"),
+    ({"task": "classification", "train": {"patience": 0}}, "$.train.patience"),
 ]
 
 
@@ -191,6 +201,14 @@ REFUSED_OVERRIDES = [
     ({"model": {"output_dim": 2**63}}, "$.model.output_dim"),
     ({"model": {"num_layers": 2**63}}, "$.model.num_layers"),
     ({"theory": {"trials": 10**19}}, "$.theory.trials"),
+    # each of these was refused naming only $.train
+    ({"train": {"stage1_epochs": -1}}, "$.train.stage1_epochs"),
+    ({"train": {"stage2_epochs": -1}}, "$.train.stage2_epochs"),
+    ({"train": {"stage1_lr": 0}}, "$.train.stage1_lr"),
+    ({"train": {"stage2_lr": -1e-3}}, "$.train.stage2_lr"),
+    ({"train": {"l2_weight": -1}}, "$.train.l2_weight"),
+    ({"train": {"eval_every": 0}}, "$.train.eval_every"),
+    ({"train": {"patience": 0}}, "$.train.patience"),
 ]
 
 
@@ -198,6 +216,7 @@ REFUSED_OVERRIDES = [
 BAD_SEED_FLAGS = [
     ("--seed=-1", "$.seeds[0]"),
     ("--seed=1,1", "$.seeds"),
+    ("--seed=a", "$.seeds"),
 ]
 # splits of files_config's datasets that the split stage refuses, of the
 # task file_split_task names
@@ -251,6 +270,32 @@ BEYOND_INT64 = [
 ]
 
 
+# the config classes whose field metadata the schema reads: their section,
+# their error, and an instance that passes
+CONFIG_CLASSES = [("train", TrainError, TrainConfig("classification")),
+                  ("model", ModelError, EncoderConfig("gcn", 4, 4, 4)),
+                  ("theory", TheoryError, MonteCarloConfig())]
+# a value just past each bound of the checks in that metadata
+PAST_CHECKS = {positive: [0.0], training._check_alpha: [-1e-9, 1.0],
+               theory._check_delta: [0.0, 1.0]}
+
+
+def past_each_bound():
+    """(section, error, instance, field, value) for a value just past each
+    bound that a field of a CONFIG_CLASSES class declares."""
+    cases = []
+    for section, error, instance in CONFIG_CLASSES:
+        for f in dataclasses.fields(instance):
+            meta = f.metadata
+            step = 1 if isinstance(getattr(instance, f.name), int) else 1e-9
+            values = [*(["x"] if "choices" in meta else []),
+                      *([meta["minimum"] - step] if "minimum" in meta else []),
+                      *([meta["maximum"] + step] if "maximum" in meta else []),
+                      *PAST_CHECKS.get(meta.get("check"), [])]
+            cases += [(section, error, instance, f.name, value) for value in values]
+    return cases
+
+
 def drop_first_line(path) -> None:
     path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
 
@@ -302,6 +347,29 @@ class TestConfigSchema:
         with pytest.raises(ConfigError) as excinfo:
             ExperimentConfig.from_dict(payload)
         assert excinfo.value.path == path
+
+    @pytest.mark.parametrize("section,error,instance,name,value", past_each_bound())
+    def test_one_rule_holds_the_schema_and_the_config_classes(self, section, error,
+                                                              instance, name, value):
+        """A value past a bound is refused by the schema naming its JSON path,
+        and by the class with its own error, whose message starts with the
+        field's name."""
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_dict({"task": "classification", section: {name: value}})
+        assert excinfo.value.path == f"$.{section}.{name}"
+        with pytest.raises(error) as excinfo:
+            dataclasses.replace(instance, **{name: value})
+        assert str(excinfo.value).startswith(f"{name}: ")
+
+    def test_config_classes_declare_their_bounds_as_metadata(self):
+        bounded = {(section, name) for section, _, _, name, _ in past_each_bound()}
+        assert {name for section, name in bounded if section == "train"} == {
+            "task", "stage1_epochs", "stage2_epochs", "stage1_lr", "stage2_lr", "alpha",
+            "l2_weight", "eval_every", "patience"}
+        assert {name for section, name in bounded if section == "model"} == {
+            "variant", "input_dim", "hidden_dim", "output_dim", "num_layers"}
+        assert {name for section, name in bounded if section == "theory"} == {
+            "N", "T", "R", "m", "d", "delta", "seed", "stage1_steps", "stage2_steps", "lr"}
 
     @pytest.mark.parametrize("key,value", [
         ("N", 0), ("T", 0), ("R", 0), ("m", 0), ("d", 0),
@@ -387,10 +455,10 @@ class TestConfigSchema:
         documented = set(re.findall(r"`([A-Za-z_0-9]+)`", reference))
         sections = [experiment._Document, experiment._ScaleFreeDataset,
                     experiment._BipartiteDataset, experiment._FilesDataset,
-                    experiment._Model, TrainConfig, *experiment._SPLITS.values(),
+                    EncoderConfig, TrainConfig, *experiment._SPLITS.values(),
                     experiment._Eval, experiment._Theory]
         accepted = {f.name for cls in sections for f in dataclasses.fields(cls)}
-        accepted |= {"kind", "preset"}
+        accepted |= {"kind", "preset", "featureless"}
         assert sorted(accepted - documented) == []
 
     def test_no_new_nodes_is_fine_when_only_transductive(self, tmp_path):
@@ -1190,10 +1258,9 @@ class TestCli:
         fresh = load_config(fresh_path).run_dir
         files = {str(p.relative_to(fresh)): p.read_bytes() for p in fresh.rglob("*") if p.is_file()}
         assert {rel: (run / rel).read_bytes() for rel in files} == files
-        # only the CSV file, which no manifest names any more, is left over
-        assert sorted(str(p.relative_to(run)) for p in run.rglob("*")
-                      if p.is_file() and str(p.relative_to(run)) not in files) == [
-                          "dataset/features.txt"]
+        # the CSV file, which no manifest names any more, is removed too
+        assert sorted(str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()) == sorted(
+            files)
 
     @pytest.mark.parametrize("key,text", [
         ("edges", b"0 1\n1 \xff2\n"),
@@ -1378,6 +1445,53 @@ class TestCli:
         assert self.run_cli("generate", "--config", str(cfg_path)) == 0
         assert manifest_path.read_bytes() == intact
         assert self.run_cli("split", "--config", str(cfg_path)) == 0
+
+    def test_manifest_with_edited_counts_exits_3_and_is_regenerated(self, tmp_path, capsys):
+        """A manifest whose edge count is not the dataset's, with its
+        checksums intact."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(tmp_path, seeds=[0])))
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        manifest_path = load_config(cfg_path).run_dir / "dataset.json"
+        intact = manifest_path.read_bytes()
+        manifest = json.loads(intact)
+        manifest["num_edges"] += 1
+        write_json(manifest_path, manifest)
+        capsys.readouterr()
+        assert self.run_cli("split", "--config", str(cfg_path)) == 3
+        assert ("its paths or counts are not the dataset's; rerun the 'generate' stage"
+                in capsys.readouterr().err)
+        assert self.run_cli("generate", "--config", str(cfg_path)) == 0
+        assert manifest_path.read_bytes() == intact
+
+    def test_theory_output_with_a_string_figure_is_rewritten(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, theory={"N": 500, "T": 120, "R": 100, "m": 20, "d": 4, "trials": 2})))
+        assert self.run_cli("theory", "--config", str(cfg_path)) == 0
+        theory_json = load_config(cfg_path).run_dir / "theory.json"
+        intact = theory_json.read_bytes()
+        payload = json.loads(intact)
+        payload["summary"]["mean_gap"]["M1"] = "0.5"
+        write_json(theory_json, payload)
+        assert self.run_cli("theory", "--config", str(cfg_path)) == 0
+        assert theory_json.read_bytes() == intact
+
+    def test_file_dataset_without_features_needs_featureless(self, tmp_path, capsys):
+        cfg_path = files_config(tmp_path, seeds=[0])
+        payload = json.loads(cfg_path.read_text())
+        payload["dataset"]["features"] = None
+        cfg_path.write_text(json.dumps(payload))
+        for command in ("generate", "split"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        capsys.readouterr()
+        assert self.run_cli("train", "--config", str(cfg_path)) == 2
+        assert ("config error: $.model.featureless: dataset has no node features"
+                in capsys.readouterr().err)
+
+    def test_report_without_a_run_directory_or_config_exits_3(self, capsys):
+        assert self.run_cli("report") == 3
+        assert "report needs a run directory or --config" in capsys.readouterr().err
 
     def test_train_output_without_checkpoints_exits_3_and_is_rewritten(self, tmp_path,
                                                                        capsys):
