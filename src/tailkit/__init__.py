@@ -1,5 +1,10 @@
 """tailkit: two-stage GNN training that holds up on low-degree and cold-start nodes."""
 
+# The version of the arithmetic behind the pipeline's outputs. Every JSON stage
+# output records it, and one recorded under another value is recomputed; a
+# change that alters any output's numbers bumps it (README, "Numerics versions").
+NUMERICS = 1
+
 from .errors import TailkitError
 from .graph import (
     Graph,
@@ -76,6 +81,7 @@ __all__ = [
     "Model",
     "ModelError",
     "MonteCarloConfig",
+    "NUMERICS",
     "NormalizedAdjacency",
     "PRESETS",
     "SplitBundle",

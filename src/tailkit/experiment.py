@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import NUMERICS
 from .data import (
     DatasetFileError,
     SplitBundle,
@@ -458,9 +459,9 @@ def canonical_json(payload) -> str:
 
 
 def write_json(path, payload) -> None:
-    """Key-sorted, indented JSON, written atomically."""
+    """``canonical_json`` and a newline, written atomically."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, canonical_json(payload) + "\n")
 
 
 def _sha256(path) -> str:
@@ -501,10 +502,10 @@ def _stage_output(config: ExperimentConfig, name: str, seed=None) -> tuple:
 def _read(run_dir: Path, config_hash: str, entry: tuple, *given):
     """What the stage output ``entry`` names under ``run_dir`` holds, as its
     reader returns it given ``given``, if it is usable: it parses, carries
-    ``config_hash``, its entry's seed and a ``checksums`` map, each file in
-    that map or among its entry's files still has the recorded sha256, and
-    its reader accepts it. Else :class:`MissingInputError` names why not and
-    the stage to rerun. This one rule decides for every stage."""
+    ``config_hash``, ``NUMERICS``, its entry's seed and a ``checksums`` map,
+    each file in that map or among its entry's files still has the recorded
+    sha256, and its reader accepts it. Else :class:`MissingInputError` names
+    why not and the stage to rerun. This one rule decides for every stage."""
     rel, stage, seed, read, files = entry
     path = run_dir / rel
     try:
@@ -515,6 +516,8 @@ def _read(run_dir: Path, config_hash: str, entry: tuple, *given):
         why = f"{path} {'is not valid JSON' if path.is_file() else 'not found'}"
     elif payload.get("config_hash") != config_hash:
         why = f"{path} belongs to config {payload.get('config_hash')!r}, not {config_hash!r}"
+    elif not (type(numerics := payload.get("numerics")) is int and numerics == NUMERICS):
+        why = f"{path} was computed under numerics {numerics!r}, not {NUMERICS}"
     elif seed is not None and payload.get("seed") != int(seed):
         why = f"{path} belongs to seed {payload.get('seed')!r}, not {seed}"
     elif not isinstance(checksums := payload.get("checksums"), dict):
@@ -537,9 +540,9 @@ def _read(run_dir: Path, config_hash: str, entry: tuple, *given):
 
 
 def _record(run_dir: Path, config_hash: str, entry: tuple, payload: dict) -> dict:
-    """Write a stage output with the config hash and the checksums of the
-    files its entry records."""
-    payload = {"config_hash": config_hash, **payload,
+    """Write a stage output with the config hash, ``NUMERICS`` and the
+    checksums of the files its entry records."""
+    payload = {"config_hash": config_hash, "numerics": NUMERICS, **payload,
                "checksums": {rel: _sha256(run_dir / rel) for rel in entry[4]}}
     write_json(run_dir / entry[0], payload)
     return payload
@@ -684,6 +687,14 @@ def cmd_generate(config: ExperimentConfig) -> dict:
             raise ConfigError(f"$.dataset.{key}", str(exc)) from exc
         if config.task == "recsys" and graph.bipartite is None:
             raise ConfigError("$.dataset.edges", "a recsys edge file needs a '%bipartite' line")
+        if graph.features is not None and not config.model["featureless"]:
+            try:  # the features' width is the encoder's input_dim
+                check_bounds(graph.features.shape[1],
+                             EncoderConfig.__dataclass_fields__["input_dim"].metadata)
+            except ValueError as exc:
+                raise ConfigError("$.dataset.features",
+                                  f"its feature width is the model's input_dim, which {exc}"
+                                  ) from exc
     return _write_output(config, "dataset.json", None, {
         "task": config.task, "dataset": dict(dataset), "paths": paths,
         "num_nodes": graph.num_nodes, "num_edges": graph.num_edges})

@@ -63,7 +63,9 @@ def recall_per_source_set_algebra(score_fn, sources, positives, pool, k=50, excl
 
 
 def fresh_ranking_score_fn(model, embeddings):
-    """Reference oracle: the scorer that allocated every intermediate per call."""
+    """Reference oracle: the scorer's arithmetic with every operand and
+    intermediate allocated per call (link: the head over every embedding
+    row, with ``b1`` folded into the product, then the candidates' entries)."""
     if model.task == "link":
         w1 = model.params["head.w1"].value
         b1 = model.params["head.b1"].value
@@ -71,13 +73,31 @@ def fresh_ranking_score_fn(model, embeddings):
         b2 = model.params["head.b2"].value
 
         def score(source, candidates):
-            had = embeddings[source] * embeddings[candidates]
-            h = np.maximum(had @ w1 + b1, 0.0)
-            return (h @ w2 + b2).ravel()
+            rows = np.hstack([embeddings, np.ones((embeddings.shape[0], 1))])
+            folded = np.vstack([embeddings[source][:, None] * w1, b1[None, :]])
+            h = np.maximum(rows @ folded, 0.0)
+            return (h @ w2)[candidates, 0] + b2
 
         return score
     return lambda source, candidates: (
         embeddings[source] * embeddings[candidates]).sum(axis=1)
+
+
+def gathered_link_score_fn(model, embeddings):
+    """Reference oracle: the link scorer of ``NUMERICS`` 0, kept verbatim,
+    which ran the head on the gathered candidate rows only (the training-side
+    ``score_pairs`` arithmetic)."""
+    w1 = model.params["head.w1"].value
+    b1 = model.params["head.b1"].value
+    w2 = model.params["head.w2"].value
+    b2 = model.params["head.b2"].value
+
+    def score(source, candidates):
+        had = embeddings[source] * embeddings[candidates]
+        h = np.maximum(had @ w1 + b1, 0.0)
+        return (h @ w2 + b2).ravel()
+
+    return score
 
 
 def positives_from_edges_loop(edges, both_directions=True):
@@ -591,3 +611,45 @@ class TestBufferedScorerAgainstFreshScorer:
         wrapped = np.array([-1, -n, 3, n - 1])  # negative ids index from the end, as before
         want = fresh_ranking_score_fn(model, emb)(1, wrapped)
         assert score(1, wrapped).tobytes() == want.tobytes()
+
+
+def _candidate_lists(rng, n, pool):
+    """Candidate lists of one source: the pool, a random subset of it
+    (shuffled and sorted), repeated ids, wrapped negative ids, and more ids
+    than embedding rows."""
+    subset = rng.choice(pool, size=int(rng.integers(1, pool.size)), replace=False)
+    return [pool, subset, np.sort(subset), np.repeat(subset[:5], 3), subset - n,
+            rng.integers(-n, n, size=n + 7)]
+
+
+class TestScoresAreCandidateIndependent:
+    @pytest.mark.parametrize("fixture", [_link_scorer_fixture, _recsys_scorer_fixture],
+                             ids=["link", "recsys"])
+    def test_each_score_is_the_entry_of_every_rows_scores(self, fixture):
+        """``score(s, c)`` is ``score(s, arange(n))[c]`` byte for byte: a
+        pair's score does not depend on which candidates were asked for."""
+        model, emb, _, pool, sources = fixture()
+        n = emb.shape[0]
+        score = ranking_score_fn(model, emb)
+        rng = np.random.default_rng(12)
+        for s in sources:
+            every = score(int(s), np.arange(n))
+            for candidates in _candidate_lists(rng, n, pool):
+                assert score(int(s), candidates).tobytes() == every[candidates].tobytes()
+
+
+class TestLinkScorerAgainstGatheredHead:
+    def test_within_1e_12_relative(self):
+        """The folded link scorer against the arithmetic it replaced, over
+        every source of the fixture and several candidate lists each, with
+        nonzero biases so that folding ``b1`` into the product is exercised."""
+        model, emb, _, pool, sources = _link_scorer_fixture()
+        rng = np.random.default_rng(13)
+        for name in ("head.b1", "head.b2"):
+            model.params[name].value[...] = rng.standard_normal(model.params[name].value.shape)
+        score, oracle = ranking_score_fn(model, emb), gathered_link_score_fn(model, emb)
+        for s in sources:
+            for candidates in _candidate_lists(rng, emb.shape[0], pool):
+                got, want = score(int(s), candidates), oracle(int(s), candidates)
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())

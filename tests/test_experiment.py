@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailkit import experiment, theory, training
+from tailkit import NUMERICS, experiment, theory, training
 from tailkit.cli import main
 from tailkit.data import (SplitBundle, make_classification_bundle, save_edge_list,
                           save_features, save_labels)
@@ -605,7 +605,7 @@ class TestStages:
                 "58ac1c81f3d688bba7b47afc4236999d0dc74621fca191c67ae6c1706983572b",
             "models/tuneup.json":
                 "c7e3afbab3800c7bc3b6b0e42afc0fcff3ce4db9cce46a2c96c6829cdf90586b",
-            "train.json": "fda99b23294929cc031bc4b8aeebdbdff68c4a5732626a7ec7c3eb6340bcd845",
+            "train.json": "92f1cd4cad9e50d6520e3c48f347892df2e4882f96d0cfa14182bf2842b014ee",
         }),
         ("link", {
             "model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8},
@@ -623,7 +623,7 @@ class TestStages:
                 "526a60076f3655ecee6fea0ff68a34db97548191c98cb2a9d90cf2ab4d49c6f3",
             "models/tuneup.json":
                 "1e867ad8a07466689b19c930125615475c1384bac38b66925e98e816dd81813d",
-            "train.json": "5180efef491891d86a4150f560da429da6c2eac1de0410be373ea805fbedc865",
+            "train.json": "50c6cf2de37fc1dc5ab7549d03a88091b5d8b3ec21f900dd3346e938277cc461",
         }),
     ])
     def test_training_digests_are_pinned(self, tmp_path, task, overrides, digests):
@@ -641,18 +641,18 @@ class TestStages:
 
     @pytest.mark.parametrize("task,overrides,digests", [
         ("classification", {}, {
-            "0/eval.json": "b9468c70b7050dd7208a86469a118e9ea66fc3364f447d80db5490415e40e398",
-            "1/eval.json": "61e772c5523efc599b3424b8edb73ea8365fc103d1df245a02e495e34ce41e8c",
+            "0/eval.json": "31895844916ac9a4d782719b338f44a6602f3c09a324b40834cde4bb60ddb74f",
+            "1/eval.json": "819ca87b904cc1cbe9d06e777fc43c6d45229ebd45315b7f9564e0bebb22d54e",
             "report.csv": "6171f3a7cac37d225abb0aa29f3d25a164b2c803aa21046ff50397fd99bd5888",
         }),
         ("link", {"model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8}}, {
-            "0/eval.json": "b0b018be25995d0f461ac474a33e5878f6bf477018487c18026d4d936f6703a7",
-            "1/eval.json": "61acc0826824b2d0d1854cd22e49051efb49ccbedf35c822343a069166784185",
+            "0/eval.json": "fdafcd43ddff36a976c51637c2166412b38460e26b98933568e0fa7f32492f52",
+            "1/eval.json": "b17914f8d3285fdb0aaa1106416a0018ccffc29650ab046b42dcde295b852884",
             "report.csv": "8d5f599934842ece8792939da6fc2355659b8b8c1aef9d883b2ef5d1f40862c4",
         }),
         ("recsys", {"dataset": {"num_users": 30, "num_items": 20}}, {
-            "0/eval.json": "3487ff23a93520af762de3a92a9d3bb0ca2c397796222745890af72f220c2bca",
-            "1/eval.json": "3c5ed93b6447fdb9b43c8178c66035a48bffe31b1eeffd56c68e144be686bcef",
+            "0/eval.json": "cb4b1592b04b22520a6fb806526c28149b9d8e0767b14e54b47799a6054800b5",
+            "1/eval.json": "fd8319cbab51cd9ffc1327611ac94a9595d7f9a722585b7d36d000519683e886",
             "report.csv": "98a32b6e6dcae105e074a8909d7757f6ec8b3425c5315e13c642bbd4c3ee1883",
         }),
     ])
@@ -1488,6 +1488,63 @@ class TestCli:
         assert self.run_cli("train", "--config", str(cfg_path)) == 2
         assert ("config error: $.model.featureless: dataset has no node features"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("featureless,code", [(False, 2), (True, 0)])
+    def test_file_features_wider_than_the_input_bound_stop_generate(self, tmp_path, capsys,
+                                                                    featureless, code):
+        """More feature columns than ``input_dim`` may have (2**16) exit 2 at
+        ``generate``, naming ``$.dataset.features``; a featureless model
+        does not take them as its input, so its dataset passes."""
+        cfg_path = files_config(tmp_path, seeds=[0], model={"featureless": featureless})
+        payload = json.loads(cfg_path.read_text())
+        payload["dataset"]["features"] = str(tmp_path / "wide.npy")
+        np.save(payload["dataset"]["features"], np.zeros((40, 2**16 + 1)))
+        cfg_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self.run_cli("generate", "--config", str(cfg_path)) == code
+        if code:
+            assert ("config error: $.dataset.features: its feature width is the model's "
+                    "input_dim, which must be <= 65536, got 65537") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,owner,consumer", [
+        ("dataset.json", "generate", "split"),
+        ("0/split.json", "split", "train"),
+        ("0/train.json", "train", "eval"),
+        ("0/eval.json", "eval", "report"),
+        ("theory.json", "theory", None),
+        ("report.json", "report", None),
+    ])
+    def test_output_of_another_numerics_exits_3_and_is_rewritten(self, tmp_path, capsys,
+                                                                 name, owner, consumer):
+        """A stage output recorded under another ``NUMERICS``, or none, makes
+        the next stage exit 3 naming the stage that owns it, which
+        recomputes it byte for byte."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(classification_payload(
+            tmp_path, seeds=[0], settings=["transductive"],
+            theory={"N": 500, "T": 120, "R": 100, "m": 20, "d": 4, "trials": 2})))
+        for command in ("generate", "split", "train", "eval", "theory", "report"):
+            assert self.run_cli(command, "--config", str(cfg_path)) == 0
+        target = load_config(cfg_path).run_dir / name
+        intact = target.read_bytes()
+        assert json.loads(intact)["numerics"] == NUMERICS
+        for numerics in (None, 0, NUMERICS + 1, float(NUMERICS), True, str(NUMERICS)):
+            payload = json.loads(intact)
+            if numerics is None:
+                del payload["numerics"]
+            else:
+                payload["numerics"] = numerics
+            write_json(target, payload)
+            capsys.readouterr()
+            if consumer is not None:
+                assert self.run_cli(consumer, "--config", str(cfg_path)) == 3
+                assert (f"missing input: {target} was computed under numerics {numerics!r}, "
+                        f"not {NUMERICS}; rerun the {owner!r} stage"
+                        ) in capsys.readouterr().err
+            assert self.run_cli(owner, "--config", str(cfg_path)) == 0
+            assert target.read_bytes() == intact
+        if consumer is not None:
+            assert self.run_cli(consumer, "--config", str(cfg_path)) == 0
 
     def test_report_without_a_run_directory_or_config_exits_3(self, capsys):
         assert self.run_cli("report") == 3
