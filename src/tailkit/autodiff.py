@@ -2,10 +2,14 @@
 
 A ``Tape`` records every op executed inside its ``with`` block whose inputs
 require gradients; ``Tape.backward(loss)`` walks the records in reverse,
-accumulating vector-Jacobian products into ``Tensor.grad``. Tensors are rank
-<= 2 and float64 throughout; running ops outside any tape computes values only
-(cheap inference mode). A tape and its tensors belong to one thread of
-execution; nothing here is shared or locked.
+accumulating vector-Jacobian products into ``Tensor.grad``. A tape is
+single-use: backward consumes each record as it goes, dropping the op's vjp
+closures (and the forward arrays they saved) and the gradient of its output,
+so only leaf tensors (those no op under the tape produced, such as
+parameters) keep ``.grad`` and the tape is empty when backward returns.
+Tensors are rank <= 2 and float64 throughout; running ops outside any tape
+computes values only (cheap inference mode). A tape and its tensors belong to
+one thread of execution; nothing here is shared or locked.
 """
 from __future__ import annotations
 
@@ -76,10 +80,15 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Wengert list of executed ops, in execution (= topological) order."""
+    """Wengert list of executed ops, in execution (= topological) order.
+
+    Single-use: :meth:`backward` consumes the records, and a second call
+    raises.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -93,20 +102,28 @@ class Tape:
         self._records.append((out, vjps))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(input) into every reachable tensor's ``.grad``.
+        """Accumulate d(loss)/d(leaf) into every reachable leaf tensor's ``.grad``.
 
         ``loss`` must be a scalar produced under this tape. Each record is
-        visited exactly once, in reverse execution order.
+        popped in reverse execution order and its output's gradient taken
+        and reset to ``None`` before its vjps run, so the op's saved arrays
+        are freed as the walk passes them. Only leaves (tensors no op under
+        this tape produced) keep what accumulates in ``.grad``; the tape is
+        empty afterwards and cannot run backward again.
         """
+        if self._consumed:
+            raise AutodiffError("this tape's backward already ran; a tape is single-use")
         if not self._records:
             raise AutodiffError("backward called before any op ran under this tape")
         if not any(out is loss for out, _ in reversed(self._records)):
             raise AutodiffError("loss tensor was not produced under this tape")
         if loss.value.size != 1:
             raise AutodiffError(f"loss must be scalar, got shape {loss.value.shape}")
+        self._consumed = True
         loss.grad = np.ones_like(loss.value)
-        for out, vjps in reversed(self._records):
-            upstream = out.grad
+        while self._records:
+            out, vjps = self._records.pop()
+            upstream, out.grad = out.grad, None
             if upstream is None:
                 continue
             for inp, vjp in vjps:

@@ -1,6 +1,8 @@
 """Tape engine: op values, gradients vs central finite differences, Adam, determinism."""
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -537,6 +539,36 @@ class TestTape:
             out = ad.relu(x)
             with pytest.raises(ad.AutodiffError, match="scalar"):
                 tape.backward(out)
+
+    def test_second_backward_rejected(self):
+        x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.mean_all(ad.relu(x))
+        tape.backward(loss)
+        grad = x.grad.copy()
+        with pytest.raises(ad.AutodiffError, match="backward already ran"):
+            tape.backward(loss)
+        assert x.grad.tobytes() == grad.tobytes()
+
+    def test_each_record_is_freed_before_earlier_vjps_run(self):
+        x = ad.Tensor(np.random.default_rng(4).normal(size=(50, 4)), requires_grad=True)
+        with ad.Tape() as tape:
+            h = ad.relu(x)
+            loss = ad.mean_all(ad.relu(ad.scale(h, 2.0)))
+        # the outputs of every op after the first, but the loss the caller holds
+        later = [weakref.ref(out.value) for out, _ in tape._records[1:-1]]
+        first, [(inp, vjp)] = tape._records[0]
+        alive = []
+
+        def watched(u):
+            alive.extend(r() is not None for r in later)
+            return vjp(u)
+
+        tape._records[0] = (first, [(inp, watched)])
+        del h, first
+        tape.backward(loss)
+        assert len(alive) == len(later) == 2 and not any(alive)
+        assert loss.grad is None and x.grad is not None
 
     def test_grad_accumulates_across_backwards(self):
         x = ad.Tensor([[2.0]], requires_grad=True)

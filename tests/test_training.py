@@ -1,5 +1,6 @@
 """Training loops: convergence, determinism, curriculum structure, ablations."""
 import json
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -12,8 +13,8 @@ from tailkit.autodiff import AdamState, Tape
 from tailkit.data import make_classification_bundle, make_link_bundle, make_recsys_bundle
 from tailkit.evaluation import predict_classes, validation_metric
 from tailkit.generators import generate_bipartite, generate_scale_free
-from tailkit.graph import LabelSet, build_graph
-from tailkit.losses import SupervisionSet, cross_entropy
+from tailkit.graph import LabelSet, build_graph, drop_edges
+from tailkit.losses import SupervisionSet, cross_entropy, sample_negatives
 from tailkit.models import EncoderConfig, classify_embeddings, encode, init_model, save_model
 from tailkit.training import (
     METHODS,
@@ -619,3 +620,88 @@ class TestOperatorReuse:
         assert len({id(g) for g in first_layer}) == len(first_layer)
         stage1 = shared["base"][1].stages[0]
         assert len(later_layers) > stage1.epochs_run + finetune.epochs_run
+
+
+def backward_walk_reference(tape, loss):
+    """Reference oracle: the non-consuming walk that ``Tape.backward`` replaced.
+
+    It leaves every record on the tape and every op output's ``.grad`` set.
+    """
+    loss.grad = np.ones_like(loss.value)
+    for out, vjps in reversed(tape._records):
+        upstream = out.grad
+        if upstream is None:
+            continue
+        for inp, vjp in vjps:
+            g = vjp(upstream)
+            assert g.shape == inp.value.shape
+            if inp.grad is None:
+                inp.grad = g.copy() if g.base is not None or g is upstream else g
+            else:
+                inp.grad = inp.grad + g
+
+
+UPDATE_CASES = [(variant, task) for task in ("classification", "link")
+                for variant in ("gcn", "gat", "sage-max", "sage-mean")]
+
+
+def update_case(variant, task, seed=31):
+    """(model, training graph, supervision, config) of a small ``task`` instance;
+    the config's l2 term makes the embeddings feed two ops."""
+    graph, labels = generate_scale_free(120, 2, feat_dim=4, seed=seed)
+    encoder = EncoderConfig(variant, 4, 8, 8, num_layers=2)
+    if task == "classification":
+        ls = make_classification_bundle(graph, labels, seed=seed).label_set
+        sup = SupervisionSet.classification(
+            ls.train_labeled, ls.labels[ls.train_labeled], 2, graph.num_nodes)
+        model = init_model(encoder, task, num_classes=2, seed=seed)
+    else:
+        graph = make_link_bundle(graph, seed=seed).train_graph
+        sup = SupervisionSet.ranking(task, graph)
+        model = init_model(encoder, task, seed=seed)
+    return model, graph, sup, TrainConfig(task, l2_weight=1e-3, seed=seed)
+
+
+class TestBackwardAgainstNonConsumingWalk:
+    @pytest.mark.parametrize("variant, task", UPDATE_CASES)
+    def test_one_update_bitwise(self, monkeypatch, variant, task):
+        # mode "both" sums the losses on the intact and an edge-dropped graph
+        model, graph, sup, cfg = update_case(variant, task)
+        reference, consumed = model.copy(), model.copy()
+        stage = dict(name="both", stage_index=1, epochs=1, lr=0.01, mode="both")
+        with monkeypatch.context() as patched:
+            patched.setattr(Tape, "backward", backward_walk_reference)
+            training._run_stage(reference, graph, sup, cfg, **stage)
+        training._run_stage(consumed, graph, sup, cfg, **stage)
+        for name, p in reference.params.items():
+            assert p.grad is not None, name
+            assert consumed.params[name].grad.tobytes() == p.grad.tobytes(), name
+        assert param_bytes(consumed) == param_bytes(reference)
+
+
+class TestBackwardReleases:
+    @pytest.mark.parametrize("variant, task", UPDATE_CASES)
+    def test_tape_and_op_outputs_released(self, monkeypatch, variant, task):
+        model, graph, sup, cfg = update_case(variant, task)
+        dropped = drop_edges(graph, cfg.alpha, seed=5)
+        negatives = None
+        if task != "classification":
+            negatives = sample_negatives(sup, sup.positive_pairs[:, 0], 6)
+        relu, relu_values = ad.relu, []
+
+        def watched_relu(x):
+            out = relu(x)
+            relu_values.append(weakref.ref(out.value))
+            return out
+
+        monkeypatch.setattr(ad, "relu", watched_relu)
+        with Tape() as tape:
+            loss = training._task_loss(model, dropped, sup, cfg, negatives)
+        outputs = [out for out, _ in tape._records]
+        tape.backward(loss)
+        assert tape._records == []
+        assert all(out.grad is None for out in outputs)
+        assert all(p.grad is not None for p in model.parameters())
+        assert relu_values and all(r() is not None for r in relu_values)
+        del outputs
+        assert not any(r() is not None for r in relu_values)
