@@ -15,6 +15,7 @@ and degree bucket.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -771,6 +772,36 @@ def _make_supervision(config: ExperimentConfig, bundle: SplitBundle):
     return SupervisionSet.ranking(config.task, bundle.train_graph)
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed training arrays in the heap for reuse.
+
+    Every update builds and frees n x d activations and gradients. By default
+    glibc gives large freed blocks back to the kernel (an array above the
+    mmap threshold is unmapped, and so is a free heap top above the trim
+    threshold), so the next update faults the same pages in again. A fixed
+    16 MiB mmap threshold is above every array an update reallocates (20,000
+    x 64 floats are 10 MB), and a 64 MiB trim threshold keeps them mapped
+    (32 and 256 MiB raised a 20,000-node run's peak RSS by 3.8 MB).
+    The setting is process-wide and stays after the stage returns; the
+    library below this module leaves the allocator to its caller. Without
+    glibc's ``mallopt`` (another libc or platform), or if glibc refuses the
+    mmap threshold, this sets nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 16 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def cmd_train(config: ExperimentConfig) -> dict:
     """Train every configured method for every seed; returns {seed: summary}.
 
@@ -778,6 +809,7 @@ def cmd_train(config: ExperimentConfig) -> dict:
     the comparison isolates the training strategy, and methods with the same
     stage 1 share one run of it (``run_ablation``).
     """
+    _keep_freed_memory()
     _, graph, _ = _input(config, "dataset.json", None, config)
     results = {}
     for seed in config.seeds:
@@ -810,6 +842,7 @@ def cmd_train(config: ExperimentConfig) -> dict:
 
 def cmd_eval(config: ExperimentConfig) -> dict:
     """Evaluate every trained method on every setting; returns {seed: payload}."""
+    _keep_freed_memory()
     _, graph, _ = _input(config, "dataset.json", None, config)
     results = {}
     for seed in config.seeds:

@@ -1,4 +1,5 @@
 """Tests for the config schema, pipeline stages, report aggregation, and CLI."""
+import ctypes
 import dataclasses
 import hashlib
 import itertools
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -927,6 +929,89 @@ class TestReport:
         assert len(overall) == len(report["methods"])
         bucket_rows = [l for l in lines[1:] if ",bucket," in l]
         assert len(bucket_rows) == len(report["methods"]) * len(BUCKET_LABELS)
+
+
+class FakeMallopt:
+    """Stands in for ``ctypes.CDLL("libc.so.6").mallopt``."""
+
+    def __init__(self, returns=1):
+        self.calls = []
+        self.returns = returns
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.returns
+
+
+class Called(Exception):
+    pass
+
+
+def no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+# minor faults of four rounds of allocating, doubling and freeing a
+# 20,000 x 64 float array, after the process's allocator is set
+REUSE_FAULTS = """
+import resource
+import numpy as np
+from tailkit.experiment import _keep_freed_memory
+_keep_freed_memory()
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a = np.ones((20000, 64))
+    b = a * 2
+    del a, b
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+def has_mallopt() -> bool:
+    try:
+        ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+class TestAllocator:
+    @pytest.mark.parametrize("returns, calls", [
+        (1, [(-3, 16 << 20), (-1, 64 << 20)]),
+        (0, [(-3, 16 << 20)]),  # a refused mmap threshold sets nothing more
+    ], ids=["set", "refused"])
+    def test_sets_the_mmap_then_the_trim_threshold(self, monkeypatch, returns, calls):
+        mallopt = FakeMallopt(returns)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        experiment._keep_freed_memory()
+        assert mallopt.calls == calls
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    @pytest.mark.parametrize("cdll", [no_libc, lambda name: object()],
+                             ids=["no-libc", "no-mallopt"])
+    def test_without_mallopt_it_does_nothing(self, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        experiment._keep_freed_memory()
+
+    @pytest.mark.parametrize("stage", [cmd_train, cmd_eval], ids=["train", "eval"])
+    def test_stage_sets_it_before_reading_inputs(self, tmp_path, monkeypatch, stage):
+        def spy():
+            raise Called
+
+        monkeypatch.setattr(experiment, "_keep_freed_memory", spy)
+        with pytest.raises(Called):
+            stage(make_config(tmp_path))
+
+    @pytest.mark.skipif(not has_mallopt(), reason="needs glibc's mallopt")
+    def test_freed_arrays_are_reused_without_faults(self):
+        src = Path(experiment.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", REUSE_FAULTS], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)[1:] == [0, 0, 0]
 
 
 class TestDeterminism:
