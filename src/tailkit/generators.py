@@ -38,14 +38,11 @@ def generate_scale_free(
     fraction of nodes reassigned to a different class uniformly.
 
     Every draw returns what ``Generator.choice(i, p=w / w.sum())`` draws for
-    the same uniform (see :func:`_attach`), so the graph is bit-for-bit the
-    one ``choice`` draws, without its per-call validation. What stays
-    quadratic: a draw sums the ``i / 64`` block sums below node ``i``, so
-    drawing is still O(n²), with 1/64 of the full ``cumsum``'s work. What
-    costs O(i) per draw, as before: the first 2,048 nodes, where the full
-    ``cumsum`` is faster; every draw when ``community_bias`` lies outside
-    ``[2**-400, 2**400]``; and the rare draw whose uniform falls within a
-    proven rounding bound of a boundary (:func:`_block_draw`).
+    the same uniform (:func:`_attach`), so the graph is bit-for-bit the one
+    ``choice`` draws, without its per-call validation, and in O(n log n) from
+    exact integer prefix sums. A draw costs O(i) only when ``community_bias``
+    lies outside ``[2**-400, 2**400]``, or in the rare case that its uniform
+    falls within a proven rounding bound of a boundary.
     """
     if m_attach < 1 or n <= m_attach:
         raise GraphError(f"need n > m_attach >= 1, got n={n}, m_attach={m_attach}")
@@ -82,72 +79,130 @@ def generate_scale_free(
     return graph, LabelSet(labels, num_classes)
 
 
-# Draws are located from sums of blocks of this many weights.
-_BLOCK = 64
-# Below this node the full cumsum is faster than the block sums and their
-# upkeep: of crossovers from 0 to 4,096, this one drew n=4,000 and n=8,000
-# graphs fastest.
-_CROSSOVER = 2048
-# Twice float64's unit roundoff: _block_draw's margin is twice the rounding
-# bound it has to cover.
+# Twice float64's unit roundoff, the unit of _Weights.draw's margin.
 _EPS = 2.0 ** -52
 # A bias in this range keeps every weight and every w / total normal and far
-# from overflow, as _block_draw's rounding bound assumes.
+# from overflow, as _Weights.draw's rounding bound assumes.
 _BIAS_RANGE = (2.0 ** -400, 2.0 ** 400)
 
 
 def _attach(rng, communities, m_attach: int, community_bias: float) -> np.ndarray:
     """The ``(target, node)`` edges of preferential attachment, node by node.
 
-    ``tables[c, t]`` is always ``(deg[t] + 1.0) * (community_bias if
-    communities[t] == c else 1.0)``, the weight of target ``t`` for a node of
-    community ``c``; after each node only the entries whose degree changed are
-    recomputed. A target already drawn for the node is zeroed in place (and
-    restored by that recomputation), so the ``m_attach`` targets are distinct.
-    Each draw takes one ``rng.random()`` and returns the index
-    ``Generator.choice(i, p=w / total)`` returns for it (:func:`_draw`).
-
-    From node ``_CROSSOVER`` on (if ``community_bias`` lies in
-    ``_BIAS_RANGE``), ``sums[c, b]`` is the ``np.sum`` of block ``b`` of
-    ``tables[c]``, recomputed for every block whose weights changed, and a
-    draw is located from them (:func:`_block_draw`), which runs
-    :func:`_draw` only for a draw it cannot prove equal to :func:`_draw`'s.
+    Node ``i`` of community ``c`` draws each target from ``w``: ``deg + 1`` of
+    every earlier node, times ``community_bias`` on ``c``'s members, with the
+    targets drawn for ``i`` so far at 0, so they are distinct. Each draw
+    returns the index ``Generator.choice(i, p=w / w.sum())`` returns for its
+    uniform (:meth:`_Weights.draw`). The uniforms are drawn at once: the same
+    doubles, and the same generator state after, as one ``rng.random()`` each.
     """
     n = communities.shape[0]
-    num_blocks = -(-n // _BLOCK)
-    factors = np.where(communities == np.arange(communities.max() + 1)[:, None],
-                       community_bias, 1.0)
-    tables = np.zeros((factors.shape[0], num_blocks * _BLOCK))
-    tables[:, :n] = factors  # every degree is 0, and (0 + 1.0) * factor == factor
-    blocks = tables.reshape(factors.shape[0], num_blocks, _BLOCK)
-    sums = None
-    start = (max(_CROSSOVER, m_attach)
-             if _BIAS_RANGE[0] <= community_bias <= _BIAS_RANGE[1] else n)
-    deg = np.zeros(n, dtype=np.int64)
+    weights = _Weights(communities, float(community_bias))
+    for t in range(m_attach):
+        weights.add(t, 1)
+    uniforms = iter(rng.random((n - m_attach) * m_attach).tolist())
     edges = np.empty((n - m_attach, m_attach, 2), dtype=np.int64)
     edges[:, :, 1] = np.arange(m_attach, n)[:, None]
-    touched = np.empty(m_attach + 1, dtype=np.int64)
+    comm, weight, add, draw = weights.comm, weights.weight, weights.add, weights.draw
+    drawn = [0] * m_attach
     for i in range(m_attach, n):
-        if i == start:
-            sums = blocks.sum(axis=2)
-        c = communities[i]
-        w = tables[c, :i]
+        c = comm[i]
         chosen = edges[i - m_attach, :, 0]
         for j in range(m_attach):
-            u = rng.random()
-            chosen[j] = _draw(w, u) if sums is None else _block_draw(w, sums[c], u)
-            w[chosen[j]] = 0.0
-            if sums is not None and j + 1 < m_attach:  # the next draw skips it
-                b = chosen[j] // _BLOCK
-                sums[c, b] = blocks[c, b].sum()
-        deg[chosen] += 1
-        deg[i] += m_attach
-        touched[:m_attach], touched[m_attach] = chosen, i
-        tables[:, touched] = (deg[touched] + 1.0) * factors[:, touched]
-        if sums is not None:
-            b = touched // _BLOCK
-            sums[:, b] = blocks[:, b].sum(axis=2)
+            k = chosen[j] = draw(c, i, next(uniforms))
+            drawn[j] = weight[k]
+            if j + 1 < m_attach:  # out until the degree update, one higher
+                add(k, -drawn[j])
+        for k, w in zip(chosen.tolist(), drawn):
+            add(k, w + 1 - weight[k])
+        add(i, m_attach + 1)
     return edges.reshape(-1, 2)
+
+
+class _Weights:
+    """Attachment weights as exact Python ints: ``weight[t]`` is node ``t``'s,
+    ``tree`` a Fenwick (binary indexed) tree of their prefix sums, and
+    ``trees[c]`` one over community ``c``'s members alone. A prefix sum and a
+    weight update each take O(log n)."""
+
+    def __init__(self, communities, bias: float):
+        self.communities, self.comm, self.bias = communities, communities.tolist(), bias
+        self.size = 1 << (communities.shape[0] - 1).bit_length()  # a power of two >= n
+        self.weight = [0] * communities.shape[0]
+        self.tree = [0] * (self.size + 1)
+        self.trees = [[0] * (self.size + 1) for _ in range(communities.max() + 1)]
+
+    def add(self, t: int, x: int) -> None:
+        """Add ``x`` to node ``t``'s weight."""
+        self.weight[t] += x
+        tree, ctree, size = self.tree, self.trees[self.comm[t]], self.size
+        t += 1
+        while t <= size:
+            tree[t] += x
+            ctree[t] += x
+            t += t & -t
+
+    def draw(self, c: int, i: int, u: float) -> int:
+        """The index ``_draw(w, u)`` returns for ``w``, the first ``i``
+        weights times the bias on community ``c``'s members, located by one
+        O(log n) descent over ``tree`` and ``trees[c]``; ``_draw``'s own where
+        rounding could make the two differ, or the bias is outside
+        ``_BIAS_RANGE``.
+
+        Let ``C_k`` be the sum of ``trees[c]`` up to index ``k``, ``D_k`` that
+        of ``tree``, ``N_k = D_k - C_k``, ``W_k = N_k + bias * C_k`` (the
+        exact sum of ``w[:k + 1]``) and ``W = W_(i-1)``. The descent finds the
+        ``k`` with ``S~_(k-1) <= target < S~_k``, for ``S~_k = fl(N_k +
+        fl(bias * C_k))`` (monotone in ``k``), ``total = S~_(i-1)`` and
+        ``target = fl(u * total)``. Why accepting ``k`` only when ``S~_k -
+        target`` and ``target - S~_(k-1)`` both exceed ``margin`` gives
+        ``_draw``'s index, with ``eps`` float64's unit roundoff and ``g(n) = n
+        eps / (1 - n eps)``:
+
+        1. ``_draw`` returns the ``k`` with ``cdf[k - 1] <= u < cdf[k]``. Each
+           ``w_t / total`` carries one rounding, the sequential ``cumsum`` up
+           to ``k`` more, and the division by the last entry (``i``
+           roundings) one more and cancels ``total``; so ``|cdf[k] - W_k / W|
+           <= g(2i + 2)``.
+        2. ``N_k``, ``C_k`` and the totals are exact integers below 2**53:
+           all weights sum to ``n + 2 m (n - m) <= n + n**2 / 2``, and the
+           config caps ``num_nodes`` at 2**24. So each converts to float
+           exactly, and the only roundings are two in each ``S~_k`` and one in
+           ``target``. Both terms of ``S~_k`` are nonnegative, and with the
+           bias in ``_BIAS_RANGE`` ``bias * C_k`` is 0 or normal; so ``|S~_k
+           - W_k| <= g(2) W_k``, and ``|target - u W| <= g(3) W``. (Past ``n
+           = 2**26`` each conversion adds a rounding, which the margin covers.)
+        3. If both differences exceed ``(g(2) + g(3) + g(2i + 2)) W``, then
+           ``W_(k-1) / W + g(2i + 2) < u < W_k / W - g(2i + 2)``, so
+           ``cdf[k - 1] < u < cdf[k]`` by 1, and ``_draw`` returns ``k``.
+           ``margin = (2i + 16) * 2 * _EPS * total`` is over four times that
+           bound, which covers ``g(n)`` against ``n eps``, ``total`` against
+           ``W``, and the roundings of the two differences and of ``margin``.
+
+        A uniform this close to a boundary is rare (about ``i * 2 margin /
+        total`` per draw, below 1e-6 at ``i = 20,000``).
+        """
+        bias, step = self.bias, self.size
+        if _BIAS_RANGE[0] <= bias <= _BIAS_RANGE[1]:
+            tree, ctree = self.tree, self.trees[c]
+            total = (tree[step] - ctree[step]) + bias * ctree[step]
+            target = u * total
+            k = d = dc = 0
+            while step > 1:
+                step >>= 1
+                nd, nc = d + tree[k + step], dc + ctree[k + step]
+                if (nd - nc) + bias * nc <= target:
+                    k, d, dc = k + step, nd, nc
+            if k < i:  # else target >= total
+                margin = (2 * i + 16) * 2 * _EPS * total
+                wk = self.weight[k]
+                nc = dc + wk if self.comm[k] == c else dc
+                if ((d + wk - nc) + bias * nc - target > margin
+                        and target - ((d - dc) + bias * dc) > margin):
+                    return k
+        w = np.array(self.weight[:i], dtype=np.float64)
+        w[self.communities[:i] == c] *= bias
+        return _draw(w, u)
 
 
 def _draw(w, u: float) -> int:
@@ -160,61 +215,6 @@ def _draw(w, u: float) -> int:
     cdf = (w / total).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(u, side="right")
-
-
-def _block_draw(w, sums, u: float) -> int:
-    """The index ``_draw(w, u)`` returns, found from ``sums`` (the sums of
-    ``w``'s blocks of ``_BLOCK`` weights) in O(i / _BLOCK + _BLOCK); where
-    rounding could make the two differ, ``_draw(w, u)`` itself.
-
-    ``S~_k``, the computed sum of ``w`` up to index ``k``, is built from the
-    sums of the full blocks below ``k``'s block and a ``cumsum`` inside it;
-    ``target = u * total`` is searched for among them. Why accepting ``k`` only when
-    ``S~_k - target`` and ``target - S~_(k-1)`` both exceed ``margin`` gives
-    ``_draw``'s index: let ``W_k`` be the exact sum of ``w[:k + 1]``, ``W =
-    W_(i-1)``, ``eps`` float64's unit roundoff and ``g(n) = n eps / (1 - n
-    eps)``. All weights are nonnegative, and with the bias in ``_BIAS_RANGE``
-    every weight and every ``w / total`` is normal, so each rounding is
-    relative.
-
-    1. ``_draw`` returns the ``k`` with ``cdf[k - 1] <= u < cdf[k]``. Each
-       ``w_t / total`` carries one rounding, the sequential ``cumsum`` up to
-       ``k`` more, and the division by the last entry (``i`` roundings) one
-       more and cancels ``total``; so ``cdf[k] = (W_k / W)(1 + theta)`` with
-       ``|theta| <= g(2i + 1)``, and ``|cdf[k] - W_k / W| <= g(2i + 2)``.
-    2. A weight of a full block below ``k``'s block meets at most ``_BLOCK -
-       1`` roundings in its block sum, ``full`` in the ``cumsum`` over block
-       sums and one where that base is added; a weight of ``k``'s own block
-       (or of the partial tail, for ``total``) at most ``_BLOCK - 1`` in its
-       ``cumsum`` (or sum) and one more. So with ``m = _BLOCK + full + 1``,
-       every ``S~_k`` and ``total`` lie within ``g(m) W`` of ``W_k`` and
-       ``W``, and ``target`` within ``g(m + 1) W`` of ``u W``.
-    3. If both differences exceed ``(2 g(m + 1) + g(2i + 2)) W``, then
-       ``W_(k-1) / W + g(2i + 2) < u < W_k / W - g(2i + 2)``, so
-       ``cdf[k - 1] < u < cdf[k]`` by 1, and ``_draw`` returns ``k``.
-       ``margin = (2(m + 1) + 2i + 4) * 2 eps * total`` is twice that bound;
-       the factor 2 covers ``g(n)`` against ``n eps``, ``total`` against
-       ``W``, and the roundings of the two differences and of ``margin``.
-
-    A zero weight (a target already drawn) has ``S~_k == S~_(k-1)`` and is
-    never accepted. A uniform this close to a boundary is rare (about
-    ``i * 2 margin / total`` per draw, below 1e-6 at ``i = 20,000``).
-    """
-    i = w.shape[0]
-    full = i // _BLOCK
-    prefix = sums[:full].cumsum()
-    total = (prefix[-1] if full else 0.0) + w[full * _BLOCK:].sum()
-    target = u * total
-    b = prefix.searchsorted(target, side="right")
-    base = prefix[b - 1] if b else 0.0
-    seg = w[b * _BLOCK:(b + 1) * _BLOCK].cumsum()
-    seg += base
-    k = seg.searchsorted(target, side="right")
-    margin = (2 * (_BLOCK + full + i) + 8) * _EPS * total
-    if (k < seg.shape[0] and seg[k] - target > margin
-            and target - (seg[k - 1] if k else base) > margin):
-        return b * _BLOCK + k
-    return _draw(w, u)
 
 
 def generate_bipartite(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailkit import generators
 from tailkit.generators import generate_bipartite, generate_scale_free
@@ -69,12 +70,12 @@ ORACLE_GRID = [(m_attach, num_classes, bias) for m_attach in (1, 2, 3, 4)
                for num_classes in (2, 3, 5) for bias in (0.5, 1.0, 4.0)]
 
 
-def assert_same_attachment(seed, communities, m_attach, bias):
-    """``_attach`` and the cumsum oracle draw the same edges and leave their
+def assert_same_attachment(seed, communities, m_attach, bias, oracle=attach_cumsum_loop):
+    """``_attach`` and ``oracle`` draw the same edges and leave their
     generators in the same state."""
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     edges = generators._attach(rng, communities, m_attach, bias)
-    expected = attach_cumsum_loop(oracle_rng, communities, m_attach, bias)
+    expected = oracle(oracle_rng, communities, m_attach, bias)
     assert edges.dtype == expected.dtype
     assert edges.tobytes() == expected.tobytes()
     assert rng.random() == oracle_rng.random()
@@ -100,12 +101,31 @@ class TestAttachmentAgainstChoiceOracle:
     def test_same_edges_and_next_draw(self, m_attach, num_classes, bias):
         seed = 10 * m_attach + num_classes
         communities = np.random.default_rng(seed).integers(num_classes, size=300)
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        edges = generators._attach(rng, communities, m_attach, bias)
-        expected = attach_choice_loop(oracle_rng, communities, m_attach, bias)
-        assert edges.dtype == expected.dtype
-        assert edges.tobytes() == expected.tobytes()
-        assert rng.random() == oracle_rng.random()
+        assert_same_attachment(seed, communities, m_attach, bias, attach_choice_loop)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 40])
+    def test_one_attaching_node(self, n):
+        """``n = m_attach + 1``: the one attaching node draws every earlier node."""
+        communities = np.random.default_rng(n).integers(2, size=n)
+        assert_same_attachment(n, communities, n - 1, 4.0, attach_choice_loop)
+
+    @pytest.mark.parametrize("community", [0, 1])
+    def test_one_community_present(self, community):
+        communities = np.full(300, community)
+        assert_same_attachment(community, communities, 2, 4.0, attach_choice_loop)
+
+    @pytest.mark.parametrize("bias", [2.0 ** -399, 2.0 ** 399, 1e-100])
+    def test_bias_near_the_ends_of_its_range(self, bias):
+        communities = np.random.default_rng(9).integers(3, size=300)
+        assert_same_attachment(9, communities, 2, bias, attach_choice_loop)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 60),
+           st.integers(2, 5), st.floats(0.05, 20.0))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_any_small_graph(self, seed, m_attach, extra, num_classes, bias):
+        communities = np.random.default_rng(seed).integers(num_classes,
+                                                           size=m_attach + extra)
+        assert_same_attachment(seed, communities, m_attach, bias, attach_choice_loop)
 
     @pytest.mark.parametrize("n,m_attach,num_classes,bias,label_noise,seed", [
         *((150, m, c, b, 0.1, m + c) for m, c, b in ORACLE_GRID),
@@ -137,12 +157,11 @@ class TestAttachmentAgainstChoiceOracle:
             generate_scale_free(60, 2, community_bias=1e308)
 
 
-class TestBlockDrawsAgainstCumsumOracle:
-    """Draws located from block sums equal the full ``cumsum``'s bit for bit."""
+class TestTreeDrawsAgainstCumsumOracle:
+    """Draws located from the Fenwick trees equal the full ``cumsum``'s bit for bit."""
 
     @pytest.mark.parametrize("m_attach,num_classes,bias", ORACLE_GRID)
-    def test_every_draw_from_blocks(self, monkeypatch, m_attach, num_classes, bias):
-        monkeypatch.setattr(generators, "_CROSSOVER", 0)
+    def test_every_draw_from_trees(self, m_attach, num_classes, bias):
         seed = 10 * m_attach + num_classes
         communities = np.random.default_rng(seed).integers(num_classes, size=300)
         assert_same_attachment(seed, communities, m_attach, bias)
@@ -167,45 +186,50 @@ class TestBlockDrawsAgainstCumsumOracle:
         assert graph.features.tobytes() == oracle_graph.features.tobytes()
         assert labels.labels.tobytes() == oracle_labels.labels.tobytes()
 
+    def test_large_max_draws_rarely_fall_back(self, monkeypatch):
+        """Under 1 draw in 10,000 of the ``large-max`` graph runs ``_draw``."""
+        exact = counted(monkeypatch, "_draw")
+        generate_scale_free(20000, 2, feat_dim=16, num_classes=2, seed=0,
+                            separation=1.5, feature_noise=1.0, community_bias=4.0)
+        assert len(exact) < 2 * (20000 - 2) / 10_000
 
-def block_sums(w):
-    padded = np.zeros(-(-w.size // generators._BLOCK) * generators._BLOCK)
-    padded[:w.size] = w
-    return padded.reshape(-1, generators._BLOCK).sum(axis=1)
 
+class TestTreeDrawFallback:
+    """``_Weights.draw`` runs the exact draw wherever rounding could matter."""
 
-class TestBlockDrawFallback:
-    """``_block_draw`` runs the exact draw wherever rounding could matter."""
-
-    @pytest.fixture
-    def weights(self):
-        """Weights of 1,000 targets, their block sums and their exact CDF."""
+    @pytest.fixture(params=[0, 1])
+    def weights(self, request):
+        """The weights of 1,000 targets as node 1,000 of community ``c`` sees
+        them, and their exact CDF."""
+        c = request.param
         rng = np.random.default_rng(3)
-        w = (rng.integers(0, 40, size=1000) + 1.0) * np.where(rng.random(1000) < 0.5,
-                                                              4.0, 1.0)
-        w[[5, 64, 700]] = 0.0  # targets already drawn
+        communities = rng.integers(2, size=1001)
+        weights = generators._Weights(communities, 4.0)
+        for t, x in enumerate(rng.integers(0, 40, size=1000).tolist()):
+            if t not in (5, 64, 700):  # targets already drawn
+                weights.add(t, x + 1)
+        w = np.where(communities[:1000] == c, 4.0, 1.0) * weights.weight[:1000]
         cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
-        return w, block_sums(w), cdf
+        return lambda u: weights.draw(c, 1000, u), cdf
 
     def test_uniform_on_a_boundary(self, monkeypatch, weights):
-        w, sums, cdf = weights
+        draw, cdf = weights
         exact = counted(monkeypatch, "_draw")
         for k in (0, 4, 5, 63, 64, 127, 500, 998):
             for u in (np.nextafter(cdf[k], 0.0), cdf[k], np.nextafter(cdf[k], 1.0)):
                 exact.clear()
-                assert generators._block_draw(w, sums, u) == cdf.searchsorted(u, "right")
+                assert draw(float(u)) == cdf.searchsorted(u, "right")
                 assert len(exact) == 1
 
     def test_uniform_inside_an_interval(self, monkeypatch, weights):
-        w, sums, cdf = weights
+        draw, cdf = weights
         exact = counted(monkeypatch, "_draw")
-        for u in np.random.default_rng(0).random(500):
-            assert generators._block_draw(w, sums, u) == cdf.searchsorted(u, "right")
+        for u in np.random.default_rng(0).random(500).tolist():
+            assert draw(u) == cdf.searchsorted(u, "right")
         assert exact == []
 
     def test_huge_margin_makes_every_draw_exact(self, monkeypatch):
-        monkeypatch.setattr(generators, "_CROSSOVER", 0)
         monkeypatch.setattr(generators, "_EPS", 1.0)
         exact = counted(monkeypatch, "_draw")
         communities = np.random.default_rng(7).integers(3, size=300)
@@ -214,16 +238,10 @@ class TestBlockDrawFallback:
 
     @pytest.mark.parametrize("bias", [1e-200, 1e200])
     def test_extreme_bias_keeps_the_exact_path(self, monkeypatch, bias):
-        monkeypatch.setattr(generators, "_CROSSOVER", 0)
-        located = counted(monkeypatch, "_block_draw")
+        exact = counted(monkeypatch, "_draw")
         communities = np.random.default_rng(5).integers(2, size=300)
         assert_same_attachment(5, communities, 2, bias)
-        assert located == []
-
-    def test_weights_that_overflow_are_refused_at_any_crossover(self, monkeypatch):
-        monkeypatch.setattr(generators, "_CROSSOVER", 0)
-        with pytest.raises(GraphError, match="weights sum to inf"):
-            generate_scale_free(60, 2, community_bias=1e308)
+        assert len(exact) == 2 * (300 - 2)
 
 
 class TestScaleFree:
