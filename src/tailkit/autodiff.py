@@ -10,6 +10,10 @@ parameters) keep ``.grad`` and the tape is empty when backward returns.
 Tensors are rank <= 2 and float64 throughout; running ops outside any tape
 computes values only (cheap inference mode). A tape and its tensors belong to
 one thread of execution; nothing here is shared or locked.
+
+``dense`` is ``[parts...] @ w + b`` with an optional ReLU as one record, which
+sage layers and both task heads run through. It keeps only its output and,
+with the ReLU, a bool mask; backward reads the parts, ``w`` and that mask.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ __all__ = [
     "adam_step",
     "add",
     "add_bias",
-    "concat_cols",
+    "dense",
     "edge_spmm",
     "gather_rows",
     "hadamard",
@@ -107,7 +111,8 @@ class Tape:
         ``loss`` must be a scalar produced under this tape. Each record is
         popped in reverse execution order and its output's gradient taken
         and reset to ``None`` before its vjps run, so the op's saved arrays
-        are freed as the walk passes them. Only leaves (tensors no op under
+        are freed as the walk passes them; the walk holds no reference to
+        the output itself while they run. Only leaves (tensors no op under
         this tape produced) keep what accumulates in ``.grad``; the tape is
         empty afterwards and cannot run backward again.
         """
@@ -124,6 +129,7 @@ class Tape:
         while self._records:
             out, vjps = self._records.pop()
             upstream, out.grad = out.grad, None
+            del out  # what the vjps read of the output, they hold themselves
             if upstream is None:
                 continue
             for inp, vjp in vjps:
@@ -203,14 +209,62 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _apply(x.value * c, [(x, lambda u: u * c)])
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[0] != b.value.shape[0]:
-        raise AutodiffError(f"concat_cols shapes {a.value.shape} | {b.value.shape}")
-    ka = a.value.shape[1]
-    return _apply(
-        np.concatenate([a.value, b.value], axis=1),
-        [(a, lambda u: u[:, :ka]), (b, lambda u: u[:, ka:])],
-    )
+def dense(parts, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``[parts...] @ w + b`` (columns concatenated), then ReLU if ``relu``,
+    as one record that keeps only its output and, with ``relu``, a bool mask.
+
+    The concatenation lives only while a product needs it. The forward runs
+    one product over the full width, adds the bias in place and zeroes in
+    place, which gives the bits of ``np.where(x > 0, x, 0.0)``. Backward
+    rebuilds the concatenation for ``w``'s gradient and slices each part's
+    gradient from one full-width ``g @ w.T``. Products over a part's own
+    columns would differ in bits at some shapes, since BLAS picks its kernel
+    by shape; these match the concatenate, ``matmul``, ``add_bias`` and
+    ``relu`` chain bit for bit.
+    """
+    parts = list(parts)
+    widths = [p.value.shape[1] if p.value.ndim == 2 else -1 for p in parts]
+    if (not parts or min(widths) < 0
+            or any(p.value.shape[0] != parts[0].value.shape[0] for p in parts)
+            or w.value.ndim != 2 or w.value.shape[0] != sum(widths)
+            or b.value.shape != w.value.shape[1:]):
+        raise AutodiffError(
+            f"dense shapes {[p.value.shape for p in parts]} @ {w.value.shape} + {b.value.shape}"
+        )
+
+    def concat():
+        if len(parts) == 1:
+            return parts[0].value
+        return np.concatenate([p.value for p in parts], axis=1)
+
+    value = concat() @ w.value
+    value += b.value
+    mask = None
+    if relu:
+        mask = value > 0
+        np.copyto(value, 0.0, where=~mask)
+    # per upstream u: u through the mask, and the full-width input gradient
+    memo = {}
+
+    def through(u):
+        if memo.get("u") is not u:
+            memo.clear()
+            memo.update(u=u, g=u if mask is None else u * mask)
+        return memo["g"]
+
+    def part_grad(u, cols):
+        g = through(u)
+        if "x" not in memo:
+            memo["x"] = g @ w.value.T
+        # a copy, not a view that would keep the full product alive
+        return memo["x"] if len(parts) == 1 else memo["x"][:, cols].copy()
+
+    bounds = np.cumsum([0] + widths).tolist()
+    # w's gradient first, so its concatenation is freed before part_grad's product
+    vjps = [(w, lambda u: concat().T @ through(u)), (b, lambda u: through(u).sum(axis=0))]
+    vjps += [(p, lambda u, cols=slice(lo, hi): part_grad(u, cols))
+             for p, lo, hi in zip(parts, bounds, bounds[1:])]
+    return _apply(value, vjps)
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:

@@ -11,6 +11,11 @@ Heads: a linear + log-softmax classifier, a two-layer MLP link scorer on the
 Hadamard product of endpoint embeddings (hidden width = embedding width), and
 an inner-product scorer for user-item graphs. Featureless graphs get a
 trainable shallow embedding table as encoder input.
+
+Sage layers (with the ReLU between layers) and the linear layers of both heads
+run through ``autodiff.dense``: one tape record each, which keeps only its
+output and the ReLU's bool mask, never the concatenation. gcn and gat add
+their bias after aggregation, so they keep separate ops.
 """
 from __future__ import annotations
 
@@ -225,9 +230,17 @@ def encode(model: Model, graph: Graph) -> Tensor:
     for layer in range(cfg.num_layers):
         w = model.params[f"enc{layer}.weight"]
         b = model.params[f"enc{layer}.bias"]
+        hidden = layer < cfg.num_layers - 1
+        if variant.startswith("sage"):
+            if layer == 0 and not model.has_embedding_table:
+                agg = _feature_aggregate(h, graph, adj, variant)
+            else:
+                agg = _sage_aggregate(h, graph, adj)
+            h = ad.dense([h, agg], w, b, relu=hidden)
+            continue
         if variant == "gcn":
             h = ad.add_bias(ad.spmm(adj, ad.matmul(h, w)), b)
-        elif variant == "gat":
+        else:  # gat
             wh = ad.matmul(h, w)
             e_src = ad.matmul(wh, model.params[f"enc{layer}.att_src"])
             e_dst = ad.matmul(wh, model.params[f"enc{layer}.att_dst"])
@@ -237,13 +250,7 @@ def encode(model: Model, graph: Graph) -> Tensor:
             )
             coeff = ad.segment_softmax(logits, adj)
             h = ad.add_bias(ad.edge_spmm(coeff, wh, adj), b)
-        else:
-            if layer == 0 and not model.has_embedding_table:
-                agg = _feature_aggregate(h, graph, adj, variant)
-            else:
-                agg = _sage_aggregate(h, graph, adj)
-            h = ad.add_bias(ad.matmul(ad.concat_cols(h, agg), w), b)
-        if layer < cfg.num_layers - 1:
+        if hidden:
             h = ad.relu(h)
     return h
 
@@ -252,9 +259,7 @@ def classify_embeddings(model: Model, embeddings: Tensor) -> Tensor:
     """Log class probabilities from precomputed embeddings, shape (n, classes)."""
     if model.task != "classification":
         raise ModelError(f"classify called on a {model.task} model")
-    logits = ad.add_bias(
-        ad.matmul(embeddings, model.params["head.weight"]), model.params["head.bias"]
-    )
+    logits = ad.dense([embeddings], model.params["head.weight"], model.params["head.bias"])
     return ad.log_softmax(logits)
 
 
@@ -265,8 +270,8 @@ def score_pairs(model: Model, embeddings: Tensor, pairs: np.ndarray) -> Tensor:
     zt = ad.gather_rows(embeddings, pairs[:, 1])
     had = ad.hadamard(zs, zt)
     if model.task == "link":
-        h = ad.relu(ad.add_bias(ad.matmul(had, model.params["head.w1"]), model.params["head.b1"]))
-        return ad.add_bias(ad.matmul(h, model.params["head.w2"]), model.params["head.b2"])
+        h = ad.dense([had], model.params["head.w1"], model.params["head.b1"], relu=True)
+        return ad.dense([h], model.params["head.w2"], model.params["head.b2"])
     if model.task == "recsys":
         return ad.row_sum(had)
     raise ModelError(f"score_pairs called on a {model.task} model")

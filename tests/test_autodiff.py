@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from dense_oracle import concat_cols, dense_chain
 from tailkit import autodiff as ad
 from tailkit.generators import generate_scale_free
 from tailkit.graph import build_graph, normalize_adjacency
@@ -134,7 +135,7 @@ class TestOpValues:
     def test_concat_and_hadamard(self):
         a = ad.Tensor([[1.0, 2.0]])
         b = ad.Tensor([[3.0, 4.0]])
-        np.testing.assert_array_equal(ad.concat_cols(a, b).value, [[1, 2, 3, 4]])
+        np.testing.assert_array_equal(concat_cols(a, b).value, [[1, 2, 3, 4]])
         np.testing.assert_array_equal(ad.hadamard(a, b).value, [[3, 8]])
 
     def test_pick(self):
@@ -196,6 +197,16 @@ class TestGradients:
 
         check_grads(build, [x, b])
 
+    def test_dense(self):
+        rng = np.random.default_rng(8)
+        a = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        c = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=4), requires_grad=True)
+        for relu in (False, True):
+            check_grads(lambda: ad.mean_all(ad.softplus(ad.dense([a, c], w, b, relu=relu))),
+                        [a, c, w, b])
+
     def test_log_softmax_pick_loss(self):
         rng = np.random.default_rng(2)
         x = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
@@ -252,7 +263,7 @@ class TestGradients:
         b = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
         def build():
-            h = ad.concat_cols(a, ad.sub(a, b))
+            h = concat_cols(a, ad.sub(a, b))
             return ad.mean_all(ad.row_sum(ad.leaky_relu(h, 0.2)))
 
         check_grads(build, [a, b])
@@ -508,6 +519,87 @@ class TestAggregationAgainstTransposeOracle:
         tape.backward(loss)
         want = transpose_product_oracle(adj, upstream, coeff.value[:, 0])
         assert x.grad.tobytes() == want.tobytes()
+
+
+def _specials(shape, seed):
+    """Normals with a fifth of the entries NaN, +-0.0 or +-inf."""
+    rng = np.random.default_rng(seed)
+    special = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf], size=shape)
+    return np.where(rng.random(shape) < 0.2, special, rng.normal(size=shape))
+
+
+def taped_dense(op, parts, wv, bv, upstream, relu):
+    """``op``'s value for the ``parts`` arrays, and the gradients of each part,
+    ``w`` and ``b`` for ``upstream``, through a tape."""
+    parts = [ad.Tensor(p.copy(), requires_grad=True) for p in parts]
+    w, b = ad.Tensor(wv.copy(), requires_grad=True), ad.Tensor(bv.copy(), requires_grad=True)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf in the products
+        with ad.Tape() as tape:
+            out = op(parts, w, b, relu=relu)
+            loss = ad.sum_all(ad.hadamard(out, ad.Tensor(upstream)))
+        tape.backward(loss)
+    return [out.value] + [p.grad for p in parts] + [w.grad, b.grad]
+
+
+class TestDenseAgainstConcatChain:
+    """One dense record must reproduce the concatenate, matmul, add_bias and
+    relu chain bit for bit: its value and every gradient. The shapes run
+    from BLAS's small-matrix sizes to its blocked ones, and include some at
+    which products over a part's own columns differ in bits."""
+
+    @pytest.mark.parametrize("n, widths, out", [
+        pytest.param(3, [2], 1, id="3x2-to-1"),
+        pytest.param(3, [1, 1], 3, id="3x1+1-to-3"),
+        pytest.param(3, [2, 2], 32, id="3x2+2-to-32"),
+        pytest.param(7, [3, 4], 5, id="7x3+4-to-5"),
+        pytest.param(64, [16, 16], 32, id="64x16+16-to-32"),
+        pytest.param(120, [8, 8], 8, id="120x8+8-to-8"),
+        pytest.param(257, [3, 3], 64, id="257x3+3-to-64"),
+        pytest.param(1000, [32], 1, id="1000x32-to-1"),
+        pytest.param(2000, [8, 8], 32, id="2000x8+8-to-32"),
+        pytest.param(2000, [2, 2], 1, id="2000x2+2-to-1"),
+        pytest.param(2000, [32], 32, id="2000x32-to-32"),
+        pytest.param(20000, [2, 2], 16, id="20000x2+2-to-16"),
+        pytest.param(20000, [16, 16], 32, id="20000x16+16-to-32"),
+        pytest.param(20000, [32, 32], 32, id="20000x32+32-to-32"),
+    ])
+    @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+    @pytest.mark.parametrize("make_x", [_normal, _specials], ids=["normal", "specials"])
+    def test_value_and_gradients_bitwise_equal(self, n, widths, out, relu, make_x):
+        parts = [make_x((n, k), 10 + i) for i, k in enumerate(widths)]
+        wv = _normal((sum(widths), out), 20)
+        bv = _mixed_signs((out,), 21)
+        upstream = _mixed_signs((n, out), 22)
+        want = taped_dense(dense_chain, parts, wv, bv, upstream, relu)
+        got = taped_dense(ad.dense, parts, wv, bv, upstream, relu)
+        assert len(got) == len(want) == len(widths) + 3
+        for g, expected in zip(got, want):
+            assert g.shape == expected.shape
+            assert g.tobytes() == expected.tobytes()
+
+    def test_keeps_only_its_output(self):
+        rng = np.random.default_rng(9)
+        a = ad.Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        c = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=4), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.dense([a, c], w, b, relu=True)
+        assert [rec for rec, _ in tape._records] == [out]
+        assert out.value.base is None
+
+    @pytest.mark.parametrize("parts, w, b", [
+        pytest.param([], (2, 3), (3,), id="no-parts"),
+        pytest.param([(4, 2), (3, 2)], (4, 3), (3,), id="rows-differ"),
+        pytest.param([(4, 2), (4,)], (4, 3), (3,), id="vector-part"),
+        pytest.param([(4, 2), (4, 2)], (3, 3), (3,), id="w-rows"),
+        pytest.param([(4, 2)], (2, 3), (2,), id="bias-width"),
+        pytest.param([(4, 2)], (2, 3), (1, 3), id="bias-rank"),
+    ])
+    def test_shape_mismatch_rejected(self, parts, w, b):
+        with pytest.raises(ad.AutodiffError, match="dense shapes"):
+            ad.dense([ad.Tensor(np.ones(s)) for s in parts], ad.Tensor(np.ones(w)),
+                     ad.Tensor(np.ones(b)))
 
 
 class TestTape:
