@@ -3,7 +3,7 @@
 # The version of the arithmetic behind the pipeline's outputs. Every JSON stage
 # output records it, and one recorded under another value is recomputed; a
 # change that alters any output's numbers bumps it (README, "Numerics versions").
-NUMERICS = 1
+NUMERICS = 2
 
 from .errors import TailkitError
 from .graph import (

@@ -11,9 +11,9 @@ Tensors are rank <= 2 and float64 throughout; running ops outside any tape
 computes values only (cheap inference mode). A tape and its tensors belong to
 one thread of execution; nothing here is shared or locked.
 
-``dense`` is ``[parts...] @ w + b`` with an optional ReLU as one record, which
-sage layers and both task heads run through. It keeps only its output and,
-with the ReLU, a bool mask; backward reads the parts, ``w`` and that mask.
+``dense`` is ``[parts...] @ w + b`` with an optional ReLU as one record, for gcn
+and sage layers and both task heads. It keeps only its output and, with the
+ReLU, a bool mask; backward reads the parts, ``w`` and that mask.
 """
 from __future__ import annotations
 
@@ -212,6 +212,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 def dense(parts, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``[parts...] @ w + b`` (columns concatenated), then ReLU if ``relu``,
     as one record that keeps only its output and, with ``relu``, a bool mask.
+    A gcn layer passes ``[Â h]``, a sage layer ``[h, agg]``, a head layer one.
 
     The concatenation lives only while a product needs it. The forward runs
     one product over the full width, adds the bias in place and zeroes in
@@ -308,7 +309,9 @@ def pick(x: Tensor, cols) -> Tensor:
 
 def _aggregate(adj, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row i sums ``weights[e] * values[targets[e]]`` over its entries e, in CSR order."""
-    return _segment_sum(values[adj.targets] * weights[:, None], adj.offsets, adj.num_nodes)
+    rows = values[adj.targets]  # scaled in place: one nnz x d temporary, not two
+    rows *= weights[:, None]
+    return _segment_sum(rows, adj.offsets, adj.num_nodes)
 
 
 def spmm(adj, x: Tensor) -> Tensor:

@@ -52,7 +52,7 @@ class Graph:
         occupy ids ``[0, num_users)`` and items ``[num_users, num_nodes)``.
     operators:
         The aggregation operators built from this graph by normalization mode,
-        the sage encoders' aggregates of ``features`` by
+        the gcn and sage encoders' first-layer aggregates of ``features`` by
         ``("input", variant)``, filled in by ``models.encode``, and the sorted
         pair keys of :meth:`has_edges` under ``"pair_keys"``: each is built
         once, freed with the graph.

@@ -1,10 +1,10 @@
 """Encoders and task heads built on the tape engine.
 
 Five encoder variants share one weights-per-layer layout: ``gcn`` applies the
-symmetric renormalized adjacency; the ``sage-*`` variants concatenate each
-node's own representation with a neighbor aggregate (mean, elementwise max, or
-sum) before the linear transform; ``gat`` learns single-head attention over
-each node's neighborhood plus itself (LeakyReLU slope 0.2, coefficients
+symmetric renormalized adjacency ``Â``; the ``sage-*`` variants concatenate
+each node's own representation with a neighbor aggregate (mean, elementwise
+max, or sum) before the linear transform; ``gat`` learns single-head attention
+over each node's neighborhood plus itself (LeakyReLU slope 0.2, coefficients
 normalized to sum to 1). ReLU sits between layers, never after the last.
 
 Heads: a linear + log-softmax classifier, a two-layer MLP link scorer on the
@@ -12,10 +12,10 @@ Hadamard product of endpoint embeddings (hidden width = embedding width), and
 an inner-product scorer for user-item graphs. Featureless graphs get a
 trainable shallow embedding table as encoder input.
 
-Sage layers (with the ReLU between layers) and the linear layers of both heads
-run through ``autodiff.dense``: one tape record each, which keeps only its
-output and the ReLU's bool mask, never the concatenation. gcn and gat add
-their bias after aggregation, so they keep separate ops.
+gcn layers (``(Â h) W + b``), sage layers (``[h | agg] W + b``), with the ReLU
+between layers, and the linear layers of both heads run through
+``autodiff.dense``: one tape record each, which keeps only its output and the
+ReLU's bool mask. Only gat, whose attention reads ``h W``, keeps separate ops.
 """
 from __future__ import annotations
 
@@ -192,19 +192,18 @@ def _encoder_input(model: Model, graph: Graph) -> Tensor:
     return Tensor(graph.features)
 
 
-def _sage_aggregate(h: Tensor, graph: Graph, adj) -> Tensor:
-    """The neighbor aggregate a sage layer concatenates to ``h``; sage-max
-    (no operator) pools over the graph's own neighbor lists."""
+def _neighbor_aggregate(h: Tensor, graph: Graph, adj) -> Tensor:
+    """``Â h`` (gcn) or a sage layer's neighbor aggregate; sage-max has no operator and pools."""
     return ad.row_max_pool(h, graph) if adj is None else ad.spmm(adj, h)
 
 
 def _feature_aggregate(features: Tensor, graph: Graph, adj, variant: str) -> Tensor:
-    """:func:`_sage_aggregate` of the graph's own features, computed on the
-    first pass over the graph and kept read-only in ``graph.operators``."""
+    """:func:`_neighbor_aggregate` of the graph's own features: the input of a
+    gcn or sage encoder's first layer, kept read-only in ``graph.operators``."""
     key = ("input", variant)
     agg = graph.operators.get(key)
     if agg is None:
-        agg = _sage_aggregate(features, graph, adj).value
+        agg = _neighbor_aggregate(features, graph, adj).value
         agg.flags.writeable = False
         graph.operators[key] = agg
     return Tensor(agg)
@@ -214,10 +213,11 @@ def encode(model: Model, graph: Graph) -> Tensor:
     """Run the encoder; returns node embeddings of shape (num_nodes, output_dim).
 
     The graph's aggregation operator is built on the first pass over it and
-    kept in ``graph.operators`` for every later one. So is a sage encoder's
-    first-layer aggregate of the graph's own features, read-only under
-    ``("input", variant)``: it is constant, unlike an embedding table's,
-    which changes with every step and is never kept.
+    kept in ``graph.operators`` for every later one. So is a gcn or sage
+    encoder's first-layer aggregate of the graph's own features, read-only
+    under ``("input", variant)``: it is constant, unlike an embedding
+    table's, which changes with every step and is never kept. Each gcn or
+    sage layer is one ``dense`` record, gcn's on ``Â h``; gat runs separate ops.
     """
     cfg = model.config
     h = _encoder_input(model, graph)
@@ -231,25 +231,22 @@ def encode(model: Model, graph: Graph) -> Tensor:
         w = model.params[f"enc{layer}.weight"]
         b = model.params[f"enc{layer}.bias"]
         hidden = layer < cfg.num_layers - 1
-        if variant.startswith("sage"):
+        if variant != "gat":
             if layer == 0 and not model.has_embedding_table:
                 agg = _feature_aggregate(h, graph, adj, variant)
             else:
-                agg = _sage_aggregate(h, graph, adj)
-            h = ad.dense([h, agg], w, b, relu=hidden)
+                agg = _neighbor_aggregate(h, graph, adj)
+            h = ad.dense([agg] if variant == "gcn" else [h, agg], w, b, relu=hidden)
             continue
-        if variant == "gcn":
-            h = ad.add_bias(ad.spmm(adj, ad.matmul(h, w)), b)
-        else:  # gat
-            wh = ad.matmul(h, w)
-            e_src = ad.matmul(wh, model.params[f"enc{layer}.att_src"])
-            e_dst = ad.matmul(wh, model.params[f"enc{layer}.att_dst"])
-            logits = ad.leaky_relu(
-                ad.add(ad.gather_rows(e_src, adj.rows), ad.gather_rows(e_dst, adj.targets)),
-                0.2,
-            )
-            coeff = ad.segment_softmax(logits, adj)
-            h = ad.add_bias(ad.edge_spmm(coeff, wh, adj), b)
+        wh = ad.matmul(h, w)
+        e_src = ad.matmul(wh, model.params[f"enc{layer}.att_src"])
+        e_dst = ad.matmul(wh, model.params[f"enc{layer}.att_dst"])
+        logits = ad.leaky_relu(
+            ad.add(ad.gather_rows(e_src, adj.rows), ad.gather_rows(e_dst, adj.targets)),
+            0.2,
+        )
+        coeff = ad.segment_softmax(logits, adj)
+        h = ad.add_bias(ad.edge_spmm(coeff, wh, adj), b)
         if hidden:
             h = ad.relu(h)
     return h

@@ -1,6 +1,7 @@
 """Tape engine: op values, gradients vs central finite differences, Adam, determinism."""
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -519,6 +520,24 @@ class TestAggregationAgainstTransposeOracle:
         tape.backward(loss)
         want = transpose_product_oracle(adj, upstream, coeff.value[:, 0])
         assert x.grad.tobytes() == want.tobytes()
+
+
+class TestAggregationMemory:
+    def test_one_gathered_copy_per_call(self):
+        # on the criterion-6 operator at width 32, one call peaked at 5,061 KiB
+        # when it scaled the gathered rows into a second nnz x d array, and
+        # peaks at 3,519 KiB scaling them in place
+        graph, _ = generate_scale_free(2000, 2, feat_dim=16, seed=3)
+        adj = normalize_adjacency(graph, "renormalized")
+        x = _normal((adj.num_nodes, 32), 3)
+        assert adj.nnz == 9992
+        tracemalloc.start()
+        try:
+            ad._aggregate(adj, x, adj.weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4500 * 1024
 
 
 def _specials(shape, seed):

@@ -596,18 +596,18 @@ class TestStages:
 
     @pytest.mark.parametrize("task,overrides,digests", [
         ("classification", {}, {
-            "models/base.json": "24c096e6dd5130532a96c2c618043b9098bc7e0a7c966424eb00f6a296af927c",
+            "models/base.json": "d6ddd363c4e83ed15c63cfe39a05675279f6fba2ac76b468663f42d57c11ced0",
             "models/dropedge.json":
-                "772c9dd791679ce9403a84ec28e2888df2c62963ba259dc4887bd671d5eabe7c",
+                "f992b9e6ddb1632458f283f204a1d9fbc6f40af691d43aad253248aece3225bd",
             "models/no-curriculum.json":
-                "f4440c20ea50ad84a0a08a5d4655ff21b620da9f01938319447a633bc322d7b9",
+                "4214ac78f41d342f0bac44bd9d6b7c71e7a0d312efceee1d8e94e7937fe30217",
             "models/no-pseudo.json":
-                "1437e2631b157e198dc6bd0942304ea7bbfba875f285f5bea1288dd82363ce12",
+                "7bd377e15830a8fc877066ebbf425604c4a43a0f5efb6023afca751d41adb753",
             "models/no-syntails.json":
-                "58ac1c81f3d688bba7b47afc4236999d0dc74621fca191c67ae6c1706983572b",
+                "1f7b4441dfe5b79ac3a153f7b67a8ffe6b20782c88db9446ecd78a1823607268",
             "models/tuneup.json":
-                "c7e3afbab3800c7bc3b6b0e42afc0fcff3ce4db9cce46a2c96c6829cdf90586b",
-            "train.json": "92f1cd4cad9e50d6520e3c48f347892df2e4882f96d0cfa14182bf2842b014ee",
+                "18436e1d4a647dae1cf1e11f74db52305019c674c8660ec75104872d2ee01f24",
+            "train.json": "0dd7ccfe30daf996d9d5170cb73a77f690730e39984fdbaab794587abcc40343",
         }),
         ("link", {
             "model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8},
@@ -625,7 +625,25 @@ class TestStages:
                 "526a60076f3655ecee6fea0ff68a34db97548191c98cb2a9d90cf2ab4d49c6f3",
             "models/tuneup.json":
                 "1e867ad8a07466689b19c930125615475c1384bac38b66925e98e816dd81813d",
-            "train.json": "50c6cf2de37fc1dc5ab7549d03a88091b5d8b3ec21f900dd3346e938277cc461",
+            "train.json": "01eaf14a3d1318abf464ee453826245dbe7ced25c4bbcad9f372678cff8792c4",
+        }),
+        ("link", {
+            "model": {"variant": "gcn", "hidden_dim": 8, "output_dim": 8},
+            "train": {"preset": "desk-link", "stage1_epochs": 8, "stage2_epochs": 4,
+                      "eval_every": 4, "patience": 3},
+        }, {
+            "models/base.json": "88f454d0acdac14e4f8f7abca0968c9ed92d4f4c6781487cf742889bafcf6e2a",
+            "models/dropedge.json":
+                "7cb18bfeb68149a5e93090abd837132430f994bfdbd61880204f1870fe5d1265",
+            "models/no-curriculum.json":
+                "6b7b418f61c052ef7374cbcec45bb38162028c5f398d611a5dd944e6b0d26e41",
+            "models/no-pseudo.json":
+                "6c975506b45fb0da67108c12a8d3d36f288c999c9f1e3ccde04795b1734c7219",
+            "models/no-syntails.json":
+                "efd900f6cb0f5b019990dac228446d7552606e8784f43e2563648ec497a6aa3b",
+            "models/tuneup.json":
+                "6c975506b45fb0da67108c12a8d3d36f288c999c9f1e3ccde04795b1734c7219",
+            "train.json": "15f93c6a618b1ac9de55f18814e1790c02a8b62e3a4dcd2337d133cf65fa6637",
         }),
     ])
     def test_training_digests_are_pinned(self, tmp_path, task, overrides, digests):
@@ -643,18 +661,18 @@ class TestStages:
 
     @pytest.mark.parametrize("task,overrides,digests", [
         ("classification", {}, {
-            "0/eval.json": "31895844916ac9a4d782719b338f44a6602f3c09a324b40834cde4bb60ddb74f",
-            "1/eval.json": "819ca87b904cc1cbe9d06e777fc43c6d45229ebd45315b7f9564e0bebb22d54e",
+            "0/eval.json": "3f8011d7c17254a69c8ab70aed9cb6dd978c38953355b944770e0baf33990528",
+            "1/eval.json": "5cea2e677bd59a03497c52e7bfb5ded0cd60144bc8169ebc1b43e4583c45c814",
             "report.csv": "6171f3a7cac37d225abb0aa29f3d25a164b2c803aa21046ff50397fd99bd5888",
         }),
         ("link", {"model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8}}, {
-            "0/eval.json": "fdafcd43ddff36a976c51637c2166412b38460e26b98933568e0fa7f32492f52",
-            "1/eval.json": "b17914f8d3285fdb0aaa1106416a0018ccffc29650ab046b42dcde295b852884",
+            "0/eval.json": "bb6858195462f40fdf57008963bde267eb67a675635f85f60b060e045c65c19c",
+            "1/eval.json": "5b7fcaa8eeb2a437e24425eba6f49f5e96add16b2f1d17f1586f0118859e1d81",
             "report.csv": "8d5f599934842ece8792939da6fc2355659b8b8c1aef9d883b2ef5d1f40862c4",
         }),
         ("recsys", {"dataset": {"num_users": 30, "num_items": 20}}, {
-            "0/eval.json": "cb4b1592b04b22520a6fb806526c28149b9d8e0767b14e54b47799a6054800b5",
-            "1/eval.json": "fd8319cbab51cd9ffc1327611ac94a9595d7f9a722585b7d36d000519683e886",
+            "0/eval.json": "257c1d38ed576bc7d274cbc0d0b5ae995547d6067a79329094fea18ad163844b",
+            "1/eval.json": "2b18b18c6bdb087ed8826b749b02326fbde03f9941a8b425faa21ece0087ef98",
             "report.csv": "98a32b6e6dcae105e074a8909d7757f6ec8b3425c5315e13c642bbd4c3ee1883",
         }),
     ])

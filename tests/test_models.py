@@ -6,8 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dense_oracle import gcn_encode_chain
 from tailkit import autodiff as ad
-from tailkit.graph import build_graph, normalize_adjacency
+from tailkit.generators import generate_scale_free
+from tailkit.graph import build_graph, drop_edges, normalize_adjacency
 from tailkit.models import (
     EncoderConfig,
     ModelError,
@@ -110,9 +112,9 @@ class TestEncode:
         first = encode(model, g).value
         memo = g.operators[mode]
         assert encode(model, g).value.tobytes() == first.tobytes()
-        # a sage encoder also keeps its first-layer aggregate of the features
-        keys = [mode] if variant == "gcn" else [mode, ("input", variant)]
-        assert list(g.operators) == keys and g.operators[mode] is memo
+        # the encoder also keeps its first-layer aggregate of the features
+        assert list(g.operators) == [mode, ("input", variant)]
+        assert g.operators[mode] is memo
         fresh = normalize_adjacency(g, mode)
         assert memo.num_nodes == fresh.num_nodes
         for field in dataclasses.fields(fresh)[1:]:
@@ -123,7 +125,7 @@ class TestEncode:
         # read-only views: the graph's own CSR, which they may share, stays writable
         assert g.csr_offsets.flags.writeable and g.csr_targets.flags.writeable
 
-    @pytest.mark.parametrize("variant", ["sage-mean", "sage-max", "sage-sum"])
+    @pytest.mark.parametrize("variant", ["gcn", "sage-mean", "sage-max", "sage-sum"])
     def test_feature_aggregate_is_kept_read_only(self, variant):
         g = small_graph(seed=10)
         model = init_model(EncoderConfig(variant, 5, 6, 3), "classification",
@@ -134,15 +136,15 @@ class TestEncode:
         if variant == "sage-max":
             fresh = ad.row_max_pool(x, g).value
         else:
-            fresh = ad.spmm(normalize_adjacency(g, "row-mean" if variant == "sage-mean"
-                                                else "none"), x).value
+            mode = {"gcn": "renormalized", "sage-mean": "row-mean", "sage-sum": "none"}
+            fresh = ad.spmm(normalize_adjacency(g, mode[variant]), x).value
         assert kept.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 0
         assert encode(model, g).value.tobytes() == first.tobytes()
         assert g.operators[("input", variant)] is kept
 
-    @pytest.mark.parametrize("variant", ["sage-mean", "sage-max"])
+    @pytest.mark.parametrize("variant", ["gcn", "sage-mean", "sage-max"])
     def test_embedding_table_input_is_never_kept(self, variant):
         g = small_graph(seed=11)
         model = init_model(EncoderConfig(variant, 5, 6, 3), "classification",
@@ -157,6 +159,30 @@ class TestEncode:
         fresh.params["embed.table"].value[...] += 1.0
         assert second.tobytes() == encode(fresh, small_graph(seed=11)).value.tobytes()
         assert second.tobytes() != first.tobytes()
+
+    @pytest.mark.parametrize("table", [False, True], ids=["features", "table"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5], ids=["intact", "dropped"])
+    def test_gcn_matches_numerics_1_chain(self, alpha, table):
+        """gcn layers as one dense record on ``Â h`` match the ``Â (h W) + b``
+        chain of NUMERICS 1 to 1e-12 relative, values and every gradient."""
+        graph = drop_edges(generate_scale_free(300, 2, feat_dim=6, seed=12)[0], alpha, seed=12)
+        model = init_model(EncoderConfig("gcn", 6, 16, 8), "classification", num_classes=2,
+                           num_nodes=graph.num_nodes, featureless=table, seed=12)
+        upstream = ad.Tensor(np.random.default_rng(12).normal(size=(graph.num_nodes, 8)))
+        encoder = sorted(k for k in model.params if not k.startswith("head."))
+        results = []
+        for run in (encode, gcn_encode_chain):
+            copy = model.copy()
+            with ad.Tape() as tape:
+                out = run(copy, graph)
+                loss = ad.sum_all(ad.hadamard(out, upstream))
+            tape.backward(loss)
+            results.append({"value": out.value, **{k: copy.params[k].grad for k in encoder}})
+        got, want = results
+        for key, w in want.items():
+            np.testing.assert_allclose(got[key], w, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w).max(), err_msg=key)
+        assert (("input", "gcn") in graph.operators) is not table
 
     def test_sum_aggregate_is_twice_mean_on_ring(self):
         """On a 2-regular ring every node has degree 2, so the sum aggregate is
