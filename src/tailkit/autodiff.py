@@ -11,9 +11,12 @@ Tensors are rank <= 2 and float64 throughout; running ops outside any tape
 computes values only (cheap inference mode). A tape and its tensors belong to
 one thread of execution; nothing here is shared or locked.
 
-``dense`` is ``[parts...] @ w + b`` with an optional ReLU as one record, for gcn
-and sage layers and both task heads. It keeps only its output and, with the
-ReLU, a bool mask; backward reads the parts, ``w`` and that mask.
+``dense`` is ``[parts...] @ w + b`` with an optional ReLU as one record, for
+every encoder layer (after its aggregation) and both task heads. There is no
+separate bias or ReLU op: ``tests/dense_oracle.py`` keeps the ``matmul``,
+``add_bias`` and ``relu`` chain that ``dense`` replaced. It keeps only its
+output and, with the ReLU, a bool mask; backward reads the parts, ``w`` and
+that mask.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ __all__ = [
     "Tensor",
     "adam_step",
     "add",
-    "add_bias",
     "dense",
     "edge_spmm",
     "gather_rows",
@@ -40,7 +42,6 @@ __all__ = [
     "matmul",
     "mean_all",
     "pick",
-    "relu",
     "row_max_pool",
     "row_sum",
     "scale",
@@ -174,15 +175,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    if b.value.ndim != 1 or x.value.ndim != 2 or x.value.shape[1] != b.value.shape[0]:
-        raise AutodiffError(f"add_bias shapes {x.value.shape} + {b.value.shape}")
-    return _apply(
-        x.value + b.value[None, :],
-        [(x, lambda u: u), (b, lambda u: u.sum(axis=0))],
-    )
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise AutodiffError(f"add shapes {a.value.shape} vs {b.value.shape}")
@@ -212,7 +204,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 def dense(parts, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``[parts...] @ w + b`` (columns concatenated), then ReLU if ``relu``,
     as one record that keeps only its output and, with ``relu``, a bool mask.
-    A gcn layer passes ``[Â h]``, a sage layer ``[h, agg]``, a head layer one.
+    A gcn or gat layer passes its aggregate, a sage layer ``[h, agg]``, a head
+    layer one input.
 
     The concatenation lives only while a product needs it. The forward runs
     one product over the full width, adds the bias in place and zeroes in
@@ -221,7 +214,7 @@ def dense(parts, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     gradient from one full-width ``g @ w.T``. Products over a part's own
     columns would differ in bits at some shapes, since BLAS picks its kernel
     by shape; these match the concatenate, ``matmul``, ``add_bias`` and
-    ``relu`` chain bit for bit.
+    ``relu`` chain bit for bit, which ``tests/dense_oracle.py`` keeps.
     """
     parts = list(parts)
     widths = [p.value.shape[1] if p.value.ndim == 2 else -1 for p in parts]
@@ -444,11 +437,6 @@ def row_max_pool(x: Tensor, graph) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities and reductions
 # ---------------------------------------------------------------------------
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0
-    return _apply(np.where(mask, x.value, 0.0), [(x, lambda u: u * mask)])
-
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     deriv = np.where(x.value > 0, 1.0, slope)

@@ -12,10 +12,11 @@ Hadamard product of endpoint embeddings (hidden width = embedding width), and
 an inner-product scorer for user-item graphs. Featureless graphs get a
 trainable shallow embedding table as encoder input.
 
-gcn layers (``(Â h) W + b``), sage layers (``[h | agg] W + b``), with the ReLU
-between layers, and the linear layers of both heads run through
-``autodiff.dense``: one tape record each, which keeps only its output and the
-ReLU's bool mask. Only gat, whose attention reads ``h W``, keeps separate ops.
+Every encoder layer is an aggregation followed by one ``autodiff.dense``
+record, with the ReLU between layers: gcn runs ``(Â h) W + b``, gat
+``(C h) W + b`` with attention logits ``h (W a)``, and sage ``[h | agg] W + b``.
+The linear layers of both heads are ``dense`` records too. Each keeps only its
+output and the ReLU's bool mask.
 """
 from __future__ import annotations
 
@@ -216,12 +217,15 @@ def encode(model: Model, graph: Graph) -> Tensor:
     kept in ``graph.operators`` for every later one. So is a gcn or sage
     encoder's first-layer aggregate of the graph's own features, read-only
     under ``("input", variant)``: it is constant, unlike an embedding
-    table's, which changes with every step and is never kept. Each gcn or
-    sage layer is one ``dense`` record, gcn's on ``Â h``; gat runs separate ops.
+    table's, which changes with every step and is never kept. Each layer
+    aggregates, then runs one ``dense`` record: gcn's on ``Â h``, gat's on
+    ``C h``, where ``C`` holds attention coefficients whose logits read
+    ``h (W a)``, and sage's on ``[h | agg]``.
     """
     cfg = model.config
     h = _encoder_input(model, graph)
     variant = cfg.variant
+    sage = variant.startswith("sage")
     mode = _NORMALIZATIONS.get(variant)
     adj = graph.operators.get(mode)
     if adj is None and mode is not None:
@@ -229,26 +233,20 @@ def encode(model: Model, graph: Graph) -> Tensor:
 
     for layer in range(cfg.num_layers):
         w = model.params[f"enc{layer}.weight"]
-        b = model.params[f"enc{layer}.bias"]
-        hidden = layer < cfg.num_layers - 1
-        if variant != "gat":
-            if layer == 0 and not model.has_embedding_table:
-                agg = _feature_aggregate(h, graph, adj, variant)
-            else:
-                agg = _neighbor_aggregate(h, graph, adj)
-            h = ad.dense([agg] if variant == "gcn" else [h, agg], w, b, relu=hidden)
-            continue
-        wh = ad.matmul(h, w)
-        e_src = ad.matmul(wh, model.params[f"enc{layer}.att_src"])
-        e_dst = ad.matmul(wh, model.params[f"enc{layer}.att_dst"])
-        logits = ad.leaky_relu(
-            ad.add(ad.gather_rows(e_src, adj.rows), ad.gather_rows(e_dst, adj.targets)),
-            0.2,
-        )
-        coeff = ad.segment_softmax(logits, adj)
-        h = ad.add_bias(ad.edge_spmm(coeff, wh, adj), b)
-        if hidden:
-            h = ad.relu(h)
+        if variant == "gat":
+            e_src = ad.matmul(h, ad.matmul(w, model.params[f"enc{layer}.att_src"]))
+            e_dst = ad.matmul(h, ad.matmul(w, model.params[f"enc{layer}.att_dst"]))
+            logits = ad.leaky_relu(
+                ad.add(ad.gather_rows(e_src, adj.rows), ad.gather_rows(e_dst, adj.targets)),
+                0.2,
+            )
+            agg = ad.edge_spmm(ad.segment_softmax(logits, adj), h, adj)
+        elif layer == 0 and not model.has_embedding_table:
+            agg = _feature_aggregate(h, graph, adj, variant)
+        else:
+            agg = _neighbor_aggregate(h, graph, adj)
+        h = ad.dense([h, agg] if sage else [agg], w, model.params[f"enc{layer}.bias"],
+                     relu=layer < cfg.num_layers - 1)
     return h
 
 

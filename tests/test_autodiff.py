@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dense_oracle import concat_cols, dense_chain
+from dense_oracle import add_bias, concat_cols, dense_chain, relu
 from tailkit import autodiff as ad
 from tailkit.generators import generate_scale_free
 from tailkit.graph import build_graph, normalize_adjacency
@@ -116,7 +116,7 @@ def row_max_pool_copyto_sweep(x, graph, upstream):
 class TestOpValues:
     def test_relu(self):
         x = ad.Tensor([[-1.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(ad.relu(x).value, [[0.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(relu(x).value, [[0.0, 0.0, 2.0]])
 
     def test_softplus_at_zero_is_ln2(self):
         x = ad.Tensor([[0.0]])
@@ -185,7 +185,7 @@ class TestGradients:
         rng = np.random.default_rng(0)
         a = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        check_grads(lambda: ad.mean_all(ad.relu(ad.matmul(a, b))), [a, b])
+        check_grads(lambda: ad.mean_all(relu(ad.matmul(a, b))), [a, b])
 
     def test_bias_and_activations(self):
         rng = np.random.default_rng(1)
@@ -193,7 +193,7 @@ class TestGradients:
         b = ad.Tensor(rng.normal(size=4), requires_grad=True)
 
         def build():
-            h = ad.add_bias(x, b)
+            h = add_bias(x, b)
             return ad.mean_all(ad.add(ad.leaky_relu(h), ad.softplus(h)))
 
         check_grads(build, [x, b])
@@ -222,7 +222,7 @@ class TestGradients:
         adj = normalize_adjacency(g, "row-mean")  # asymmetric operator
         rng = np.random.default_rng(3)
         x = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        check_grads(lambda: ad.mean_all(ad.relu(ad.spmm(adj, x))), [x])
+        check_grads(lambda: ad.mean_all(relu(ad.spmm(adj, x))), [x])
 
     def test_edge_spmm_and_segment_softmax(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
@@ -281,8 +281,8 @@ class TestGradients:
             b = ad.Tensor(rng.normal(size=k), requires_grad=True)
 
             def build():
-                h = ad.add_bias(ad.matmul(x, w), b)
-                h = ad.leaky_relu(h) if case % 2 else ad.relu(h)
+                h = add_bias(ad.matmul(x, w), b)
+                h = ad.leaky_relu(h) if case % 2 else relu(h)
                 return ad.mean_all(ad.hadamard(h, h))
 
             check_grads(build, [x, w, b], tol=1e-5)
@@ -638,7 +638,7 @@ class TestTape:
 
     def test_no_tape_means_no_recording(self):
         x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-        out = ad.relu(x)
+        out = relu(x)
         assert out.requires_grad
         tape = ad.Tape()
         with pytest.raises(ad.AutodiffError):
@@ -647,14 +647,14 @@ class TestTape:
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
         with ad.Tape() as tape:
-            out = ad.relu(x)
+            out = relu(x)
             with pytest.raises(ad.AutodiffError, match="scalar"):
                 tape.backward(out)
 
     def test_second_backward_rejected(self):
         x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
         with ad.Tape() as tape:
-            loss = ad.mean_all(ad.relu(x))
+            loss = ad.mean_all(relu(x))
         tape.backward(loss)
         grad = x.grad.copy()
         with pytest.raises(ad.AutodiffError, match="backward already ran"):
@@ -664,8 +664,8 @@ class TestTape:
     def test_each_record_is_freed_before_earlier_vjps_run(self):
         x = ad.Tensor(np.random.default_rng(4).normal(size=(50, 4)), requires_grad=True)
         with ad.Tape() as tape:
-            h = ad.relu(x)
-            loss = ad.mean_all(ad.relu(ad.scale(h, 2.0)))
+            h = relu(x)
+            loss = ad.mean_all(relu(ad.scale(h, 2.0)))
         # the outputs of every op after the first, but the loss the caller holds
         later = [weakref.ref(out.value) for out, _ in tape._records[1:-1]]
         first, [(inp, vjp)] = tape._records[0]
@@ -695,7 +695,7 @@ class TestTape:
             x = ad.Tensor(rng.normal(size=(8, 5)), requires_grad=True)
             w = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
             with ad.Tape() as tape:
-                loss = ad.mean_all(ad.relu(ad.matmul(x, w)))
+                loss = ad.mean_all(relu(ad.matmul(x, w)))
             tape.backward(loss)
             return loss.value.copy(), x.grad.copy(), w.grad.copy()
 

@@ -607,7 +607,7 @@ class TestStages:
                 "1f7b4441dfe5b79ac3a153f7b67a8ffe6b20782c88db9446ecd78a1823607268",
             "models/tuneup.json":
                 "18436e1d4a647dae1cf1e11f74db52305019c674c8660ec75104872d2ee01f24",
-            "train.json": "0dd7ccfe30daf996d9d5170cb73a77f690730e39984fdbaab794587abcc40343",
+            "train.json": "a7307dd930ece9a836c723d51b7111c6550e28a46fa746f32d5a9fe855d8180b",
         }),
         ("link", {
             "model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8},
@@ -625,7 +625,7 @@ class TestStages:
                 "526a60076f3655ecee6fea0ff68a34db97548191c98cb2a9d90cf2ab4d49c6f3",
             "models/tuneup.json":
                 "1e867ad8a07466689b19c930125615475c1384bac38b66925e98e816dd81813d",
-            "train.json": "01eaf14a3d1318abf464ee453826245dbe7ced25c4bbcad9f372678cff8792c4",
+            "train.json": "48c89532419260b5a04166d2292ddc93d2903ec49526e751b99fb9d5c0f4e0af",
         }),
         ("link", {
             "model": {"variant": "gcn", "hidden_dim": 8, "output_dim": 8},
@@ -643,7 +643,21 @@ class TestStages:
                 "efd900f6cb0f5b019990dac228446d7552606e8784f43e2563648ec497a6aa3b",
             "models/tuneup.json":
                 "6c975506b45fb0da67108c12a8d3d36f288c999c9f1e3ccde04795b1734c7219",
-            "train.json": "15f93c6a618b1ac9de55f18814e1790c02a8b62e3a4dcd2337d133cf65fa6637",
+            "train.json": "65d9cfb4b972384a0ae9e444ad74be38cbd1fd1ae03b2256ae343648b0014d7d",
+        }),
+        ("classification", {"model": {"variant": "gat", "hidden_dim": 8, "output_dim": 8}}, {
+            "models/base.json": "ac81ec69026fb2451134e4bf462ece8a3f13fe6d7d43b007cddedd1ecc752b58",
+            "models/dropedge.json":
+                "09556367f94bc5fef62e195e489483c86fe541ff87a16708a5b0dc4993e0a91d",
+            "models/no-curriculum.json":
+                "19e266ec90787278341fb18843fd9a0b441ba42d10a295a88edb08e46415ff27",
+            "models/no-pseudo.json":
+                "831f6d510ad326cd2b810df00b37581b31c832716f83484c6b2f39d0caefa445",
+            "models/no-syntails.json":
+                "177af502017b75df90bf78a066e5fbd4bbb6e1cfc2ad39c8c2b9c755b84d2171",
+            "models/tuneup.json":
+                "2bd572313a59d7e6c6cafdf1d2e065c9653df533da53ccd10855209aa111f940",
+            "train.json": "bddda87604d333ee9cdbb88783680160e166ba7cf227d3f485a18566b69ff072",
         }),
     ])
     def test_training_digests_are_pinned(self, tmp_path, task, overrides, digests):
@@ -661,18 +675,18 @@ class TestStages:
 
     @pytest.mark.parametrize("task,overrides,digests", [
         ("classification", {}, {
-            "0/eval.json": "3f8011d7c17254a69c8ab70aed9cb6dd978c38953355b944770e0baf33990528",
-            "1/eval.json": "5cea2e677bd59a03497c52e7bfb5ded0cd60144bc8169ebc1b43e4583c45c814",
+            "0/eval.json": "1bdb9d42d1cb28cb6e0589b85232d75d9ab9cde6477f1e3f4f7c16041de63daa",
+            "1/eval.json": "54c5393072f96a34823bb618ae8f3b4847605e6dcb912083824bda6175cea342",
             "report.csv": "6171f3a7cac37d225abb0aa29f3d25a164b2c803aa21046ff50397fd99bd5888",
         }),
         ("link", {"model": {"variant": "sage-mean", "hidden_dim": 8, "output_dim": 8}}, {
-            "0/eval.json": "bb6858195462f40fdf57008963bde267eb67a675635f85f60b060e045c65c19c",
-            "1/eval.json": "5b7fcaa8eeb2a437e24425eba6f49f5e96add16b2f1d17f1586f0118859e1d81",
+            "0/eval.json": "728da79bcec326ff93281dfaffbbaf7a8d4573bd443be408822ba47835359c17",
+            "1/eval.json": "1beca26b8408f3fa1a937f03a35e3cdea5e07de649b8a219c07e2786fa7e20ab",
             "report.csv": "8d5f599934842ece8792939da6fc2355659b8b8c1aef9d883b2ef5d1f40862c4",
         }),
         ("recsys", {"dataset": {"num_users": 30, "num_items": 20}}, {
-            "0/eval.json": "257c1d38ed576bc7d274cbc0d0b5ae995547d6067a79329094fea18ad163844b",
-            "1/eval.json": "2b18b18c6bdb087ed8826b749b02326fbde03f9941a8b425faa21ece0087ef98",
+            "0/eval.json": "c33d9bacada037faef1f7f620c9bb492ba919ef59f38a9222bc62e144347adc9",
+            "1/eval.json": "84695cadc4247c7209f36e6e05680aea50e8309bc3e52d86da75d7840a91341f",
             "report.csv": "98a32b6e6dcae105e074a8909d7757f6ec8b3425c5315e13c642bbd4c3ee1883",
         }),
     ])

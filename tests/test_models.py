@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dense_oracle import gcn_encode_chain
+from dense_oracle import gat_encode_chain, gcn_encode_chain
 from tailkit import autodiff as ad
 from tailkit.generators import generate_scale_free
 from tailkit.graph import build_graph, drop_edges, normalize_adjacency
@@ -162,16 +162,22 @@ class TestEncode:
 
     @pytest.mark.parametrize("table", [False, True], ids=["features", "table"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5], ids=["intact", "dropped"])
-    def test_gcn_matches_numerics_1_chain(self, alpha, table):
-        """gcn layers as one dense record on ``Â h`` match the ``Â (h W) + b``
-        chain of NUMERICS 1 to 1e-12 relative, values and every gradient."""
+    @pytest.mark.parametrize("variant, chain", [("gcn", gcn_encode_chain),
+                                                ("gat", gat_encode_chain)],
+                             ids=["gcn", "gat"])
+    def test_matches_replaced_chain(self, variant, chain, alpha, table):
+        """Layers as one dense record on an aggregate match the chain each
+        variant ran before, to 1e-12 relative, values and every gradient:
+        gcn's ``(Â h) W + b`` the ``Â (h W) + b`` of NUMERICS 1, gat's
+        ``(C h) W + b`` with logits ``h (W a)`` the ``C (h W) + b`` with
+        logits ``(h W) a`` of NUMERICS 2."""
         graph = drop_edges(generate_scale_free(300, 2, feat_dim=6, seed=12)[0], alpha, seed=12)
-        model = init_model(EncoderConfig("gcn", 6, 16, 8), "classification", num_classes=2,
+        model = init_model(EncoderConfig(variant, 6, 16, 8), "classification", num_classes=2,
                            num_nodes=graph.num_nodes, featureless=table, seed=12)
         upstream = ad.Tensor(np.random.default_rng(12).normal(size=(graph.num_nodes, 8)))
         encoder = sorted(k for k in model.params if not k.startswith("head."))
         results = []
-        for run in (encode, gcn_encode_chain):
+        for run in (encode, chain):
             copy = model.copy()
             with ad.Tape() as tape:
                 out = run(copy, graph)
@@ -182,7 +188,8 @@ class TestEncode:
         for key, w in want.items():
             np.testing.assert_allclose(got[key], w, rtol=1e-12,
                                        atol=1e-12 * np.abs(w).max(), err_msg=key)
-        assert (("input", "gcn") in graph.operators) is not table
+        # gat's aggregate depends on its parameters, so it is never kept
+        assert (("input", variant) in graph.operators) is (variant == "gcn" and not table)
 
     def test_sum_aggregate_is_twice_mean_on_ring(self):
         """On a 2-regular ring every node has degree 2, so the sum aggregate is
