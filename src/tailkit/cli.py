@@ -8,11 +8,21 @@ JSON path of the offending field) and for any other input the library
 refuses (a :class:`TailkitError`), 3 when a required earlier stage output
 is missing or unusable, by the one rule that also makes the stage owning it
 recompute it (``report`` included).
+
+Every subcommand runs BLAS on one thread, whatever the environment says: a
+product's bits can depend on how many threads share it, and runs must be
+byte-identical. Where numpy's BLAS cannot be pinned, the command says so on
+stderr and runs with the thread count it has.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
 
 from .errors import TailkitError
 from .experiment import (
@@ -129,10 +139,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blas_thread_calls():
+    """``(get, set)`` for the thread count of the OpenBLAS that numpy wheels
+    bundle (scipy-openblas), or None for any other BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*scipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block and restore the count after it,
+    so that a program calling :func:`main` keeps its own setting."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        print("note: cannot pin BLAS to one thread; results may differ between "
+              "BLAS thread counts", file=sys.stderr)
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,14 +12,24 @@ count: with OpenBLAS 0.3.31 (Haswell kernels), a link head run on 37 of a
 2,000-node graph's rows scored some of them differently than run on all
 2,000, for 138 of 286 sources. So the link scorer runs one product of the
 same shape per source, over every embedding row, and picks the candidates'
-entries from it; sources are not batched, for the same reason.
-Its scores agree with the training-side ``score_pairs`` to within 1e-12
-relative, not bit for bit. The recsys scorer sums each candidate's row on its
-own, so it is candidate-independent as it stands and equals ``score_pairs``.
+entries from it. Products stay per source; selection runs per block of
+sources (one partition finds every row's k-th key), and the sources are
+split over the usable CPUs, each thread ranking its own contiguous chunk.
+A source's recall depends on its own scores only, so the bytes are the same
+for any thread count. The link scorer's scores agree with the training-side
+``score_pairs`` to within 1e-12 relative, not bit for bit. The recsys scorer
+sums each candidate's row on its own, so it is candidate-independent as it
+stands and equals ``score_pairs``.
+
+``recall_per_source`` runs threads of its own: a caller should run BLAS on
+one thread (the ``tailkit`` command does), or the ranking threads and BLAS's
+share the CPUs.
 """
 from __future__ import annotations
 
+import os
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +65,11 @@ class EvalError(TailkitError):
 # core metrics
 # ---------------------------------------------------------------------------
 
+# sources selected together: one partition per block, and a thread's buffers
+# hold a block's (sources x pool) keys and masks
+_BLOCK = 32
+
+
 def recall_per_source(score_fn, sources, positives, pool, k=50, exclude=None) -> np.ndarray:
     """Per-source recall@k, in the order of ``sources``.
 
@@ -63,70 +78,146 @@ def recall_per_source(score_fn, sources, positives, pool, k=50, exclude=None) ->
     that ``exclude`` (optional) maps ``source`` to. ``positives`` maps source
     -> positive target ids. Ties break toward the lower candidate id. Recall
     is the number of distinct positives in the top k over ``len(positives)``.
+
+    Sources are ranked in blocks of up to ``_BLOCK``, in contiguous chunks on
+    up to one thread per usable CPU (the calling thread takes the first), so
+    ``score_fn`` must be safe to call from several threads at once. A source's
+    recall depends only on its own scores: the result is the same for any
+    thread count. No thread outlives the call.
     """
     pool = np.asarray(pool, dtype=np.int64)
     if k < 1:
         raise EvalError(f"k must be at least 1, got {k}")
-    positions = _pool_positions(pool)
+    order = np.argsort(pool, kind="stable")
+    ids = pool[order]
+    if np.any(ids[1:] == ids[:-1]):
+        raise EvalError("candidate pool holds a duplicate id")
+    sources = [int(s) for s in sources]
+    width = pool.size
+    # cells are ``row * width + column`` of a (sources, pool) mask; positives
+    # are in id order, exclusions in pool order (the order candidates keep)
+    pos_cells, num_pos = _cells(positives, sources, ids, np.arange(width))
+    excl_cells = (np.empty(0, dtype=np.int64) if exclude is None
+                  else _cells(exclude, sources, ids, order)[0])
+    num_excluded = np.bincount(excl_cells // max(width, 1), minlength=len(sources))
+    bad = np.flatnonzero((num_pos == 0) | (num_excluded == width))
+    if bad.size:
+        i = bad[0]
+        what = "has no positives" if num_pos[i] == 0 else "has an empty candidate pool"
+        raise EvalError(f"source {sources[i]} {what}")
     out = np.empty(len(sources), dtype=np.float64)
-    for i, source in enumerate(sources):
-        source = int(source)
-        pos = np.asarray(positives[source], dtype=np.int64)
-        if pos.size == 0:
-            raise EvalError(f"source {source} has no positives")
-        is_pos = np.zeros(pool.size, dtype=bool)
-        is_pos[positions(pos)] = True
-        candidates = pool
-        if exclude is not None:
-            keep = np.ones(pool.size, dtype=bool)
-            keep[positions(exclude[source])] = False
-            candidates, is_pos = pool[keep], is_pos[keep]
-        if candidates.size == 0:
-            raise EvalError(f"source {source} has an empty candidate pool")
-        scores = np.asarray(score_fn(source, candidates), dtype=np.float64).ravel()
-        if scores.shape != candidates.shape:
-            raise EvalError(
-                f"score function returned {scores.shape}, expected {candidates.shape}"
-            )
-        out[i] = np.count_nonzero(is_pos[_top_k(scores, candidates, k)]) / pos.size
+    workers = _worker_count(-(-len(sources) // _BLOCK))
+    bounds = [len(sources) * j // workers for j in range(workers + 1)]
+    # allocated by this thread: what a new thread allocates comes from a glibc
+    # arena of its own, which stays mapped after the thread ends
+    buffers = [_BlockBuffers(min(_BLOCK, len(sources)), width) for _ in range(workers)]
+
+    def rank_chunk(j: int) -> None:
+        for lo in range(bounds[j], bounds[j + 1], _BLOCK):
+            hi = min(lo + _BLOCK, bounds[j + 1])
+            hits = buffers[j].hits(score_fn, sources[lo:hi], pool, order, k,
+                                   _rows(pos_cells, lo, hi, width),
+                                   _rows(excl_cells, lo, hi, width))
+            out[lo:hi] = hits / num_pos[lo:hi]
+
+    # deferred: the import costs about 10 ms of start-up, which runs that rank
+    # nothing should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as threads:
+        futures = [threads.submit(rank_chunk, j) for j in range(1, workers)]
+        rank_chunk(0)
+        for future in futures:
+            future.result()
     return out
 
 
-def _pool_positions(pool: np.ndarray):
-    """``positions(ids)``: the positions in ``pool`` (distinct ids) of those
-    ``ids`` it holds, looked up in one id-indexed table."""
-    lo = int(pool.min()) if pool.size else 0
-    slot = np.full(int(pool.max()) - lo + 1 if pool.size else 0, -1, dtype=np.int64)
-    slot[pool - lo] = np.arange(pool.size)
-    if np.count_nonzero(slot >= 0) != pool.size:
-        raise EvalError("candidate pool holds a duplicate id")
-
-    def positions(ids) -> np.ndarray:
-        rel = np.asarray(ids, dtype=np.int64) - lo
-        found = slot[rel[(rel >= 0) & (rel < slot.size)]]
-        return found[found >= 0]
-
-    return positions
+def _worker_count(num_blocks: int) -> int:
+    """Threads for ``num_blocks`` blocks: one per usable CPU, at most one per block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, num_blocks))
 
 
-def _top_k(scores: np.ndarray, ids: np.ndarray, k: int):
-    """Indices of the k best entries by (score descending, id ascending).
+def _cells(mapping, sources, ids, column) -> tuple[np.ndarray, np.ndarray]:
+    """``(cells, counts)``: the sorted distinct cells ``i * len(ids) +
+    column[j]`` for each id ``ids[j]`` that ``mapping[sources[i]]`` holds
+    (``ids`` sorted), and how many ids each source maps to, held or not."""
+    given = [np.asarray(mapping[s], dtype=np.int64).ravel() for s in sources]
+    counts = np.array([g.size for g in given], dtype=np.int64)
+    flat = np.concatenate(given) if given else np.empty(0, dtype=np.int64)
+    at = np.searchsorted(ids, flat)
+    held = at < ids.size
+    held[held] = ids[at[held]] == flat[held]
+    rows = np.repeat(np.arange(len(sources)), counts)
+    return np.unique(rows[held] * ids.size + column[at[held]]), counts
 
-    Selects instead of sorting: the entries strictly better than the k-th
-    score are in, and the tie at the k-th score is filled from its lowest ids.
-    NaN ranks last, as it does in a sort.
-    """
-    if k >= scores.size:
-        return slice(None)
-    key = -scores
-    top = np.argpartition(key, k - 1)[:k]
-    kth = key[top[-1]]
-    if np.isnan(kth):
-        better, tied = top[~np.isnan(key[top])], np.flatnonzero(np.isnan(key))
-    else:
-        better, tied = top[key[top] < kth], np.flatnonzero(key == kth)
-    fill = tied[np.argsort(ids[tied])[: k - better.size]]
-    return np.concatenate([better, fill])
+
+def _rows(cells: np.ndarray, lo: int, hi: int, width: int) -> np.ndarray:
+    """The cells of rows ``lo:hi``, renumbered from row ``lo``."""
+    a, z = np.searchsorted(cells, (lo * width, hi * width))
+    return cells[a:z] - lo * width
+
+
+class _BlockBuffers:
+    """One thread's arrays for ranking up to ``rows`` sources over a pool of
+    ``width`` candidates: the same buffers serve each block in turn."""
+
+    def __init__(self, rows: int, width: int):
+        self.key = np.empty((rows, width))
+        self.part = np.empty((rows, width))
+        self.run = np.empty((rows, width), dtype=np.int32)
+        self.keep, self.positive, self.tie, self.top = (
+            np.empty((rows, width), dtype=bool) for _ in range(4))
+
+    def hits(self, score_fn, block, pool, order, k, pos_cells, excl_cells):
+        """How many of each ``block`` source's positives are in its top k.
+
+        Scores are placed in pool order, then the block's columns are put in
+        id order (``order``). A row's key is its negated scores, NaN where
+        excluded. One partition finds each row's k-th key; the top k are the
+        keys below it plus its lowest-id ties. A NaN k-th key means every
+        non-NaN candidate is in and the NaN candidates tie.
+        """
+        b = len(block)
+        key, part, keep, positive, tie, top = (
+            a[:b] for a in (self.key, self.part, self.keep, self.positive, self.tie,
+                            self.top))
+        keep.fill(True)
+        keep.reshape(-1)[excl_cells] = False
+        positive.fill(False)
+        positive.reshape(-1)[pos_cells] = True
+        part.fill(np.nan)
+        for r, source in enumerate(block):
+            candidates = pool[keep[r]]
+            scores = np.asarray(score_fn(source, candidates), dtype=np.float64).ravel()
+            if scores.shape != candidates.shape:
+                raise EvalError(
+                    f"score function returned {scores.shape}, expected {candidates.shape}"
+                )
+            part[r][keep[r]] = scores
+        # ``order`` is in range, and unlike the default mode "clip" writes
+        # into ``key`` without a temporary
+        np.take(part, order, axis=1, out=key, mode="clip")
+        np.negative(key, out=key)
+        np.copyto(part, key)
+        kk = min(k, pool.size)
+        part.partition(kk - 1, axis=1)
+        kth = part[:, kk - 1:kk]
+        np.less(key, kth, out=top)
+        np.equal(key, kth, out=tie)
+        lost = np.flatnonzero(np.isnan(kth[:, 0]))
+        if lost.size:
+            nan = np.isnan(key[lost])
+            top[lost] = ~nan
+            tie[lost] = nan & keep[lost][:, order]
+        need = k - np.count_nonzero(top, axis=1)
+        cut = np.flatnonzero(np.count_nonzero(tie, axis=1) > need)
+        if cut.size:
+            run = np.cumsum(tie[cut], axis=1, dtype=np.int32, out=self.run[:cut.size])
+            tie[cut] &= run <= need[cut, None]
+        top |= tie
+        top &= positive
+        return np.count_nonzero(top, axis=1)
 
 
 def bucket_index(degrees) -> np.ndarray:
@@ -228,11 +319,13 @@ def ranking_score_fn(model: Model, embeddings: np.ndarray):
     candidates' entries plus ``b2`` are returned. The product has the same
     shape for every source, so a pair's score depends only on (source, node).
     Recsys: the row sums of ``e_s * E[candidates]``. Candidate ids in
-    ``[-n, n)`` index as ``E[candidates]`` does. The operands and the
-    intermediates live in buffers the closure allocates once; every call
-    returns a fresh array.
+    ``[-n, n)`` index as ``E[candidates]`` does. The closure may be called
+    from several threads at once: ``[E | 1]`` is shared and read-only, and
+    each thread gets its own intermediates, allocated on its first call and
+    kept for its later ones; every call returns a fresh array.
     """
     n, d = embeddings.shape
+    local = threading.local()
 
     def checked(candidates) -> np.ndarray:
         candidates = np.asarray(candidates, dtype=np.int64)
@@ -242,31 +335,38 @@ def ranking_score_fn(model: Model, embeddings: np.ndarray):
 
     if model.task == "link":
         w1 = model.params["head.w1"].value
-        w2 = model.params["head.w2"].value
+        b1 = model.params["head.b1"].value
+        w2 = model.params["head.w2"].value[:, 0]  # a gemv either way, with the same bits
         b2 = model.params["head.b2"].value
         rows = np.ones((n, d + 1))
         rows[:, :d] = embeddings
-        folded = np.empty((d + 1, w1.shape[1]))
-        folded[d] = model.params["head.b1"].value
-        hidden = np.empty((n, w1.shape[1]))
-        column = np.empty((n, 1))
+
+        def buffers():
+            if not hasattr(local, "folded"):
+                local.folded = np.empty((d + 1, w1.shape[1]))
+                local.folded[d] = b1
+                local.hidden = np.empty((n, w1.shape[1]))
+                local.column = np.empty(n)
+            return local.folded, local.hidden, local.column
 
         def score(source, candidates):
             candidates = checked(candidates)
+            folded, hidden, column = buffers()
             np.multiply(embeddings[source][:, None], w1, out=folded[:d])
             np.matmul(rows, folded, out=hidden)
             np.maximum(hidden, 0.0, out=hidden)
             np.matmul(hidden, w2, out=column)
-            return column[candidates, 0] + b2
+            return column[candidates] + b2
 
         return score
     if model.task == "recsys":
-        rows = np.empty((n, d), dtype=embeddings.dtype)
 
         def score(source, candidates):
             candidates = checked(candidates)
+            if not hasattr(local, "rows"):
+                local.rows = np.empty((n, d), dtype=embeddings.dtype)
             m = candidates.size
-            out = rows[:m] if m <= n else np.empty((m, d), dtype=embeddings.dtype)
+            out = local.rows[:m] if m <= n else np.empty((m, d), dtype=embeddings.dtype)
             # within [-n, n) "wrap" indexes as embeddings[candidates] does, and
             # unlike the default mode it writes into ``out`` without a temporary
             np.take(embeddings, candidates, axis=0, out=out, mode="wrap")

@@ -1,9 +1,15 @@
 """Metrics against brute-force oracles, bucket tables, and the eval harness."""
 import dataclasses
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ranking_oracle
+from tailkit import evaluation
 from tailkit.data import make_classification_bundle, make_link_bundle, make_recsys_bundle
 from tailkit.evaluation import (
     BUCKET_LABELS,
@@ -653,3 +659,195 @@ class TestLinkScorerAgainstGatheredHead:
                 got, want = score(int(s), candidates), oracle(int(s), candidates)
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
+
+
+def _block_case(seed, *, levels=None, special=False, k=7, cover=False, shuffled=False,
+                num_sources=100):
+    """Sources 0..num_sources-1 (several blocks) over a pool of 61 of the ids
+    0..96, scored from a table; ``cover`` excludes up to two positives of
+    every source, and all but at most k // 2 pool ids of every fourth one."""
+    rng = np.random.default_rng(seed)
+    num_ids = 97
+    pool = np.sort(rng.choice(num_ids, size=61, replace=False))
+    if shuffled:
+        pool = rng.permutation(pool)
+    if levels is None:
+        table = rng.standard_normal((num_sources, num_ids))
+    else:
+        table = rng.integers(0, levels, size=(num_sources, num_ids)).astype(np.float64)
+    if special:
+        cells = rng.choice(table.size, size=table.size // 5, replace=False)
+        table.ravel()[cells] = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf], size=cells.size)
+    positives, exclude = {}, {}
+    for s in range(num_sources):
+        pos = rng.choice(pool, size=int(rng.integers(1, 6)), replace=False)
+        dropped = rng.choice(pool, size=int(rng.integers(0, 8)), replace=False)
+        if cover:
+            dropped = np.concatenate([dropped, pos[:2]])
+            if s % 4 == 0:
+                dropped = np.concatenate([dropped, rng.choice(pool, size=61 - k // 2,
+                                                              replace=False)])
+        positives[s], exclude[s] = pos, dropped
+    score = lambda source, candidates: table[source, candidates]
+    return score, np.arange(num_sources), positives, pool, k, exclude
+
+
+_BLOCK_CASES = [
+    pytest.param(dict(), id="plain"),
+    pytest.param(dict(levels=3), id="ties-at-kth"),
+    pytest.param(dict(levels=2, k=25), id="ties-at-kth-k25"),
+    pytest.param(dict(special=True, k=10), id="nan-inf-signed-zero"),
+    pytest.param(dict(special=True, levels=2, k=30), id="specials-and-ties"),
+    pytest.param(dict(k=61), id="k-equals-pool"),
+    pytest.param(dict(k=200), id="k-above-pool"),
+    pytest.param(dict(cover=True, k=20), id="exclusions-cover-positives-and-top-k"),
+    pytest.param(dict(cover=True, special=True, k=40), id="fewer-candidates-than-k-specials"),
+    pytest.param(dict(shuffled=True, levels=3), id="unsorted-pool"),
+    pytest.param(dict(shuffled=True, cover=True, special=True, levels=3, k=15),
+                 id="all-at-once"),
+    pytest.param(dict(num_sources=1), id="one-source"),
+]
+
+
+def _threads(monkeypatch, count):
+    """Have ``recall_per_source`` use ``count`` threads whatever the CPU count
+    (at most one per block)."""
+    monkeypatch.setattr(evaluation, "_worker_count", lambda blocks: max(1, min(count, blocks)))
+
+
+def _scorer_case(fixture, seed=21):
+    """The fixture's scorer over all its sources, with each source's graph
+    neighbors excluded, and positives drawn from the pool plus one excluded
+    neighbor where the source has one in the pool."""
+    model, emb, graph, pool, sources = fixture()
+    rng = np.random.default_rng(seed)
+    positives, exclude = {}, {}
+    for s in sources.tolist():
+        neighbors = graph.neighbors(s)
+        pos = rng.choice(pool, size=int(rng.integers(1, 6)), replace=False)
+        held = neighbors[np.isin(neighbors, pool)]
+        positives[s] = np.concatenate([pos, held[:1]])
+        exclude[s] = neighbors
+    return ranking_score_fn(model, emb), sources, positives, pool, 20, exclude
+
+
+class TestBlockRankingAgainstPerSourceOracle:
+    """Block selection on threads against the per-source loop it replaced
+    (``tests/ranking_oracle.py``): per-source recall byte for byte."""
+
+    @pytest.mark.parametrize("case", _BLOCK_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bytes_equal_on_seeded_score_tables(self, case, seed, monkeypatch):
+        score, sources, positives, pool, k, exclude = _block_case(seed, **case)
+        _threads(monkeypatch, 2)
+        for excl in (exclude, None):
+            got = recall_per_source(score, sources, positives, pool, k, excl)
+            want = ranking_oracle.recall_per_source(score, sources, positives, pool, k, excl)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fixture", [_link_scorer_fixture, _recsys_scorer_fixture],
+                             ids=["link", "recsys"])
+    def test_bytes_equal_with_the_ranking_scorers(self, fixture, monkeypatch):
+        score, sources, positives, pool, k, exclude = _scorer_case(fixture)
+        assert sources.size > evaluation._BLOCK
+        _threads(monkeypatch, 2)
+        got = recall_per_source(score, sources, positives, pool, k, exclude)
+        want = ranking_oracle.recall_per_source(score, sources, positives, pool, k, exclude)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestRankingThreads:
+    def test_one_and_two_threads_byte_equal(self, monkeypatch):
+        score, sources, positives, pool, k, exclude = _block_case(3, special=True, levels=3)
+        results, threads_used = {}, {}
+        for count in (1, 2):
+            seen = set()
+
+            def recording(source, candidates):
+                seen.add(threading.get_ident())
+                return score(source, candidates)
+
+            _threads(monkeypatch, count)
+            results[count] = recall_per_source(recording, sources, positives, pool, k, exclude)
+            threads_used[count] = len(seen)
+        assert threads_used == {1: 1, 2: 2}
+        assert results[1].tobytes() == results[2].tobytes()
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        score, sources, positives, pool, k, exclude = _block_case(4)
+        _threads(monkeypatch, 2)
+        before = set(threading.enumerate())
+        recall_per_source(score, sources, positives, pool, k, exclude)
+        assert set(threading.enumerate()) == before
+
+    def test_worker_count_is_at_most_the_usable_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        for blocks in (0, 1, 2, 3, 1000):
+            assert 1 <= evaluation._worker_count(blocks) <= max(1, min(cpus, blocks))
+
+    def test_an_error_in_another_thread_is_raised(self, monkeypatch):
+        score, sources, positives, pool, k, exclude = _block_case(5)
+        last = int(sources[-1])
+
+        def short_for_the_last(source, candidates):
+            scores = score(source, candidates)
+            return scores[1:] if source == last else scores
+
+        _threads(monkeypatch, 2)
+        with pytest.raises(EvalError, match="score function returned"):
+            recall_per_source(short_for_the_last, sources, positives, pool, k, exclude)
+
+
+class TestScorerThreadSafety:
+    @pytest.mark.parametrize("fixture", [_link_scorer_fixture, _recsys_scorer_fixture],
+                             ids=["link", "recsys"])
+    def test_concurrent_calls_return_the_serial_bytes(self, fixture):
+        """Threads (more than the CPUs, switching often) share one closure;
+        every call returns what a serial call returned."""
+        model, emb, graph, pool, sources = fixture()
+        score = ranking_score_fn(model, emb)
+        candidates = {s: pool[~np.isin(pool, graph.neighbors(s))] for s in sources.tolist()}
+        serial = {s: score(s, c).tobytes() for s, c in candidates.items()}
+        order = list(candidates)
+        mismatches = []
+        start = threading.Barrier(4)
+
+        def run(shift):
+            start.wait(timeout=30)
+            for _ in range(3):
+                for s in order[shift:] + order[:shift]:
+                    if score(s, candidates[s]).tobytes() != serial[s]:
+                        mismatches.append(s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i * len(order) // 4,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+
+class TestValidationMemory:
+    def test_block_buffers_stay_small(self, monkeypatch):
+        # one link validation call on a 2,000-node graph (948 sources, a pool
+        # of 1,900) peaked at 3,110 KiB ranking one source at a time, and at
+        # 5,580 KiB on two threads with blocks of 32 sources
+        graph, _ = generate_scale_free(2000, 2, feat_dim=16, seed=3)
+        bundle = make_link_bundle(graph, seed=3)
+        model = init_model(EncoderConfig("gcn", 16, 32, 32, num_layers=2), "link", seed=3)
+        _threads(monkeypatch, 2)
+        validation_metric(model, bundle)  # builds the graph's kept operator and aggregate
+        tracemalloc.start()
+        try:
+            validation_metric(model, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6000 * 1024

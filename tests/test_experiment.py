@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tailkit import NUMERICS, experiment, theory, training
-from tailkit.cli import main
+from tailkit.cli import _blas_thread_calls, main
 from tailkit.data import (SplitBundle, make_classification_bundle, save_edge_list,
                           save_features, save_labels)
 from tailkit.evaluation import BUCKET_LABELS, MetricReport
@@ -1044,6 +1044,65 @@ class TestAllocator:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)[1:] == [0, 0, 0]
+
+
+# the stages of each config given on the command line, through ``cli.main``
+CLI_STAGES = """
+import sys
+from tailkit.cli import main
+for path in sys.argv[1:]:
+    for command in ("generate", "split", "train", "eval"):
+        assert main([command, "--config", path]) == 0, (command, path)
+"""
+
+
+def gcn_2000_payload(task, output_dir):
+    """A 2,000-node gcn run, 30 + 30 epochs, base and tuneup, seed 0."""
+    payload = {
+        "task": task,
+        "dataset": {"num_nodes": 2000, "m_attach": 2, "feat_dim": 16, "seed": 0},
+        "model": {"variant": "gcn", "hidden_dim": 32, "output_dim": 32, "num_layers": 2},
+        "train": {"stage1_epochs": 30, "stage2_epochs": 30, "eval_every": 10,
+                  "patience": 10},
+        "methods": ["base", "tuneup"],
+        "seeds": [0],
+        "output_dir": str(output_dir),
+    }
+    if task == "link":
+        payload["train"]["preset"] = "desk-link"
+    return payload
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif(_blas_thread_calls() is None, reason="needs numpy's bundled OpenBLAS")
+    def test_blas_thread_count_leaves_every_output_identical(self, tmp_path):
+        """The command pins BLAS to one thread: runs started with one and with
+        two BLAS threads write the same files, byte for byte (with the thread
+        count left to the environment, stage-1 losses differed from epoch 6
+        for classification and from epoch 2 for link)."""
+        src = Path(experiment.__file__).resolve().parents[1]
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"blas{threads}"
+            paths = []
+            for task in ("classification", "link"):
+                path = tmp_path / f"{task}-{threads}.json"
+                path.write_text(json.dumps(gcn_2000_payload(task, out)))
+                paths.append(str(path))
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads))
+            runs.append((out, subprocess.Popen([sys.executable, "-c", CLI_STAGES, *paths],
+                                               env=env, stdout=subprocess.PIPE,
+                                               stderr=subprocess.PIPE, text=True)))
+        for _, proc in runs:
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+            assert err == ""
+        (one, _), (two, _) = runs
+        files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+        assert any(rel.name == "eval.json" for rel in files)
+        for rel in files:
+            assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
 
 
 class TestDeterminism:
